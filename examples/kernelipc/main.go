@@ -14,6 +14,7 @@ import (
 	"log"
 	"os"
 
+	"bitc/internal/analysis"
 	"bitc/internal/core"
 )
 
@@ -77,14 +78,24 @@ func main() {
 	}
 
 	// Static guarantees first: no region escapes, no races on shared state.
-	if esc := prog.CheckRegions(); len(esc) != 0 {
-		for _, e := range esc {
-			fmt.Println("escape:", e)
+	rep, err := prog.Analyze(analysis.Options{Enable: []string{"escape", "race"}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	escapes, races := 0, 0
+	for _, f := range rep.Findings {
+		switch f.Code {
+		case analysis.CodeEscape, analysis.CodeUseAfterExit:
+			fmt.Println("escape:", f.Message)
+			escapes++
+		case analysis.CodeRace:
+			races++
 		}
+	}
+	if escapes != 0 {
 		log.Fatal("region checker found escapes in the IPC server")
 	}
-	races := prog.Races()
-	fmt.Printf("static analysis: 0 region escapes, %d potential races\n", len(races.Races))
+	fmt.Printf("static analysis: 0 region escapes, %d potential races\n", races)
 
 	val, machine, err := prog.Run()
 	if err != nil {

@@ -729,6 +729,22 @@ func sortDedup(ss []string) []string {
 // Cached encodings (all spans relative, rebased on every decode)
 // ---------------------------------------------------------------------------
 
+// Names in the AST are substrings of the parsed source text, so a cached fact
+// holding one would keep that edit's whole text alive for as long as the
+// fact stays cached — the -watch daemon's heap would grow by a source text
+// per edit. Encoders therefore store clones of every name.
+
+func cloneAll(ss []string) []string {
+	if ss == nil {
+		return nil
+	}
+	out := make([]string, len(ss))
+	for i, s := range ss {
+		out[i] = strings.Clone(s)
+	}
+	return out
+}
+
 type cachedSite struct {
 	Lock string
 	Span factstore.RelSpan
@@ -781,14 +797,14 @@ type cachedEffects struct {
 }
 
 func encodeSite(ix *factstore.Index, s LockSite) cachedSite {
-	return cachedSite{Lock: s.Lock, Span: ix.Rel(s.Span), Fn: s.Fn}
+	return cachedSite{Lock: strings.Clone(s.Lock), Span: ix.Rel(s.Span), Fn: strings.Clone(s.Fn)}
 }
 
 func encodeAccess(ix *factstore.Index, ac concurrent.Access) cachedAccess {
 	return cachedAccess{
-		Global: ac.Global, Field: ac.Field, Write: ac.Write,
-		Span: ix.Rel(ac.Span), Func: ac.Func,
-		Lockset: ac.Lockset, Spawned: ac.Spawned,
+		Global: strings.Clone(ac.Global), Field: strings.Clone(ac.Field), Write: ac.Write,
+		Span: ix.Rel(ac.Span), Func: strings.Clone(ac.Func),
+		Lockset: cloneAll(ac.Lockset), Spawned: ac.Spawned,
 	}
 }
 
@@ -801,7 +817,7 @@ func decodeAccess(ix *factstore.Index, ca cachedAccess) concurrent.Access {
 }
 
 func encodeAtomicSite(ix *factstore.Index, s AtomicSite) cachedAtomicSite {
-	return cachedAtomicSite{Span: ix.Rel(s.Span), Fn: s.Fn, Nested: s.Nested}
+	return cachedAtomicSite{Span: ix.Rel(s.Span), Fn: strings.Clone(s.Fn), Nested: s.Nested}
 }
 
 func decodeAtomicSite(ix *factstore.Index, s cachedAtomicSite) AtomicSite {
@@ -809,7 +825,7 @@ func decodeAtomicSite(ix *factstore.Index, s cachedAtomicSite) AtomicSite {
 }
 
 func encodeEffectSite(ix *factstore.Index, s EffectSite) cachedEffectSite {
-	return cachedEffectSite{Kind: s.Kind, Name: s.Name, Span: ix.Rel(s.Span), Fn: s.Fn, Atomic: s.Atomic}
+	return cachedEffectSite{Kind: s.Kind, Name: strings.Clone(s.Name), Span: ix.Rel(s.Span), Fn: strings.Clone(s.Fn), Atomic: s.Atomic}
 }
 
 func decodeEffectSite(ix *factstore.Index, s cachedEffectSite) EffectSite {
@@ -817,7 +833,7 @@ func decodeEffectSite(ix *factstore.Index, s cachedEffectSite) EffectSite {
 }
 
 func encodeRetrySite(ix *factstore.Index, s RetrySite) cachedRetrySite {
-	return cachedRetrySite{Span: ix.Rel(s.Span), Fn: s.Fn, Cond: s.Cond}
+	return cachedRetrySite{Span: ix.Rel(s.Span), Fn: strings.Clone(s.Fn), Cond: strings.Clone(s.Cond)}
 }
 
 func decodeRetrySite(ix *factstore.Index, s cachedRetrySite) RetrySite {
@@ -832,7 +848,7 @@ func encodeEffects(ix *factstore.Index, eff *FuncEffects) *cachedEffects {
 	if len(eff.Acquires) > 0 {
 		ce.Acquires = make(map[string]cachedSite, len(eff.Acquires))
 		for l, s := range eff.Acquires {
-			ce.Acquires[l] = encodeSite(ix, s)
+			ce.Acquires[strings.Clone(l)] = encodeSite(ix, s)
 		}
 	}
 	if len(eff.Edges) > 0 {
@@ -840,15 +856,15 @@ func encodeEffects(ix *factstore.Index, eff *FuncEffects) *cachedEffects {
 		for a, outs := range eff.Edges {
 			m := make(map[string]cachedSite, len(outs))
 			for b, s := range outs {
-				m[b] = encodeSite(ix, s)
+				m[strings.Clone(b)] = encodeSite(ix, s)
 			}
-			ce.Edges[a] = m
+			ce.Edges[strings.Clone(a)] = m
 		}
 	}
 	if len(eff.Self) > 0 {
 		ce.Self = make(map[string]cachedSite, len(eff.Self))
 		for l, s := range eff.Self {
-			ce.Self[l] = encodeSite(ix, s)
+			ce.Self[strings.Clone(l)] = encodeSite(ix, s)
 		}
 	}
 	if len(eff.Accesses) > 0 {
@@ -1016,11 +1032,11 @@ func encodeAgg(ix *factstore.Index, s *Summaries) *cachedAgg {
 	for _, a := range sortedEdgeKeys(s.LockEdges) {
 		outs := s.LockEdges[a]
 		for _, b := range sortedKeys(outs) {
-			ca.Edges = append(ca.Edges, cachedAggEdge{A: a, B: b, Site: encodeSite(ix, outs[b])})
+			ca.Edges = append(ca.Edges, cachedAggEdge{A: strings.Clone(a), B: strings.Clone(b), Site: encodeSite(ix, outs[b])})
 		}
 	}
 	for _, a := range sortedKeys(s.LockSelf) {
-		ca.Self = append(ca.Self, cachedAggSelf{Lock: a, Site: encodeSite(ix, s.LockSelf[a])})
+		ca.Self = append(ca.Self, cachedAggSelf{Lock: strings.Clone(a), Site: encodeSite(ix, s.LockSelf[a])})
 	}
 	if len(s.Races) > 0 {
 		ca.Races = make([]cachedRace, len(s.Races))

@@ -2,11 +2,13 @@ package analysis_test
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
 	"bitc/internal/analysis"
 	"bitc/internal/ast"
+	"bitc/internal/corpus"
 	"bitc/internal/factstore"
 	"bitc/internal/parser"
 	"bitc/internal/types"
@@ -328,5 +330,46 @@ func TestIncrementalNilStore(t *testing.T) {
 	}
 	if renderAll(t, rep) != renderAll(t, plain) {
 		t.Error("nil-store run differs from plain run")
+	}
+}
+
+// TestWatchHeapFlat drives the analyze -watch loop — one-function edits
+// re-analysed against a shared store pruned to the daemon's default
+// retention — and checks the live heap does not grow with the edit count.
+// Cached facts must not pin the source text they were computed from: a
+// name sliced out of one edit's text would keep that whole text alive for
+// as long as the fact stays cached.
+func TestWatchHeapFlat(t *testing.T) {
+	const nfuncs, k, warmEdits, edits = 240, 24, 16, 64
+	text := corpus.Text(nfuncs, k)
+	store := factstore.New()
+	edit := func(i int) { // i < nfuncs: each edit dirties a different function
+		text = corpus.EditOne(text, i)
+		prog, info := check(t, text)
+		if _, err := analysis.RunWithStore(prog, info, analysis.Options{}, store); err != nil {
+			t.Fatal(err)
+		}
+		store.Prune(8)
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for i := 0; i < warmEdits; i++ {
+		edit(i)
+	}
+	early := liveHeap()
+	for i := warmEdits; i < warmEdits+edits; i++ {
+		edit(i)
+	}
+	late := liveHeap()
+	runtime.KeepAlive(store) // the daemon holds its store across edits
+	t.Logf("live heap %d -> %d bytes over %d edits; source text %d bytes", early, late, edits, len(text))
+	if late > early+uint64(len(text)) {
+		t.Errorf("live heap grew by %d bytes over %d edits, more than one source text (%d bytes)",
+			late-early, edits, len(text))
 	}
 }

@@ -186,15 +186,17 @@ func Build(fn *ast.DefineFunc) *Graph {
 	}
 	b.popScope()
 	g.Exit = b.cur
+	// Built here, not lazily on first use: the analysis driver's workers
+	// share one graph per function read-only.
+	g.rpo = reversePostorder(g)
 	return g
 }
 
-// RPO returns the blocks in reverse postorder (computed once and cached).
-// Every block is reachable from the entry, so RPO covers the whole graph.
-func (g *Graph) RPO() []*Block {
-	if g.rpo != nil {
-		return g.rpo
-	}
+// RPO returns the blocks in reverse postorder. Every block is reachable from
+// the entry, so RPO covers the whole graph.
+func (g *Graph) RPO() []*Block { return g.rpo }
+
+func reversePostorder(g *Graph) []*Block {
 	seen := make([]bool, len(g.Blocks))
 	var post []*Block
 	var dfs func(b *Block)
@@ -212,7 +214,6 @@ func (g *Graph) RPO() []*Block {
 	for i := len(post) - 1; i >= 0; i-- {
 		out = append(out, post[i])
 	}
-	g.rpo = out
 	return out
 }
 

@@ -1,8 +1,9 @@
-// Package concurrent implements the static side of bitc's shared-state story
-// (the paper's challenge 4): a lockset analysis in the Eraser tradition that
-// finds fields of shared (global) objects accessed from multiple threads
-// without a consistent lock — plus a report of where locks *are* held, which
-// the E8 experiment uses to contrast locks, STM, and unsynchronised code.
+// Package concurrent is the vocabulary of bitc's static shared-state story
+// (the paper's challenge 4): shared accesses with the locksets held at them,
+// and the Eraser-style pairing of conflicting accesses into races. The
+// accesses themselves are collected by the function summaries in
+// internal/analysis; core.(*Program).Races and the race checker
+// (BITC-RACE001) both report what FindRaces pairs from them.
 package concurrent
 
 import (
@@ -10,9 +11,7 @@ import (
 	"sort"
 	"strings"
 
-	"bitc/internal/ast"
 	"bitc/internal/source"
-	"bitc/internal/types"
 )
 
 // Access is one read or write of a shared location.
@@ -46,176 +45,15 @@ func rw(w bool) string {
 	return "read"
 }
 
-// Report is the analysis result.
+// Report is the set of shared accesses and the races paired from them.
 type Report struct {
 	Accesses []Access
 	Races    []Race
 }
 
-// Analyze runs the lockset analysis over a checked program.
-func Analyze(prog *ast.Program, info *types.Info) *Report {
-	a := &analyzer{
-		info:  info,
-		funcs: map[string]*ast.DefineFunc{},
-		memo:  map[string]bool{},
-	}
-	for _, d := range prog.Defs {
-		if fn, ok := d.(*ast.DefineFunc); ok {
-			a.funcs[fn.Name] = fn
-		}
-	}
-	// Globals that hold mutable heap objects are the shared state.
-	for name, t := range info.Globals {
-		if types.Prune(t).Kind == types.KStruct {
-			a.sharedGlobals = append(a.sharedGlobals, name)
-		}
-	}
-	sort.Strings(a.sharedGlobals)
-
-	// Entry points are functions nothing else calls (plus main): accesses are
-	// only meaningful along real execution paths, otherwise a callee that is
-	// always invoked under a lock would be flagged spuriously.
-	called := map[string]bool{}
-	for _, d := range prog.Defs {
-		if fn, ok := d.(*ast.DefineFunc); ok {
-			for _, body := range fn.Body {
-				ast.Walk(body, func(e ast.Expr) bool {
-					if call, ok := e.(*ast.Call); ok {
-						if v, ok := call.Fn.(*ast.VarRef); ok && a.funcs[v.Name] != nil && v.Name != fn.Name {
-							called[v.Name] = true
-						}
-					}
-					return true
-				})
-			}
-		}
-	}
-	for _, d := range prog.Defs {
-		if fn, ok := d.(*ast.DefineFunc); ok {
-			if !called[fn.Name] || fn.Name == "main" {
-				a.walkFunc(fn, nil, false, 0)
-			}
-		}
-	}
-	rep := &Report{Accesses: a.accesses}
-	rep.Races = FindRaces(a.accesses)
-	return rep
-}
-
-type analyzer struct {
-	info          *types.Info
-	funcs         map[string]*ast.DefineFunc
-	sharedGlobals []string
-	accesses      []Access
-	memo          map[string]bool
-}
-
-func lockKey(locks []string) string { return strings.Join(locks, "\x00") }
-
-// walkFunc analyses fn's body under the given held lockset. Memoised per
-// (function, lockset, spawned) context; depth-bounded for recursion.
-func (a *analyzer) walkFunc(fn *ast.DefineFunc, locks []string, spawned bool, depth int) {
-	if depth > 8 {
-		return
-	}
-	key := fmt.Sprintf("%s|%s|%v", fn.Name, lockKey(locks), spawned)
-	if a.memo[key] {
-		return
-	}
-	a.memo[key] = true
-	for _, e := range fn.Body {
-		a.walk(e, fn, locks, spawned, depth)
-	}
-}
-
-// globalTarget resolves the object expression of a field access to a shared
-// global name, or "".
-func (a *analyzer) globalTarget(e ast.Expr) string {
-	v, ok := e.(*ast.VarRef)
-	if !ok {
-		return ""
-	}
-	if sym := a.info.Uses[v]; sym != nil && sym.Kind == types.SymGlobal {
-		return v.Name
-	}
-	return ""
-}
-
-func (a *analyzer) record(global, field string, write bool, span source.Span, fn string, locks []string, spawned bool) {
-	ls := append([]string{}, locks...)
-	sort.Strings(ls)
-	a.accesses = append(a.accesses, Access{
-		Global: global, Field: field, Write: write, Span: span,
-		Func: fn, Lockset: ls, Spawned: spawned,
-	})
-}
-
-func (a *analyzer) walk(e ast.Expr, fn *ast.DefineFunc, locks []string, spawned bool, depth int) {
-	switch e := e.(type) {
-	case *ast.WithLock:
-		inner := append(append([]string{}, locks...), e.Lock)
-		for _, b := range e.Body {
-			a.walk(b, fn, inner, spawned, depth)
-		}
-	case *ast.Atomic:
-		// STM serialises with every other atomic block: model as a single
-		// global lock named "atomic".
-		inner := append(append([]string{}, locks...), "atomic")
-		for _, b := range e.Body {
-			a.walk(b, fn, inner, spawned, depth)
-		}
-	case *ast.Spawn:
-		a.walkSpawn(e.Expr, fn, depth)
-	case *ast.FieldRef:
-		if g := a.globalTarget(e.Expr); g != "" {
-			a.record(g, e.Name, false, e.Span(), fn.Name, locks, spawned)
-		}
-		a.walk(e.Expr, fn, locks, spawned, depth)
-	case *ast.FieldSet:
-		if g := a.globalTarget(e.Expr); g != "" {
-			a.record(g, e.Name, true, e.Span(), fn.Name, locks, spawned)
-		}
-		a.walk(e.Expr, fn, locks, spawned, depth)
-		a.walk(e.Value, fn, locks, spawned, depth)
-	case *ast.Call:
-		if v, ok := e.Fn.(*ast.VarRef); ok {
-			if callee, isFn := a.funcs[v.Name]; isFn {
-				a.walkFunc(callee, locks, spawned, depth+1)
-			}
-		}
-		for _, arg := range e.Args {
-			a.walk(arg, fn, locks, spawned, depth)
-		}
-	default:
-		ast.Walk(e, func(sub ast.Expr) bool {
-			if sub == e {
-				return true
-			}
-			a.walk(sub, fn, locks, spawned, depth)
-			return false
-		})
-	}
-}
-
-// walkSpawn analyses a spawned expression as child-thread code.
-func (a *analyzer) walkSpawn(e ast.Expr, fn *ast.DefineFunc, depth int) {
-	if call, ok := e.(*ast.Call); ok {
-		if v, ok := call.Fn.(*ast.VarRef); ok {
-			if callee, isFn := a.funcs[v.Name]; isFn {
-				a.walkFunc(callee, nil, true, depth+1)
-			}
-		}
-	}
-	// Direct accesses in the spawned expression itself.
-	synthetic := &ast.DefineFunc{Name: fn.Name + "$spawn"}
-	a.walk(e, synthetic, nil, true, depth)
-}
-
 // FindRaces pairs conflicting accesses: same location, at least one write,
 // at least one from a spawned thread (or both from different spawned code),
-// and disjoint locksets. Exported so callers that collect accesses through
-// another path (the summary-based interprocedural analysis) share the same
-// race-pairing policy.
+// and disjoint locksets.
 func FindRaces(accesses []Access) []Race {
 	byLoc := map[string][]Access{}
 	for _, ac := range accesses {

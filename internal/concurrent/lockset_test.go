@@ -5,21 +5,18 @@ import (
 	"testing"
 
 	"bitc/internal/concurrent"
-	"bitc/internal/parser"
-	"bitc/internal/types"
+	"bitc/internal/core"
 )
 
+// analyze runs the summary-based race engine, the one behind both
+// core.(*Program).Races and the BITC-RACE001 checker.
 func analyze(t *testing.T, src string) *concurrent.Report {
 	t.Helper()
-	prog, diags := parser.Parse("t.bitc", src)
-	if diags.HasErrors() {
-		t.Fatalf("parse: %v", diags)
+	prog, err := core.LoadAnalysis("t.bitc", src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	info, cdiags := types.Check(prog)
-	if cdiags.HasErrors() {
-		t.Fatalf("check: %v", cdiags)
-	}
-	return concurrent.Analyze(prog, info)
+	return prog.Races()
 }
 
 const counterHeader = `
@@ -171,7 +168,7 @@ func TestRecursionTerminates(t *testing.T) {
 	}
 }
 
-// --- Edge cases the analysis-driver adapter must preserve ---
+// --- Edge cases of the race-pairing policy ---
 
 // Per-field granularity: a field that is only ever read may be shared freely
 // even while a sibling field of the same global is written under a lock.

@@ -21,7 +21,7 @@ import (
 	"bitc/internal/obs"
 	"bitc/internal/opt"
 	"bitc/internal/parser"
-	"bitc/internal/regions"
+	"bitc/internal/pointsto"
 	"bitc/internal/types"
 	"bitc/internal/verify"
 	"bitc/internal/vm"
@@ -103,8 +103,7 @@ func Load(name, src string, cfg Config) (*Program, error) {
 // LoadAnalysis parses and type-checks source text without compiling it —
 // the front half of Load, for tools that only run the static analyzers
 // (bitc analyze, the watch daemon). Module and Opt are nil on the result;
-// only Analyze/AnalyzeWithStore, Verify, CheckRegions, Races, and LayoutOf
-// are usable.
+// only Analyze/AnalyzeWithStore, Verify, Races, and LayoutOf are usable.
 func LoadAnalysis(name, src string) (*Program, error) {
 	prog, diags := parser.Parse(name, src)
 	if err := diags.ErrOrNil(); err != nil {
@@ -180,14 +179,11 @@ func (p *Program) AnalyzeWithStore(opts analysis.Options, store *factstore.Store
 	return analysis.RunWithStore(p.AST, p.Info, opts, store)
 }
 
-// CheckRegions runs the static region-escape analysis.
-func (p *Program) CheckRegions() []regions.Escape {
-	return regions.Check(p.AST, p.Info)
-}
-
-// Races runs the lockset race analysis.
+// Races reports the shared accesses and lockset races that the analysis
+// driver's race checker (BITC-RACE001) derives from its function summaries.
 func (p *Program) Races() *concurrent.Report {
-	return concurrent.Analyze(p.AST, p.Info)
+	s := analysis.ComputeSummaries(p.AST, p.Info, pointsto.Analyze(p.AST, p.Info, nil))
+	return &concurrent.Report{Accesses: s.SharedAccesses, Races: s.Races}
 }
 
 // LayoutOf computes the layout of a named struct under a representation mode.

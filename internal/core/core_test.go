@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bitc/internal/analysis"
 	"bitc/internal/core"
 	"bitc/internal/layout"
 	"bitc/internal/verify"
@@ -107,8 +108,12 @@ func TestAnalysesThroughFacade(t *testing.T) {
 	p2 := core.MustLoad("s", `
 	  (defstruct msg (v int64))
 	  (define (leak) msg (with-region r (alloc-in r (make msg :v 1))))`, core.DefaultConfig)
-	if esc := p2.CheckRegions(); len(esc) == 0 {
-		t.Error("escape not found through facade")
+	rep, err := p2.Analyze(analysis.Options{Enable: []string{"escape"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Findings) == 0 || rep.Findings[0].Code != analysis.CodeEscape {
+		t.Errorf("escape not found through facade: %v", rep.Findings)
 	}
 }
 

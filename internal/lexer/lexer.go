@@ -95,7 +95,10 @@ func Tokenize(name, text string) ([]Token, *source.Diagnostics) {
 	file := source.NewFile(name, text)
 	diags := source.NewDiagnostics(file)
 	lx := New(file, diags)
-	var toks []Token
+	// Source text runs at about one token per three bytes. Sizing for one per
+	// two up front spares the append growth, which on a large file allocates
+	// several times the final slice.
+	toks := make([]Token, 0, len(text)/2+1)
 	for {
 		t := lx.Next()
 		toks = append(toks, t)

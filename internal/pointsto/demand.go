@@ -28,6 +28,7 @@ package pointsto
 
 import (
 	"sort"
+	"strings"
 
 	"bitc/internal/ast"
 	"bitc/internal/cfg"
@@ -128,13 +129,16 @@ func newTraitScan() *traitScan {
 	}
 }
 
+// sortedSet lists m's names, cloned: traits are cached across edits by the
+// incremental driver, and an AST name is a substring of its source text,
+// which a cached name would otherwise keep alive.
 func sortedSet(m map[string]bool) []string {
 	if len(m) == 0 {
 		return nil
 	}
 	out := make([]string, 0, len(m))
 	for k := range m {
-		out = append(out, k)
+		out = append(out, strings.Clone(k))
 	}
 	sort.Strings(out)
 	return out

@@ -15,8 +15,8 @@ import (
 )
 
 // DispatchMode selects the interpreter's dispatch strategy. The zero value
-// is the fast path; the other modes exist as baselines for differential
-// testing and speedup measurement (see BENCH_E1.json's dispatchSpeedup).
+// is the fast path; the switch interpreter is its differential-testing
+// oracle and the baseline of BENCH_E1.json's dispatchSpeedup.
 type DispatchMode int
 
 // Dispatch strategies.
@@ -24,9 +24,6 @@ const (
 	// DispatchFused pre-decodes into specialized handlers and fuses
 	// superinstructions (the default).
 	DispatchFused DispatchMode = iota
-	// DispatchSpecialized pre-decodes into specialized handlers but skips
-	// the fusion pass.
-	DispatchSpecialized
 	// DispatchSwitch is the legacy per-instruction switch interpreter, kept
 	// as the behavioural reference and performance baseline.
 	DispatchSwitch
@@ -34,14 +31,10 @@ const (
 
 // String names the dispatch mode as it appears in run banners and listings.
 func (m DispatchMode) String() string {
-	switch m {
-	case DispatchSpecialized:
-		return "specialized"
-	case DispatchSwitch:
+	if m == DispatchSwitch {
 		return "switch"
-	default:
-		return "fused"
 	}
+	return "fused"
 }
 
 // handler executes one decoded instruction (or superinstruction). Handlers
@@ -129,11 +122,8 @@ func (v *VM) decodeFunc(df *dfunc, f *ir.Func) {
 			code[ii] = v.decodeInstr(&b.Instrs[ii])
 		}
 		term := dterm{kind: b.Term.Kind, cond: b.Term.Cond, to: b.Term.To, els: b.Term.Else, val: b.Term.Val}
-		blk := dblock{code: code, term: term}
-		if v.opts.Dispatch == DispatchFused {
-			blk = fuseBlock(blk)
-		}
-		df.blocks[bi] = blk
+		// Switch-mode slots are never canFuse, so fusion leaves them as is.
+		df.blocks[bi] = fuseBlock(dblock{code: code, term: term})
 	}
 }
 

@@ -1,10 +1,9 @@
 package vm_test
 
-// dispatch_test.go holds the fidelity suite for the specialized/fused
-// interpreter: whatever the dispatch strategy, a program must produce the
-// same value, the same traps, the same core counters, and the same
-// observable event stream. It also pins the decoded listings of two E1
-// kernels as golden files, so fusion changes are reviewed as diffs.
+// dispatch_test.go holds the fidelity suite for the fused interpreter: it
+// must match the switch interpreter, its oracle, on value, traps, core
+// counters, and observable event stream. It also pins the decoded listings
+// of two E1 kernels as golden files, so fusion changes are reviewed as diffs.
 
 import (
 	"bytes"
@@ -26,7 +25,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite disasm golden files")
 
 // dispatchModes are the strategies the differential tests sweep.
-var dispatchModes = []vm.DispatchMode{vm.DispatchFused, vm.DispatchSpecialized, vm.DispatchSwitch}
+var dispatchModes = []vm.DispatchMode{vm.DispatchFused, vm.DispatchSwitch}
 
 // coreCounters extracts the dispatch-independent subset of vm.Stats.
 // Switches can legitimately differ (a fused slot may overshoot the quantum
@@ -69,7 +68,7 @@ func runDispatch(t *testing.T, src, entry string, d vm.DispatchMode, rep vm.RepM
 	return val, machine, out.String(), rerr
 }
 
-// TestDispatchDifferentialKernels runs the four E1 kernels under all three
+// TestDispatchDifferentialKernels runs the four E1 kernels under both
 // dispatch strategies in both representations and demands identical values,
 // stdout, and core counters.
 func TestDispatchDifferentialKernels(t *testing.T) {

@@ -43,12 +43,7 @@ func hGetField(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 			return nil
 		}
 	}
-	v.Stats.ICMisses++
-	err := v.exec(t, fr, d.src)
-	if err == nil {
-		d.ic.fillField(fr.regs[d.a], t)
-	}
-	return err
+	return fieldMiss(v, t, fr, d)
 }
 
 func hSetField(v *VM, t *Thread, fr *Frame, d *dinstr) error {
@@ -62,23 +57,23 @@ func hSetField(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 			return nil
 		}
 	}
-	v.Stats.ICMisses++
-	err := v.exec(t, fr, d.src)
-	if err == nil {
-		d.ic.fillField(fr.regs[d.a], t)
-	}
-	return err
+	return fieldMiss(v, t, fr, d)
 }
 
-// fillField records the shape after a successful slow-path field access.
-// Region-allocated objects are cacheable for field sites — the fast path
-// re-checks liveness — but transactional accesses are not: the fill would
-// memoize a read that bypasses the read/write buffers.
-func (ic *icache) fillField(val Value, t *Thread) {
-	if t.txn != nil || val.K != KRef {
-		return
+// fieldMiss runs a field access through the slow path and, on success,
+// records the object's shape. Region-allocated objects are cacheable for
+// field sites — the fast path re-checks liveness — but transactional
+// accesses are not: the fill would memoize a read that bypasses the
+// read/write buffers.
+func fieldMiss(v *VM, t *Thread, fr *Frame, d *dinstr) error {
+	v.Stats.ICMisses++
+	if err := v.exec(t, fr, d.src); err != nil {
+		return err
 	}
-	ic.shape = val.R.SDecl
+	if val := fr.regs[d.a]; t.txn == nil && val.K == KRef {
+		d.ic.shape = val.R.SDecl
+	}
+	return nil
 }
 
 func hVecRef(v *VM, t *Thread, fr *Frame, d *dinstr) error {
@@ -97,12 +92,7 @@ func hVecRef(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 		fr.regs[d.dst] = val.R.Elems[i]
 		return nil
 	}
-	v.Stats.ICMisses++
-	err := v.exec(t, fr, d.src)
-	if err == nil {
-		ic.fillVec(fr.regs[d.a], t)
-	}
-	return err
+	return vecMiss(v, t, fr, d)
 }
 
 func hVecSet(v *VM, t *Thread, fr *Frame, d *dinstr) error {
@@ -119,12 +109,7 @@ func hVecSet(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 		val.R.Version++
 		return nil
 	}
-	v.Stats.ICMisses++
-	err := v.exec(t, fr, d.src)
-	if err == nil {
-		ic.fillVec(fr.regs[d.a], t)
-	}
-	return err
+	return vecMiss(v, t, fr, d)
 }
 
 // hVecRefElide is hVecRef minus the bounds compare: selected at decode time
@@ -142,12 +127,7 @@ func hVecRefElide(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 		fr.regs[d.dst] = val.R.Elems[i]
 		return nil
 	}
-	v.Stats.ICMisses++
-	err := v.exec(t, fr, d.src)
-	if err == nil {
-		ic.fillVec(fr.regs[d.a], t)
-	}
-	return err
+	return vecMiss(v, t, fr, d)
 }
 
 // hVecSetElide is hVecSet minus the bounds compare; see hVecRefElide.
@@ -161,21 +141,21 @@ func hVecSetElide(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 		val.R.Version++
 		return nil
 	}
-	v.Stats.ICMisses++
-	err := v.exec(t, fr, d.src)
-	if err == nil {
-		ic.fillVec(fr.regs[d.a], t)
-	}
-	return err
+	return vecMiss(v, t, fr, d)
 }
 
-// fillVec records the vector identity after a successful slow-path access.
-// Only heap vectors are cached: identity then implies liveness forever, so
-// the hot path carries no region check at all.
-func (ic *icache) fillVec(val Value, t *Thread) {
-	if t.txn != nil || val.K != KRef || val.R.Region >= 0 {
-		return
+// vecMiss runs a vector access through the slow path and, on success,
+// records the vector's identity and bound. Only heap vectors are cached:
+// identity then implies liveness forever, so the hot path carries no region
+// check at all. Transactional accesses are never cached.
+func vecMiss(v *VM, t *Thread, fr *Frame, d *dinstr) error {
+	v.Stats.ICMisses++
+	if err := v.exec(t, fr, d.src); err != nil {
+		return err
 	}
-	ic.obj = val.R
-	ic.bound = int64(len(val.R.Elems))
+	if val := fr.regs[d.a]; t.txn == nil && val.K == KRef && val.R.Region < 0 {
+		d.ic.obj = val.R
+		d.ic.bound = int64(len(val.R.Elems))
+	}
+	return nil
 }

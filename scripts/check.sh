@@ -93,11 +93,11 @@ for f in /tmp/bitc-serve-shard.bitc /tmp/bitc-serve-twopc.bitc examples/bankstm/
 done
 rm -f /tmp/bitc-serve-shard.bitc /tmp/bitc-serve-twopc.bitc
 
-# Dispatch fidelity gate: the fused/specialized interpreter must agree with
-# the legacy switch baseline on values, traps, counters, and observer
-# streams over the kernel + example corpus, and the pinned fusion listings
-# of two E1 kernels must not drift silently (regenerate with -update and
-# review the diff; see docs/vm.md).
+# Dispatch fidelity gate: the fused interpreter must agree with the legacy
+# switch baseline on values, traps, counters, and observer streams over the
+# kernel + example corpus, and the pinned fusion listings of two E1 kernels
+# must not drift silently (regenerate with -update and review the diff; see
+# docs/vm.md).
 go test -count=1 -run 'TestDispatchDifferential|TestDisasmGolden' ./internal/vm
 
 # Bounds & provenance gate: the relational prover must (1) hold the E1
@@ -142,6 +142,11 @@ rm -rf "$d1" "$d2" /tmp/bitc-bench-check
 # The serving subsystem mixes real OS threads (shard batches, 2PC
 # coordinators) with VM green threads — hold it to the race detector.
 go test -race -count=1 ./internal/serve/...
+
+# The analysis driver fans tasks out over a worker pool that shares the CFGs,
+# points-to results and summaries read-only — hold that sharing to the race
+# detector too (~12s).
+go test -race -count=1 ./internal/analysis/ ./internal/cfg/
 
 rm -f "$current" /tmp/bitc-check
 
