@@ -61,6 +61,9 @@ var boundsAnalyzer = register(&Analyzer{
 })
 
 func runBounds(p *Pass) {
+	if !hasVectorSite(p.Fn) {
+		return // nothing to classify: skip the engine set-up and dataflow solve
+	}
 	eng := newBoundsEngine(p.Info, p.CFG(nil), p.PointsTo, p.Fn.Name)
 	for _, s := range eng.analyze() {
 		switch s.verdict {
@@ -334,8 +337,8 @@ func (eng *boundsEngine) analyze() []boundsSite {
 	for _, b := range eng.g.Blocks {
 		env := res.In[b.Index]
 		for _, a := range b.Atoms {
-			if a.Op == cfg.OpCall && (a.Name == "vector-ref" || a.Name == "vector-set!") {
-				if call, ok := a.Expr.(*ast.Call); ok && len(call.Args) >= 2 {
+			if a.Op == cfg.OpCall {
+				if call, ok := a.Expr.(*ast.Call); ok && isVectorAccess(call) {
 					checkEnv := env
 					if a.Deferred || !env.reached {
 						// Deferred code runs at an unknown later point;

@@ -4,8 +4,16 @@ package analysis
 // relational engine the BITC-BOUND analyzer uses, but instead of findings it
 // returns the set of vector-access sites the prover discharged. internal/vm
 // consumes this set in its pre-decode pass to select bounds-check-free
-// handlers for proven OpVecRef/OpVecSet sites — the ISSUE's payoff: the
-// static prover pays for itself at dispatch time.
+// handlers for proven OpVecRef/OpVecSet sites, so the static prover pays for
+// itself at dispatch time.
+//
+// The prover pays only where it can elide a check. A syntactic walk
+// (hasVectorSite) finds the functions that contain a vector-ref/vector-set!
+// call; a program with none gets the empty proof set without building a
+// CFG or a points-to graph. Otherwise every function gets a CFG and
+// whole-program points-to is solved, but the engine runs on the
+// site-bearing functions only: a function without a site has nothing to
+// classify, so skipping it cannot change the proof set.
 //
 // Sites are keyed by the access expression's source position as stamped into
 // ir.Instr.Pos by the compiler (span start + 1 so that zero means "no
@@ -17,6 +25,7 @@ import (
 	"bitc/internal/cfg"
 	"bitc/internal/factstore"
 	"bitc/internal/pointsto"
+	"bitc/internal/source"
 	"bitc/internal/types"
 )
 
@@ -35,9 +44,40 @@ type BoundsProofSet struct {
 // shared; callers must not mutate it.
 func (ps *BoundsProofSet) Elidable() map[int]bool { return ps.elidable }
 
-// BoundsProofs runs the bounds prover over every function and returns the
-// proof set. It is independent of the finding drivers so the VM path can ask
-// for proofs without assembling a report.
+func (ps *BoundsProofSet) add(span source.Span, proved bool) {
+	ps.Sites++
+	if proved {
+		ps.Proved++
+		ps.elidable[int(span.Start)+1] = true
+	}
+}
+
+// isVectorAccess reports whether call is a vector-ref/vector-set! site the
+// bounds engine classifies. The CFG names an OpCall atom after its unbound
+// VarRef head, so this syntactic test accepts a superset of the engine's
+// sites (it also accepts a locally shadowed head).
+func isVectorAccess(call *ast.Call) bool {
+	v, ok := call.Fn.(*ast.VarRef)
+	return ok && (v.Name == "vector-ref" || v.Name == "vector-set!") && len(call.Args) >= 2
+}
+
+// hasVectorSite reports whether fn contains a vector-access site anywhere,
+// lambda bodies and contracts included. A function without one has nothing
+// for the bounds engine to classify.
+func hasVectorSite(fn *ast.DefineFunc) bool {
+	found := false
+	ast.WalkDef(fn, func(e ast.Expr) bool {
+		if call, ok := e.(*ast.Call); ok && isVectorAccess(call) {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// BoundsProofs runs the bounds prover over every function with a vector
+// access and returns the proof set. It is independent of the finding
+// drivers so the VM path can ask for proofs without assembling a report.
 func BoundsProofs(prog *ast.Program, info *types.Info) *BoundsProofSet {
 	return BoundsProofsWithStore(prog, info, nil)
 }
@@ -57,7 +97,9 @@ type cachedProofSite struct {
 // store: per-function proof sites are cached under the function's content
 // key, its free-name environment signature, and its points-to flow
 // component key — exactly the inputs the engine's verdicts depend on — so a
-// warm call recomputes nothing and returns an identical proof set.
+// warm call recomputes nothing and returns an identical proof set. Every
+// function is probed once; a site-free miss is stored as an empty proof
+// without running the engine.
 func BoundsProofsWithStore(prog *ast.Program, info *types.Info, store *factstore.Store) *BoundsProofSet {
 	var funcs []*ast.DefineFunc
 	for _, d := range prog.Defs {
@@ -67,71 +109,74 @@ func BoundsProofsWithStore(prog *ast.Program, info *types.Info, store *factstore
 	}
 	ps := &BoundsProofSet{elidable: map[int]bool{}}
 
-	record := func(ix *factstore.Index, cp *cachedProofs) {
-		for _, s := range cp.Sites {
-			ps.Sites++
-			if s.Proved {
-				ps.Proved++
-				sp := ix.Abs(s.Span)
-				ps.elidable[int(sp.Start)+1] = true
+	if store == nil {
+		var need []*ast.DefineFunc
+		for _, fn := range funcs {
+			if hasVectorSite(fn) {
+				need = append(need, fn)
 			}
 		}
-	}
-	prove := func(fn *ast.DefineFunc, ix *factstore.Index,
-		cfgs map[*ast.DefineFunc]*cfg.Graph, pts *pointsto.Result) *cachedProofs {
-		eng := newBoundsEngine(info, cfgs[fn], pts, fn.Name)
-		cp := &cachedProofs{}
-		for _, s := range eng.analyze() {
-			cp.Sites = append(cp.Sites, cachedProofSite{
-				Span: ix.Rel(s.span), Proved: s.verdict == siteProved,
-			})
-		}
-		return cp
-	}
-
-	if store == nil {
-		ix := factstore.NewIndex(prog)
-		cfgs := make(map[*ast.DefineFunc]*cfg.Graph, len(funcs))
-		for _, fn := range funcs {
-			cfgs[fn] = cfg.Build(fn)
-		}
-		pts := pointsto.Analyze(prog, info, cfgs)
-		for _, fn := range funcs {
-			record(ix, prove(fn, ix, cfgs, pts))
+		for _, sites := range proveSites(prog, info, funcs, need) {
+			for _, s := range sites {
+				ps.add(s.span, s.verdict == siteProved)
+			}
 		}
 		return ps
 	}
 
 	store.BeginRun()
-	k := buildKeys(prog, info, store, funcs, true)
+	k := buildKeys(prog, info, store, funcs, true, 0)
 	key := make([]string, len(funcs))
 	proofs := make([]*cachedProofs, len(funcs))
-	anyMiss := false
-	for fi := range funcs {
+	var need []*ast.DefineFunc
+	var needIdx []int
+	for fi, fn := range funcs {
 		key[fi] = "bp\x00" + k.funcKey[fi] + k.envSig[fi] + k.compKey[k.fnComp[fi]]
 		if v, ok := store.Get(key[fi]); ok {
 			proofs[fi] = v.(*cachedProofs)
+		} else if hasVectorSite(fn) {
+			need = append(need, fn)
+			needIdx = append(needIdx, fi)
 		} else {
-			anyMiss = true
+			proofs[fi] = &cachedProofs{}
+			store.Put(key[fi], proofs[fi])
 		}
 	}
-	// Any miss rebuilds the full substrate: proofs are consumed at program
-	// load (one shot), so the warm all-hit path is the one worth optimising.
-	if anyMiss {
-		cfgs := make(map[*ast.DefineFunc]*cfg.Graph, len(funcs))
-		for _, fn := range funcs {
-			cfgs[fn] = cfg.Build(fn)
+	for i, sites := range proveSites(prog, info, funcs, need) {
+		cp := &cachedProofs{}
+		for _, s := range sites {
+			cp.Sites = append(cp.Sites, cachedProofSite{
+				Span: k.ix.Rel(s.span), Proved: s.verdict == siteProved,
+			})
 		}
-		pts := pointsto.Analyze(prog, info, cfgs)
-		for fi, fn := range funcs {
-			if proofs[fi] == nil {
-				proofs[fi] = prove(fn, k.ix, cfgs, pts)
-				store.Put(key[fi], proofs[fi])
-			}
-		}
+		proofs[needIdx[i]] = cp
+		store.Put(key[needIdx[i]], cp)
 	}
-	for fi := range funcs {
-		record(k.ix, proofs[fi])
+	for _, cp := range proofs {
+		for _, s := range cp.Sites {
+			ps.add(k.ix.Abs(s.Span), s.Proved)
+		}
 	}
 	return ps
+}
+
+// proveSites runs the bounds engine on need (site-bearing functions) and
+// returns each one's classified sites in need order. Any function to prove
+// rebuilds the full substrate — a CFG per function and whole-program
+// points-to — because proofs are consumed at program load (one shot); no
+// function to prove builds nothing.
+func proveSites(prog *ast.Program, info *types.Info, funcs, need []*ast.DefineFunc) [][]boundsSite {
+	if len(need) == 0 {
+		return nil
+	}
+	cfgs := make(map[*ast.DefineFunc]*cfg.Graph, len(funcs))
+	for _, fn := range funcs {
+		cfgs[fn] = cfg.Build(fn)
+	}
+	pts := pointsto.Analyze(prog, info, cfgs)
+	out := make([][]boundsSite, len(need))
+	for i, fn := range need {
+		out[i] = newBoundsEngine(info, cfgs[fn], pts, fn.Name).analyze()
+	}
+	return out
 }

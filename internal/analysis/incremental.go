@@ -10,6 +10,7 @@ import (
 	"bitc/internal/cfg"
 	"bitc/internal/concurrent"
 	"bitc/internal/factstore"
+	"bitc/internal/par"
 	"bitc/internal/pointsto"
 	"bitc/internal/source"
 	"bitc/internal/types"
@@ -99,7 +100,7 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 	needCFG = needCFG || needPts || needSums
 	needPts = needPts || needSums
 
-	k := buildKeys(prog, info, store, funcs, needSums || needPts)
+	k := buildKeys(prog, info, store, funcs, needSums || needPts, opts.Parallelism)
 
 	// Lay out result slots exactly as Run would (selection order; a
 	// per-function analyzer owns len(funcs) consecutive slots), then split
@@ -141,19 +142,27 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 	cfgDirty := make([]bool, len(funcs))
 	anyPtsDirty := false
 	missKey := make([]string, len(funcs))
+	var bundleKeys []string
+	var bundleHits []any
+	if len(bundled) > 0 {
+		bundleKeys = make([]string, len(funcs))
+		for fi := range funcs {
+			bundleKeys[fi] = "fb\x00" + bundleSig + "\x00" + k.funcKey[fi] + k.envSig[fi]
+			if bundlePts {
+				bundleKeys[fi] += k.compKey[k.fnComp[fi]]
+			}
+		}
+		bundleHits = store.GetMany(bundleKeys)
+	}
 	for fi, fn := range funcs {
 		if len(bundled) > 0 {
-			key := "fb\x00" + bundleSig + "\x00" + k.funcKey[fi] + k.envSig[fi]
-			if bundlePts {
-				key += k.compKey[k.fnComp[fi]]
-			}
-			if v, ok := store.Get(key); ok {
+			if v := bundleHits[fi]; v != nil {
 				cb := v.(*cachedBundle)
 				for ai, a := range bundled {
 					results[baseSlot[a.Name]+fi] = decodeFindings(k.ix, cb.ByAnalyzer[ai])
 				}
 			} else {
-				missKey[fi] = key
+				missKey[fi] = bundleKeys[fi]
 				for _, a := range bundled {
 					pending = append(pending, task{analyzer: a, fn: fn, slot: baseSlot[a.Name] + fi})
 				}
@@ -184,11 +193,11 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 	var dirtySCCs [][]string
 	if needSums {
 		effects = map[string]*FuncEffects{}
-		for _, scc := range k.sccOrder {
+		sums := store.GetMany(k.sumKey)
+		for si, scc := range k.sccOrder {
 			missed := false
-			for _, m := range scc {
-				mi := k.fnIndex[m]
-				if v, ok := store.Get(k.sumKey[mi]); ok {
+			for _, mi := range k.sccs[si].Members {
+				if v := sums[mi]; v != nil {
 					cached[mi] = v.(*cachedEffects)
 				} else {
 					missed = true
@@ -196,8 +205,7 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 			}
 			if missed {
 				dirtySCCs = append(dirtySCCs, scc)
-				for _, m := range scc {
-					mi := k.fnIndex[m]
+				for _, mi := range k.sccs[si].Members {
 					ptsDirty[mi] = true
 					anyPtsDirty = true
 					cfgDirty[mi] = true
@@ -456,11 +464,17 @@ type progKeys struct {
 	fnComp     []int    // flow component id, by function index
 	cg         *CallGraph
 	sccOrder   [][]string
+	sccs       []sccIndex // sccOrder by function index
+	sccLevels  [][]int32  // indices into sccs, grouped by dependency level
 	sumKey     []string
 }
 
+// minKeyChunk is the fewest functions (or SCCs) worth a goroutine of key
+// building.
+const minKeyChunk = 256
+
 func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
-	funcs []*ast.DefineFunc, needFlow bool) *progKeys {
+	funcs []*ast.DefineFunc, needFlow bool, workers int) *progKeys {
 
 	n := len(funcs)
 	k := &progKeys{
@@ -474,7 +488,12 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 	k.typesSig = k.ix.TypesSig()
 	for i, fn := range funcs {
 		k.fnIndex[fn.Name] = int32(i)
-		k.funcKey[i] = k.ix.FuncKey(fn.Name)
+	}
+	for di, fi := 0, 0; di < len(prog.Defs); di++ {
+		if _, ok := prog.Defs[di].(*ast.DefineFunc); ok {
+			k.funcKey[fi] = k.ix.HashAt(di)
+			fi++
+		}
 	}
 
 	// Traits: pure functions of one definition's text, keyed by its hash.
@@ -483,16 +502,19 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 	// changed the skeleton" — most edits do not.
 	k.traitsVH = make([]string, n)
 	initVH := map[string]string{}
-	for i, fn := range funcs {
-		tk := "tr\x00" + k.funcKey[i]
-		if v, ok := store.Get(tk); ok {
+	tks := make([]string, n)
+	for i := range funcs {
+		tks[i] = "tr\x00" + k.funcKey[i]
+	}
+	for i, v := range store.GetMany(tks) {
+		if v != nil {
 			ct := v.(*cachedTraits)
 			k.traits[i], k.traitsVH[i] = ct.T, ct.VHash
 		} else {
-			t := pointsto.ScanTraits(fn)
+			t := pointsto.ScanTraits(funcs[i])
 			k.traits[i] = t
 			k.traitsVH[i] = traitsVHash(t)
-			store.Put(tk, &cachedTraits{T: t, VHash: k.traitsVH[i]})
+			store.Put(tks[i], &cachedTraits{T: t, VHash: k.traitsVH[i]})
 		}
 	}
 	for _, d := range prog.Defs {
@@ -511,63 +533,76 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 		}
 	}
 
-	// envSig: the classification of every free name, under typesSig.
+	// envSig: the classification of every free name, under typesSig. A
+	// function name classifies by its scheme; those are rendered once per
+	// function, and both passes fan out over the worker pool because they
+	// touch every function on every run, warm or cold.
+	fnClass := make([]string, n)
+	par.Chunks(n, workers, minKeyChunk, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if sch := info.Funcs[funcs[i].Name]; sch != nil {
+				fnClass[i] = "fn:" + schemeSig(sch)
+			} else {
+				fnClass[i] = "fn:?"
+			}
+		}
+	})
+	globalClass := make(map[string]string, len(info.Globals))
+	for name, t := range info.Globals {
+		if t != nil {
+			globalClass[name] = "g:" + t.String()
+		}
+	}
 	external := map[string]bool{}
 	for _, ext := range info.Externals {
 		external[ext.Name] = true
 	}
-	classMemo := map[string]string{}
 	classify := func(name string) string {
-		if c, ok := classMemo[name]; ok {
+		if i, ok := k.fnIndex[name]; ok {
+			return fnClass[i]
+		}
+		if c, ok := globalClass[name]; ok {
 			return c
 		}
-		var c string
-		_, isFn := k.fnIndex[name]
 		switch {
-		case isFn:
-			if sch := info.Funcs[name]; sch != nil {
-				c = "fn:" + schemeSig(sch)
-			} else {
-				c = "fn:?"
-			}
-		case info.Globals[name] != nil:
-			c = "g:" + info.Globals[name].String()
 		case info.CtorOf[name] != nil:
-			c = "c" // layout covered by typesSig
+			return "c" // layout covered by typesSig
 		case external[name]:
-			c = "x" // signature covered by typesSig
-		default:
-			c = "?" // local, builtin, or undefined
+			return "x" // signature covered by typesSig
 		}
-		classMemo[name] = c
-		return c
+		return "?" // local, builtin, or undefined
 	}
-	parts := make([]string, 0, 64)
-	for i := range funcs {
-		parts = append(parts[:0], "env", k.typesSig)
-		for _, name := range k.traits[i].Free {
-			parts = append(parts, name, classify(name))
+	par.Chunks(n, workers, minKeyChunk, func(lo, hi int) {
+		parts := make([]string, 0, 64)
+		for i := lo; i < hi; i++ {
+			parts = append(parts[:0], "env", k.typesSig)
+			for _, name := range k.traits[i].Free {
+				parts = append(parts, name, classify(name))
+			}
+			k.envSig[i] = factstore.Hash(parts...)
 		}
-		k.envSig[i] = factstore.Hash(parts...)
-	}
+	})
 
 	if !needFlow {
 		return k
 	}
+	parts := make([]string, 0, 64)
 
 	// The graph layer — call graph, SCC order, flow components — is a pure
 	// function of the traits skeletons, the definition order, and the type
 	// environment, all of which survive the typical edit unchanged. It is
 	// cached whole under a program-level signature over exactly those
 	// inputs (traits by content, not by source text, so editing a function
-	// body usually hits). The cached form holds only names; the Funcs map
-	// is rebuilt against the current AST on every hit, because summary
-	// recomputation walks bodies through it.
+	// body usually hits). The cached form holds only names and function
+	// indices; the Funcs map is rebuilt against the current AST on every
+	// hit, because summary recomputation walks bodies through it.
 	parts = append(parts[:0], "graph", k.typesSig)
+	fi := 0
 	for _, d := range prog.Defs {
 		switch d := d.(type) {
 		case *ast.DefineFunc:
-			parts = append(parts, "F", d.Name, k.traitsVH[k.fnIndex[d.Name]])
+			parts = append(parts, "F", d.Name, k.traitsVH[fi])
+			fi++
 		case *ast.DefineVar:
 			vh, ok := initVH[d.Name]
 			if !ok {
@@ -589,7 +624,9 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 			k.cg.Funcs[fn.Name] = fn
 		}
 		k.sccOrder = cgr.SCCOrder
+		k.sccs, k.sccLevels = cgr.SCCs, cgr.SCCLevels
 		k.comps = cgr.Comps
+		k.fnComp = cgr.FnComp
 	} else {
 		k.comps = pointsto.BuildComponents(prog, info, func(name string) *pointsto.Traits {
 			if i, ok := k.fnIndex[name]; ok {
@@ -601,12 +638,20 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 			return k.traits[k.fnIndex[name]].Called
 		})
 		k.sccOrder = k.cg.SCCs()
+		k.sccs, k.sccLevels = indexSCCs(k.sccOrder, k.cg.Callees, k.fnIndex)
+		k.fnComp = make([]int, n)
+		for i, fn := range funcs {
+			k.fnComp[i] = k.comps.OfFunc(fn.Name)
+		}
 		store.Put(graphSig, &cachedGraph{
 			Names:         k.cg.Names,
 			Callees:       k.cg.Callees,
 			CalledByOther: k.cg.CalledByOther,
 			SCCOrder:      k.sccOrder,
+			SCCs:          k.sccs,
+			SCCLevels:     k.sccLevels,
 			Comps:         k.comps,
+			FnComp:        k.fnComp,
 		})
 	}
 
@@ -629,40 +674,30 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 		}
 		k.compKey[id] = factstore.Hash(parts...)
 	}
-	k.fnComp = make([]int, n)
-	for i, fn := range funcs {
-		k.fnComp[i] = k.comps.OfFunc(fn.Name)
-	}
 
 	// Summary keys bottom-up: each SCC's signature folds its members' keys
-	// with the finished summaryKeys of all out-of-SCC callees.
+	// with the finished summaryKeys of all out-of-SCC callees. SCCs of one
+	// level depend only on lower levels, so each level fans out.
 	k.sumKey = make([]string, n)
-	var calleeKeys []string
-	for _, scc := range k.sccOrder {
-		// Most SCCs are singletons; skip the membership map for those.
-		var inSCC map[string]bool
-		if len(scc) > 1 {
-			inSCC = make(map[string]bool, len(scc))
-			for _, m := range scc {
-				inSCC[m] = true
-			}
-		}
-		parts = append(parts[:0], "scc", k.typesSig)
-		calleeKeys = calleeKeys[:0]
-		for _, m := range scc { // scc is sorted
-			mi := k.fnIndex[m]
-			parts = append(parts, m, k.funcKey[mi], k.envSig[mi], k.compKey[k.fnComp[mi]])
-			for _, c := range k.cg.Callees[m] {
-				if inSCC != nil && inSCC[c] || c == m {
-					continue
+	for _, level := range k.sccLevels {
+		par.Chunks(len(level), workers, minKeyChunk, func(lo, hi int) {
+			var parts, calleeKeys []string
+			for _, si := range level[lo:hi] {
+				scc := k.sccs[si]
+				parts = append(parts[:0], "scc", k.typesSig)
+				for _, mi := range scc.Members {
+					parts = append(parts, funcs[mi].Name, k.funcKey[mi], k.envSig[mi], k.compKey[k.fnComp[mi]])
 				}
-				calleeKeys = append(calleeKeys, k.sumKey[k.fnIndex[c]])
+				calleeKeys = calleeKeys[:0]
+				for _, ci := range scc.OutCallees {
+					calleeKeys = append(calleeKeys, k.sumKey[ci])
+				}
+				sccSig := factstore.Hash(append(parts, sortDedup(calleeKeys)...)...)
+				for _, mi := range scc.Members {
+					k.sumKey[mi] = "sum\x00" + funcs[mi].Name + "\x00" + sccSig
+				}
 			}
-		}
-		sccSig := factstore.Hash(append(parts, sortDedup(calleeKeys)...)...)
-		for _, m := range scc {
-			k.sumKey[k.fnIndex[m]] = "sum\x00" + m + "\x00" + sccSig
-		}
+		})
 	}
 	return k
 }
@@ -688,14 +723,59 @@ func traitsVHash(t *pointsto.Traits) string {
 }
 
 // cachedGraph is the graph layer of one program shape: everything in it is
-// names only (no AST pointers, no spans), so it stays valid across
-// re-parses for as long as the graph signature matches.
+// names or function indices (no AST pointers, no spans), so it stays valid
+// across re-parses for as long as the graph signature — which pins the
+// definition order, and with it every index — matches.
 type cachedGraph struct {
 	Names         []string
 	Callees       map[string][]string
 	CalledByOther map[string]bool
 	SCCOrder      [][]string
+	SCCs          []sccIndex
+	SCCLevels     [][]int32
 	Comps         *pointsto.Components
+	FnComp        []int
+}
+
+// sccIndex is one SCC of SCCOrder by function index: its members (in
+// SCCOrder's name order) and its members' callees outside the SCC, the
+// inputs of the SCC's summary key.
+type sccIndex struct {
+	Members, OutCallees []int32
+}
+
+// indexSCCs restates order by function index and groups the SCCs into
+// levels: an SCC's level is one above the highest level among its
+// out-of-SCC callees, so every SCC depends only on lower levels.
+func indexSCCs(order [][]string, callees map[string][]string, fnIndex map[string]int32) (sccs []sccIndex, levels [][]int32) {
+	sccs = make([]sccIndex, len(order))
+	sccOf := make([]int32, len(fnIndex))
+	level := make([]int, len(order))
+	for si, scc := range order { // bottom-up: callees' SCCs come first
+		var inSCC map[string]bool // most SCCs are singletons
+		if len(scc) > 1 {
+			inSCC = make(map[string]bool, len(scc))
+			for _, m := range scc {
+				inSCC[m] = true
+			}
+		}
+		for _, m := range scc {
+			sccs[si].Members = append(sccs[si].Members, fnIndex[m])
+			sccOf[fnIndex[m]] = int32(si)
+			for _, c := range callees[m] {
+				if inSCC[c] || c == m {
+					continue
+				}
+				sccs[si].OutCallees = append(sccs[si].OutCallees, fnIndex[c])
+				level[si] = max(level[si], level[sccOf[fnIndex[c]]]+1)
+			}
+		}
+		for len(levels) <= level[si] {
+			levels = append(levels, nil)
+		}
+		levels[level[si]] = append(levels[level[si]], int32(si))
+	}
+	return sccs, levels
 }
 
 // schemeSig prints a type scheme canonically: constraints in quantifier

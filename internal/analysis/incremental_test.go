@@ -373,3 +373,33 @@ func TestWatchHeapFlat(t *testing.T) {
 			late-early, edits, len(text))
 	}
 }
+
+// TestIncrementalParallelKeys: key building fans out over the worker pool
+// once a program has a few thousand functions (and, for summary keys, a few
+// hundred SCCs per dependency level). Keys built in parallel must equal the
+// sequential ones — a parallel warm run over a sequential cold run's store
+// misses nothing — and a parallel warm run after an edit must still render
+// like a fresh cold run. 701 three-function clusters give 2103 functions,
+// and a chunk boundary falls inside a call chain, so hashing a caller's
+// summary key before its callee's would show up as a miss.
+func TestIncrementalParallelKeys(t *testing.T) {
+	src := corpus.Text(2103, 3)
+	store := factstore.New()
+	runStore(t, src, analysis.Options{Parallelism: 1}, store)
+	before := store.Stats()
+	runStore(t, src, analysis.Options{Parallelism: 2}, store)
+	if misses := store.Stats().Misses - before.Misses; misses != 0 {
+		t.Fatalf("parallel warm run missed %d times over a sequential cold run's store", misses)
+	}
+
+	edited := corpus.EditOne(src, 1050)
+	_, warm := runStore(t, edited, analysis.Options{Parallelism: 2}, store)
+	prog, info := check(t, edited)
+	fresh, err := analysis.Run(prog, info, analysis.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderAll(t, fresh) != warm {
+		t.Error("parallel warm run after an edit differs from a fresh cold run")
+	}
+}

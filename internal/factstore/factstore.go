@@ -20,8 +20,10 @@ import (
 	"crypto/sha256"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"bitc/internal/ast"
+	"bitc/internal/par"
 	"bitc/internal/source"
 )
 
@@ -65,7 +67,7 @@ type Stats struct {
 
 type entry struct {
 	val  any
-	used uint64 // generation of the last hit (or the put)
+	used atomic.Uint64 // generation of the last hit (or the put)
 }
 
 // Store is an in-memory content-addressed fact cache. It is safe for
@@ -73,7 +75,7 @@ type entry struct {
 // immutable by both producer and consumer.
 type Store struct {
 	mu      sync.Mutex
-	entries map[string]entry
+	entries map[string]*entry
 	gen     uint64
 	hits    uint64
 	misses  uint64
@@ -83,7 +85,7 @@ type Store struct {
 
 // New creates an empty store.
 func New() *Store {
-	return &Store{entries: map[string]entry{}}
+	return &Store{entries: map[string]*entry{}}
 }
 
 // BeginRun opens a new analysis generation: hit/miss accounting and
@@ -104,9 +106,33 @@ func (s *Store) Get(key string) (any, bool) {
 		return nil, false
 	}
 	s.hits++
-	e.used = s.gen
-	s.entries[key] = e
+	e.used.Store(s.gen)
 	return e.val, true
+}
+
+// GetMany is Get over a batch of keys: vals[i] is the fact stored under
+// keys[i], or nil on a miss (facts are never nil). A warm incremental run
+// probes the store a few times per function; on a large program those
+// probes are mostly cache misses, so the batch is split across the cores.
+func (s *Store) GetMany(keys []string) (vals []any) {
+	vals = make([]any, len(keys))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var hits atomic.Uint64
+	par.Chunks(len(keys), 0, 1024, func(lo, hi int) {
+		n := uint64(0)
+		for i := lo; i < hi; i++ {
+			if e, ok := s.entries[keys[i]]; ok {
+				e.used.Store(s.gen)
+				vals[i] = e.val
+				n++
+			}
+		}
+		hits.Add(n)
+	})
+	s.hits += hits.Load()
+	s.misses += uint64(len(keys)) - hits.Load()
+	return vals
 }
 
 // Put stores a fact under key, overwriting any previous value.
@@ -114,7 +140,9 @@ func (s *Store) Put(key string, val any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.puts++
-	s.entries[key] = entry{val: val, used: s.gen}
+	e := &entry{val: val}
+	e.used.Store(s.gen)
+	s.entries[key] = e
 }
 
 // Prune drops every entry not touched within the last keepRuns
@@ -126,7 +154,7 @@ func (s *Store) Prune(keepRuns uint64) int {
 	defer s.mu.Unlock()
 	dropped := 0
 	for k, e := range s.entries {
-		if e.used+keepRuns < s.gen {
+		if e.used.Load()+keepRuns < s.gen {
 			delete(s.entries, k)
 			dropped++
 		}
@@ -173,6 +201,9 @@ type Index struct {
 	file *source.File
 	defs map[string]DefInfo
 
+	// hashes holds each definition's DefInfo.Hash by position in the
+	// program's Defs.
+	hashes []string
 	// ordered supports owner lookup by binary search over start offsets.
 	ordered []ownerSpan
 	// typesSig memoises TypesSig.
@@ -204,11 +235,23 @@ func DefKey(d ast.Def) string {
 
 // NewIndex builds the index for one parsed program.
 func NewIndex(prog *ast.Program) *Index {
-	ix := &Index{file: prog.File, defs: map[string]DefInfo{}}
-	for _, d := range prog.Defs {
+	ix := &Index{
+		file:    prog.File,
+		defs:    make(map[string]DefInfo, len(prog.Defs)),
+		ordered: make([]ownerSpan, 0, len(prog.Defs)),
+		hashes:  make([]string, len(prog.Defs)),
+	}
+	// Hashing every definition's source is the one pass over the whole
+	// program text an incremental run makes, so it is spread over the cores.
+	par.Chunks(len(prog.Defs), 0, 1024, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ix.hashes[i] = ix.hashSlice(prog.Defs[i].Span())
+		}
+	})
+	for i, d := range prog.Defs {
 		sp := d.Span()
 		key := DefKey(d)
-		ix.defs[key] = DefInfo{Span: sp, Hash: ix.hashSlice(sp)}
+		ix.defs[key] = DefInfo{Span: sp, Hash: ix.hashes[i]}
 		if sp.IsValid() {
 			ix.ordered = append(ix.ordered, ownerSpan{int(sp.Start), int(sp.End), key})
 		}
@@ -230,14 +273,8 @@ func (ix *Index) Def(key string) (DefInfo, bool) {
 	return di, ok
 }
 
-// FuncKey returns the content hash of function name's raw source ("" when
-// the function does not exist in this parse).
-func (ix *Index) FuncKey(name string) string {
-	if di, ok := ix.defs["f:"+name]; ok {
-		return di.Hash
-	}
-	return ""
-}
+// HashAt returns the content hash of the program's i-th definition.
+func (ix *Index) HashAt(i int) string { return ix.hashes[i] }
 
 // TypesSig hashes the file name plus the raw text of every non-function
 // definition, in order. Any change to the type environment — a struct or

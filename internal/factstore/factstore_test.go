@@ -1,6 +1,7 @@
 package factstore
 
 import (
+	"strconv"
 	"testing"
 
 	"bitc/internal/parser"
@@ -55,6 +56,34 @@ func TestStorePrune(t *testing.T) {
 	}
 }
 
+// TestStoreGetMany: a batch large enough to be split across goroutines
+// returns each key's fact or nil, counts hits and misses like single Gets,
+// and marks every hit recently used.
+func TestStoreGetMany(t *testing.T) {
+	s := New()
+	s.BeginRun()
+	keys := make([]string, 3000)
+	for i := range keys {
+		keys[i] = strconv.Itoa(i)
+		if i%2 == 0 {
+			s.Put(keys[i], i)
+		}
+	}
+	s.Put("untouched", -1)
+	s.BeginRun()
+	for i, v := range s.GetMany(keys) {
+		if (i%2 == 0) != (v != nil) || v != nil && v.(int) != i {
+			t.Fatalf("GetMany[%d] = %v", i, v)
+		}
+	}
+	if st := s.Stats(); st.Hits != 1500 || st.Misses != 1500 {
+		t.Fatalf("stats = %+v; want 1500 hits and 1500 misses", st)
+	}
+	if n := s.Prune(0); n != 1 {
+		t.Fatalf("Prune dropped %d entries; want only the untouched one", n)
+	}
+}
+
 const testProg = `(defstruct Pt (x int64) (y int64))
 (define gorigin Pt (make Pt :x 0 :y 0))
 (define (norm (p Pt)) int64
@@ -72,15 +101,22 @@ func parse(t *testing.T, text string) *Index {
 	return NewIndex(prog)
 }
 
+// funcKey returns the content hash of function name's raw source ("" when
+// the function does not exist in the parse).
+func funcKey(ix *Index, name string) string {
+	di, _ := ix.Def("f:" + name)
+	return di.Hash
+}
+
 func TestIndexFuncKeys(t *testing.T) {
 	ix := parse(t, testProg)
-	if ix.FuncKey("norm") == "" || ix.FuncKey("shift") == "" {
+	if funcKey(ix, "norm") == "" || funcKey(ix, "shift") == "" {
 		t.Fatal("missing func keys")
 	}
-	if ix.FuncKey("norm") == ix.FuncKey("shift") {
+	if funcKey(ix, "norm") == funcKey(ix, "shift") {
 		t.Fatal("distinct functions must have distinct keys")
 	}
-	if ix.FuncKey("nope") != "" {
+	if funcKey(ix, "nope") != "" {
 		t.Fatal("unknown function must have empty key")
 	}
 	if _, ok := ix.Def("s:Pt"); !ok {
@@ -96,7 +132,7 @@ func TestIndexKeyStability(t *testing.T) {
 	// Prepend a comment: every def shifts, but raw slices are unchanged, so
 	// content keys and the types signature must not move.
 	ix2 := parse(t, ";; leading comment\n\n"+testProg)
-	if ix1.FuncKey("norm") != ix2.FuncKey("norm") {
+	if funcKey(ix1, "norm") != funcKey(ix2, "norm") {
 		t.Fatal("func key changed under a pure position shift")
 	}
 	if ix1.TypesSig() != ix2.TypesSig() {
@@ -111,10 +147,10 @@ func TestIndexKeyStability(t *testing.T) {
 (define (shift (p Pt)) int64
   (norm (make Pt :x (+ (field p x) 1) :y (field p y))))
 `)
-	if edited.FuncKey("norm") == ix2.FuncKey("norm") {
+	if funcKey(edited, "norm") == funcKey(ix2, "norm") {
 		t.Fatal("edited function kept its key")
 	}
-	if edited.FuncKey("shift") != ix2.FuncKey("shift") {
+	if funcKey(edited, "shift") != funcKey(ix2, "shift") {
 		t.Fatal("untouched function lost its key")
 	}
 	if edited.TypesSig() != ix2.TypesSig() {

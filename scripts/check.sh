@@ -101,14 +101,16 @@ rm -f /tmp/bitc-serve-shard.bitc /tmp/bitc-serve-twopc.bitc
 go test -count=1 -run 'TestDispatchDifferential|TestDisasmGolden' ./internal/vm
 
 # Bounds & provenance gate: the relational prover must (1) hold the E1
-# kernels' discharge rate above the 60% floor and keep the PROV001
-# narrowing checks honest (internal/analysis), (2) report no provably
+# kernels' discharge rate above the 60% floor, prove exactly the sites an
+# every-function run proves while running the engine only on functions
+# with a vector-access site, and keep the PROV001 narrowing checks honest
+# (internal/analysis), (2) report no provably
 # out-of-range access (BITC-BOUND001) anywhere in the shipped examples or
 # the service's generated programs, and (3) keep proof-guided elision
 # observationally equivalent to the checked interpreter — values, traps,
 # counters, and observer streams (internal/vm/elide_test.go), with every
 # statically flagged site actually trapping in the VM.
-go test -count=1 -run 'TestBoundsE1Discharge|TestFFIProv' ./internal/analysis
+go test -count=1 -run 'TestBoundsE1Discharge|TestBoundsProofsDemandExact|TestFFIProv' ./internal/analysis
 go test -count=1 -run 'TestBoundsElision|TestBoundsStaticTrapAgreement' ./internal/vm
 for kind in shard twopc; do
     /tmp/bitc-check serve -emit-program "$kind" > "/tmp/bitc-bound-$kind.bitc"
