@@ -367,7 +367,8 @@ func (sv *Service) idle() bool {
 // generated and all mailboxes have drained, or until ctx is cancelled — in
 // which case generation stops immediately but in-flight and queued
 // transactions still drain before Run returns (graceful shutdown). The
-// returned Result includes the conservation-of-balance verdict.
+// returned Result includes the conservation-of-balance verdict; an audit
+// that traps is returned as an error.
 func (sv *Service) Run(ctx context.Context) (*Result, error) {
 	start := time.Now()
 	stopped := false
@@ -411,7 +412,10 @@ func (sv *Service) Run(ctx context.Context) (*Result, error) {
 			return nil, fmt.Errorf("serve: drain did not converge after %d rounds", round)
 		}
 	}
-	res := sv.result(round, stopped)
+	res, err := sv.result(round, stopped)
+	if err != nil {
+		return nil, err
+	}
 	if !sv.opts.Deterministic {
 		res.WallNS = time.Since(start).Nanoseconds()
 	}
@@ -419,21 +423,38 @@ func (sv *Service) Run(ctx context.Context) (*Result, error) {
 }
 
 // Total sums every account balance across all shards. It must only be called
-// when no batch is executing (between rounds or after Run returns).
+// when no batch is executing (between rounds or after Run returns). Each
+// shard's audit runs on its own goroutine: shard VMs share nothing, exactly
+// as in phase A.
 func (sv *Service) Total() (int64, error) {
+	sums := make([]int64, len(sv.shards))
+	errs := make([]error, len(sv.shards))
+	var wg sync.WaitGroup
+	for i, s := range sv.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			v, err := s.vm.RunFunc("total", vm.IntValue(s.locals))
+			sums[i], errs[i] = v.I, err
+		}()
+	}
+	wg.Wait()
 	var sum int64
-	for _, s := range sv.shards {
-		v, err := s.vm.RunFunc("total", vm.IntValue(s.locals))
-		if err != nil {
-			return 0, fmt.Errorf("serve: shard %d total: %w", s.id, err)
+	for i, s := range sv.shards {
+		if errs[i] != nil {
+			return 0, fmt.Errorf("serve: shard %d total: %w", s.id, errs[i])
 		}
-		sum += v.I
+		sum += sums[i]
 	}
 	return sum, nil
 }
 
-// result assembles the Result, including the conservation check.
-func (sv *Service) result(rounds int, interrupted bool) *Result {
+// result assembles the Result, including the conservation check. An audit
+// that cannot run (a VM trap in Total) is an error, not a conservation
+// failure.
+func (sv *Service) result(rounds int, interrupted bool) (*Result, error) {
 	res := &Result{
 		Opts:           sv.opts,
 		Rounds:         rounds,
@@ -469,10 +490,9 @@ func (sv *Service) result(rounds int, interrupted bool) *Result {
 	res.P99Ticks = agg.percentile(99)
 	total, err := sv.Total()
 	if err != nil {
-		res.InvariantOK = false
-		return res
+		return nil, err
 	}
 	res.FinalTotal = total
 	res.InvariantOK = total == res.ExpectedTotal
-	return res
+	return res, nil
 }

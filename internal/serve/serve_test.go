@@ -3,7 +3,10 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
+
+	"bitc/internal/vm"
 )
 
 // TestRunConservesBalance is the core end-to-end check: a mixed single- and
@@ -188,5 +191,27 @@ func TestMetricsDocShape(t *testing.T) {
 	}
 	if total.WallNS != 0 {
 		t.Fatal("deterministic doc carries wall time")
+	}
+}
+
+// TestRunReportsAuditError checks that a conservation audit which cannot run
+// surfaces as an error from Run, carrying its cause, rather than as a
+// balance-not-conserved verdict. One account slot is corrupted to a non-ref
+// value, so shard 1's total traps; the run is cancelled up front, so no
+// transaction touches the slot before the audit does.
+func TestRunReportsAuditError(t *testing.T) {
+	sv, err := New(Options{Shards: 2, Users: 100, Rate: 10, Duration: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv.shards[1].acctsV.Elems[3] = vm.IntValue(7)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := sv.Run(ctx)
+	if err == nil {
+		t.Fatalf("Run succeeded over a trapping audit: %+v", res)
+	}
+	if !strings.Contains(err.Error(), "shard 1 total") {
+		t.Fatalf("err = %v, want the shard 1 audit trap", err)
 	}
 }

@@ -114,7 +114,7 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		v.Stats.FieldReads++
 		var val Value
 		if t.txn != nil {
-			val = t.txn.read(o, int(in.Imm))
+			val = t.txn.fp.read(o, int(in.Imm))
 		} else {
 			val = o.Elems[in.Imm]
 		}
@@ -131,7 +131,7 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		}
 		v.Stats.FieldWrites++
 		if t.txn != nil {
-			t.txn.write(o, int(in.Imm), fr.regs[in.B])
+			t.txn.fp.write(o, int(in.Imm), fr.regs[in.B])
 		} else {
 			o.Elems[in.Imm] = fr.regs[in.B]
 			o.Version++
@@ -202,7 +202,7 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		}
 		v.Stats.VecOps++
 		if t.txn != nil {
-			fr.regs[in.Dst] = t.txn.read(o, int(i))
+			fr.regs[in.Dst] = t.txn.fp.read(o, int(i))
 		} else {
 			fr.regs[in.Dst] = o.Elems[i]
 		}
@@ -219,7 +219,7 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		}
 		v.Stats.VecOps++
 		if t.txn != nil {
-			t.txn.write(o, int(i), fr.regs[in.Args[0]])
+			t.txn.fp.write(o, int(i), fr.regs[in.Args[0]])
 		} else {
 			o.Elems[i] = fr.regs[in.Args[0]]
 			o.Version++

@@ -1,15 +1,136 @@
 package vm
 
+// footprint is a transaction's read and write sets, shared by the in-VM
+// atomic form (txn) and the host-coordinated two-phase participant
+// (HostTxn). Reads record each object's version at first touch; writes are
+// buffered per (object, slot) and reach the heap only when apply runs.
+type footprint struct {
+	// reads holds every touched object — written objects included, so
+	// writes validate too (no blind-write races).
+	reads map[*Object]touch
+	// writes is the write buffer, one entry per written slot.
+	writes map[slot]Value
+}
+
+// touch is one read-set entry.
+type touch struct {
+	ver     uint64 // o.Version at first touch
+	written bool   // some slot of o is in the write buffer
+}
+
+// slot names one element of one heap object.
+type slot struct {
+	o *Object
+	i int
+}
+
+func newFootprint() footprint {
+	return footprint{reads: map[*Object]touch{}, writes: map[slot]Value{}}
+}
+
+// maxPooledFootprint caps the read and write sets a reusable footprint may
+// have held. Go maps never shrink and clear costs their capacity, so a
+// footprint that grew past the cap gets fresh maps instead of being cleared:
+// one huge transaction must not make every later small one pay for it.
+const maxPooledFootprint = 64
+
+// large reports whether the footprint grew past maxPooledFootprint.
+func (f *footprint) large() bool {
+	return len(f.reads) > maxPooledFootprint || len(f.writes) > maxPooledFootprint
+}
+
+// reset empties the footprint for reuse, keeping the maps' storage unless
+// the footprint is large.
+func (f *footprint) reset() {
+	if f.large() {
+		*f = newFootprint()
+		return
+	}
+	clear(f.reads)
+	clear(f.writes)
+}
+
+// read returns the transactional view of o.Elems[i].
+func (f *footprint) read(o *Object, i int) Value {
+	if tc, seen := f.reads[o]; !seen {
+		f.reads[o] = touch{ver: o.Version}
+	} else if tc.written {
+		if val, ok := f.writes[slot{o, i}]; ok {
+			return val
+		}
+	}
+	return o.Elems[i]
+}
+
+// write buffers a transactional store to o.Elems[i].
+func (f *footprint) write(o *Object, i int, val Value) {
+	tc, seen := f.reads[o]
+	if !seen {
+		tc.ver = o.Version
+	}
+	if !tc.written {
+		tc.written = true
+		f.reads[o] = tc
+	}
+	f.writes[slot{o, i}] = val
+}
+
+// valid reports whether no touched object's version moved since first
+// touch.
+func (f *footprint) valid() bool {
+	for o, tc := range f.reads {
+		if o.Version != tc.ver {
+			return false
+		}
+	}
+	return true
+}
+
+// writesPrepared reports whether the footprint writes an object a host
+// transaction holds prepared.
+func (f *footprint) writesPrepared() bool {
+	for o, tc := range f.reads {
+		if tc.written && o.Prepared {
+			return true
+		}
+	}
+	return false
+}
+
+// apply stores the buffered writes and bumps each written object's version
+// once. Map iteration order cannot change the outcome: every write-buffer
+// key is a distinct slot, and each written object is bumped exactly once.
+func (f *footprint) apply() {
+	for s, val := range f.writes {
+		s.o.Elems[s.i] = val
+	}
+	for o, tc := range f.reads {
+		if tc.written {
+			o.Version++
+		}
+	}
+}
+
+// setPrepared sets or clears the prepare lock on every touched object.
+func (f *footprint) setPrepared(p bool) {
+	for o := range f.reads {
+		o.Prepared = p
+	}
+}
+
 // txn is an optimistic software transaction (the atomic form). Reads record
 // the version of each object at first touch; writes are buffered. At commit,
 // if any read object's version moved, the transaction rolls back to its
 // snapshot and re-executes — the composable alternative to locks argued for
 // by Harris et al. and discussed by the paper's challenge 4.
+//
+// Records are recycled through VM.txnPool, so a committed transaction
+// allocates nothing once the pool is warm.
 type txn struct {
-	reads  map[*Object]uint64
-	writes map[*Object]map[int]Value
+	fp footprint
 
-	// Rollback snapshot.
+	// Rollback snapshot. regs is never written after atomicBegin fills it,
+	// so every retry of the transaction restores from the same buffer.
 	frameDepth int
 	block, ip  int
 	regs       []Value
@@ -19,24 +140,42 @@ type txn struct {
 
 const maxTxnAttempts = 1000
 
+// maxPooledTxns bounds VM.txnPool; one record per concurrently open
+// transaction is all the pool ever needs.
+const maxPooledTxns = 64
+
 func (v *VM) atomicBegin(t *Thread, fr *Frame) error {
 	if t.txn != nil {
 		t.txn.depth++
 		return nil
 	}
-	snapRegs := make([]Value, len(fr.regs))
-	copy(snapRegs, fr.regs)
-	t.txn = &txn{
-		reads:      map[*Object]uint64{},
-		writes:     map[*Object]map[int]Value{},
-		frameDepth: len(t.frames),
-		block:      fr.block,
-		ip:         fr.ip - 1, // re-execute the OpAtomicBegin on retry
-		regs:       snapRegs,
-		depth:      1,
-		attempts:   1,
+	var tx *txn
+	if n := len(v.txnPool); n > 0 {
+		tx = v.txnPool[n-1]
+		v.txnPool = v.txnPool[:n-1]
+	} else {
+		tx = &txn{fp: newFootprint()}
 	}
+	tx.frameDepth = len(t.frames)
+	tx.block = fr.block
+	tx.ip = fr.ip - 1 // re-execute the OpAtomicBegin on retry
+	tx.regs = append(tx.regs[:0], fr.regs...)
+	tx.depth = 1
+	tx.attempts = 1
+	t.txn = tx
 	return nil
+}
+
+// releaseTxn returns a committed transaction's record to the pool, emptied
+// so that it pins no heap objects. A record whose footprint grew past the
+// cap is dropped instead.
+func (v *VM) releaseTxn(tx *txn) {
+	if tx.fp.large() || len(v.txnPool) >= maxPooledTxns {
+		return
+	}
+	tx.fp.reset()
+	clear(tx.regs)
+	v.txnPool = append(v.txnPool, tx)
 }
 
 // ForceAtomicRetries makes the next n top-level atomic commits abort and
@@ -66,25 +205,12 @@ func (v *VM) atomicEnd(t *Thread) error {
 	// and its commit must not be invalidated from under the coordinator.
 	// (Read-only overlap is fine — the reader serialises before the host
 	// commit, and version validation below catches anything later.)
-	for o := range tx.writes {
-		if o.Prepared {
-			return v.atomicRetry(t)
-		}
+	if tx.fp.writesPrepared() || !tx.fp.valid() {
+		return v.atomicRetry(t)
 	}
-	// Validate the read set.
-	for o, ver := range tx.reads {
-		if o.Version != ver {
-			return v.atomicRetry(t)
-		}
-	}
-	// Commit the write set.
-	for o, fields := range tx.writes {
-		for i, val := range fields {
-			o.Elems[i] = val
-		}
-		o.Version++
-	}
+	tx.fp.apply()
 	t.txn = nil
+	v.releaseTxn(tx)
 	v.Stats.TxCommits++
 	if v.obs != nil {
 		v.obs.Tx(t.obs, true)
@@ -92,7 +218,8 @@ func (v *VM) atomicEnd(t *Thread) error {
 	return nil
 }
 
-// atomicRetry rolls the thread back to the transaction snapshot.
+// atomicRetry rolls the thread back to the transaction snapshot and restarts
+// the transaction in the same record with an empty footprint.
 func (v *VM) atomicRetry(t *Thread) error {
 	tx := t.txn
 	v.Stats.TxAborts++
@@ -113,47 +240,10 @@ func (v *VM) atomicRetry(t *Thread) error {
 	copy(fr.regs, tx.regs)
 	fr.block, fr.ip = tx.block, tx.ip+1 // resume just after OpAtomicBegin
 
-	// Fresh transaction with the same snapshot and an incremented attempt
-	// count (the snapshot registers are immutable — reuse a private copy).
-	snapRegs := make([]Value, len(tx.regs))
-	copy(snapRegs, tx.regs)
-	t.txn = &txn{
-		reads:      map[*Object]uint64{},
-		writes:     map[*Object]map[int]Value{},
-		frameDepth: tx.frameDepth,
-		block:      tx.block,
-		ip:         tx.ip,
-		regs:       snapRegs,
-		depth:      1,
-		attempts:   tx.attempts + 1,
-	}
+	tx.fp.reset()
+	tx.depth = 1
+	tx.attempts++
 	return nil
-}
-
-// read returns the transactional view of o.Elems[i].
-func (tx *txn) read(o *Object, i int) Value {
-	if w, ok := tx.writes[o]; ok {
-		if val, ok := w[i]; ok {
-			return val
-		}
-	}
-	if _, seen := tx.reads[o]; !seen {
-		tx.reads[o] = o.Version
-	}
-	return o.Elems[i]
-}
-
-// write buffers a transactional store.
-func (tx *txn) write(o *Object, i int, val Value) {
-	if _, seen := tx.reads[o]; !seen {
-		tx.reads[o] = o.Version // writes validate too (no blind-write races)
-	}
-	w, ok := tx.writes[o]
-	if !ok {
-		w = map[int]Value{}
-		tx.writes[o] = w
-	}
-	w[i] = val
 }
 
 // ---------------------------------------------------------------------------
@@ -162,11 +252,13 @@ func (tx *txn) write(o *Object, i int, val Value) {
 
 // HostTxn is a host-coordinated optimistic transaction over one VM's heap:
 // the shard-local participant of a transaction spanning several VMs (the
-// cross-shard transfers of internal/serve). Reads record object versions and
-// writes are buffered, exactly like the in-VM atomic form; the difference is
-// that commit is split into Prepare (validate the footprint and lock it) and
-// Commit (apply, bump versions, unlock), so a coordinator can run two-phase
-// commit across participants with Abort as the rollback path.
+// cross-shard transfers of internal/serve). It keeps the same footprint as
+// the in-VM atomic form — versions recorded at first touch, writes buffered
+// — and differs only in that commit is split into Prepare (validate the
+// footprint and lock it) and Commit (apply, bump versions, unlock), so a
+// coordinator can run two-phase commit across participants with Abort as
+// the rollback path. Unlike txn records, a HostTxn is never pooled: the
+// caller holds its handle.
 //
 // Protocol guarantees, given the usage contract below:
 //
@@ -182,10 +274,9 @@ func (tx *txn) write(o *Object, i int, val Value) {
 // single-threaded and the host must provide that exclusion (internal/serve
 // holds a per-shard mutex and never overlaps 2PC with batch execution).
 type HostTxn struct {
-	vm     *VM
-	reads  map[*Object]uint64
-	writes map[*Object]map[int]Value
-	state  hostTxnState
+	vm    *VM
+	fp    footprint
+	state hostTxnState
 }
 
 // hostTxnState tracks the prepare/commit/abort lifecycle.
@@ -199,39 +290,15 @@ const (
 
 // HostBegin opens a host transaction on this VM's heap.
 func (v *VM) HostBegin() *HostTxn {
-	return &HostTxn{
-		vm:     v,
-		reads:  map[*Object]uint64{},
-		writes: map[*Object]map[int]Value{},
-	}
+	return &HostTxn{vm: v, fp: newFootprint()}
 }
 
 // Read returns the transactional view of o.Elems[i], recording o's version
 // at first touch.
-func (tx *HostTxn) Read(o *Object, i int) Value {
-	if w, ok := tx.writes[o]; ok {
-		if val, ok := w[i]; ok {
-			return val
-		}
-	}
-	if _, seen := tx.reads[o]; !seen {
-		tx.reads[o] = o.Version
-	}
-	return o.Elems[i]
-}
+func (tx *HostTxn) Read(o *Object, i int) Value { return tx.fp.read(o, i) }
 
 // Write buffers a transactional store to o.Elems[i].
-func (tx *HostTxn) Write(o *Object, i int, val Value) {
-	if _, seen := tx.reads[o]; !seen {
-		tx.reads[o] = o.Version
-	}
-	w, ok := tx.writes[o]
-	if !ok {
-		w = map[int]Value{}
-		tx.writes[o] = w
-	}
-	w[i] = val
-}
+func (tx *HostTxn) Write(o *Object, i int, val Value) { tx.fp.write(o, i, val) }
 
 // Prepare validates the transaction's whole footprint (reads and writes)
 // and locks it. It returns false — leaving nothing locked, and counting a
@@ -242,16 +309,14 @@ func (tx *HostTxn) Prepare() bool {
 	if tx.state != hostActive {
 		return false
 	}
-	for o, ver := range tx.reads {
-		if o.Prepared || o.Version != ver {
+	for o, tc := range tx.fp.reads {
+		if o.Prepared || o.Version != tc.ver {
 			tx.state = hostDone
 			tx.vm.Stats.TxAborts++
 			return false
 		}
 	}
-	for o := range tx.reads {
-		o.Prepared = true
-	}
+	tx.fp.setPrepared(true)
 	tx.state = hostPrepared
 	return true
 }
@@ -264,20 +329,11 @@ func (tx *HostTxn) Commit() error {
 	if tx.state != hostPrepared {
 		return trapf("host transaction commit without a successful prepare")
 	}
-	for o, ver := range tx.reads {
-		if o.Version != ver {
-			return trapf("host transaction invalidated between prepare and commit (protocol violation)")
-		}
+	if !tx.fp.valid() {
+		return trapf("host transaction invalidated between prepare and commit (protocol violation)")
 	}
-	for o, fields := range tx.writes {
-		for i, val := range fields {
-			o.Elems[i] = val
-		}
-		o.Version++
-	}
-	for o := range tx.reads {
-		o.Prepared = false
-	}
+	tx.fp.apply()
+	tx.fp.setPrepared(false)
 	tx.state = hostDone
 	tx.vm.Stats.TxCommits++
 	return nil
@@ -288,9 +344,7 @@ func (tx *HostTxn) Commit() error {
 // VM-level abort.
 func (tx *HostTxn) Abort() {
 	if tx.state == hostPrepared {
-		for o := range tx.reads {
-			o.Prepared = false
-		}
+		tx.fp.setPrepared(false)
 		tx.vm.Stats.TxAborts++
 	}
 	tx.state = hostDone

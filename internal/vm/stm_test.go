@@ -338,3 +338,114 @@ func TestForceAtomicRetries(t *testing.T) {
 		t.Fatalf("aborts grew to %d after the budget was spent", v.Stats.TxAborts)
 	}
 }
+
+// TestAtomicCommitAllocatesNothing pins the pooled transaction records: once
+// the VM is warm, a committed atomic allocates nothing, and neither does a
+// retry, which reuses its record and snapshot. Allocation per transaction is
+// the difference between runs of many and of few transactions, so the
+// fixed per-call cost of RunFunc cancels out.
+func TestAtomicCommitAllocatesNothing(t *testing.T) {
+	mod := stmLoad(t, `
+(defstruct cell (v int64) (w int64))
+(define c cell (make cell :v 0 :w 0))
+
+(define (entry (n int64)) int64
+  (dotimes (i n)
+    (atomic
+      (set-field! c v (+ (field c v) 1))
+      (set-field! c w (field c v))))
+  (field c v))`)
+	v := New(mod, Options{Seed: 1})
+	allocs := func(n int64, retries int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			v.ForceAtomicRetries(retries)
+			if _, err := v.RunFunc("entry", IntValue(n)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	allocs(100, 10) // warm the pools and the maps
+	const n = 1000
+	base := allocs(1, 0)
+	if extra := allocs(1+n, 0) - base; extra != 0 {
+		t.Errorf("%d committed transactions allocated %v times (%.3f per transaction), want 0",
+			n, extra, extra/n)
+	}
+	if extra := allocs(1, n/2) - base; extra != 0 {
+		t.Errorf("%d forced retries allocated %v times, want 0", n/2, extra)
+	}
+}
+
+// TestTxnRecordReuseLeavesNoStaleState runs a small transaction after each
+// of: a large commit (its record is dropped, being past the pooling cap), a
+// large commit whose first attempt aborts, and small commits (their records
+// are pooled). Between the two a non-transactional store changes the probed
+// cell. The read-only probe must return that value, commit first try (a
+// kept read version would never validate), and leave the cell as it was (a
+// kept buffered write would be applied again at its commit).
+func TestTxnRecordReuseLeavesNoStaleState(t *testing.T) {
+	mod := stmLoad(t, `
+(defstruct cell (v int64))
+(define cells (vector cell) (make-vector 200 (make cell :v 0)))
+
+(define (init) unit
+  (dotimes (i 200)
+    (vector-set! cells i (make cell :v 0))))
+
+(define (fill (n int64) (x int64)) unit
+  (atomic
+    (dotimes (i n)
+      (set-field! (vector-ref cells i) v x))))
+
+(define (poke (x int64)) unit
+  (set-field! (vector-ref cells 0) v x))
+
+(define (peek) int64 (field (vector-ref cells 0) v))
+
+(define (probe) int64
+  (atomic (field (vector-ref cells 0) v)))
+
+(define (main) int64 0)`)
+	v := New(mod, Options{Seed: 1})
+	call := func(fn string, args ...Value) int64 {
+		t.Helper()
+		val, err := v.RunFunc(fn, args...)
+		if err != nil {
+			t.Fatalf("%s: %v", fn, err)
+		}
+		return val.I
+	}
+	call("init")
+	cases := []struct {
+		name    string
+		n       int64
+		retries int
+	}{
+		{"large commit", 200, 0},
+		{"large abort then commit", 200, 1},
+		{"small commit", 2, 0},
+		{"small abort then commit", 2, 1},
+		{"small commit again", 2, 0},
+	}
+	for i, c := range cases {
+		v.ForceAtomicRetries(c.retries)
+		call("fill", IntValue(c.n), IntValue(int64(100+i)))
+		want := int64(1000 * (i + 1))
+		call("poke", IntValue(want))
+		aborts := v.Stats.TxAborts
+		if got := call("probe"); got != want {
+			t.Fatalf("after %s: probe read %d, want %d", c.name, got, want)
+		}
+		if v.Stats.TxAborts != aborts {
+			t.Fatalf("after %s: probe aborted %d times (stale read version)", c.name, v.Stats.TxAborts-aborts)
+		}
+		if got := call("peek"); got != want {
+			t.Fatalf("after %s: cell holds %d after a read-only probe, want %d (stale buffered write)", c.name, got, want)
+		}
+		for _, tx := range v.txnPool {
+			if len(tx.fp.reads) != 0 || len(tx.fp.writes) != 0 {
+				t.Fatalf("after %s: pooled record holds %d reads, %d writes", c.name, len(tx.fp.reads), len(tx.fp.writes))
+			}
+		}
+	}
+}

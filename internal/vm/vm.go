@@ -175,6 +175,8 @@ type VM struct {
 	// framePool recycles activation records; the interpreter is
 	// single-threaded (green threads share it), so no locking is needed.
 	framePool []*Frame
+	// txnPool recycles transaction records the same way; see releaseTxn.
+	txnPool []*txn
 
 	// obs is the attached observability recorder (nil = disabled). Every
 	// hook site guards on it, so the disabled path costs one branch.
@@ -391,25 +393,37 @@ func stateName(s ThreadState) string {
 	}
 }
 
+// pickRunnable chooses the next thread to run: uniformly at random among
+// the runnable ones, by one RNG draw indexed in thread order. It counts and
+// then walks the thread list rather than collecting the candidates, so a
+// quantum allocates nothing.
 func (v *VM) pickRunnable() *Thread {
-	var runnable []*Thread
+	n := 0
+	var pick *Thread
 	for _, t := range v.threads {
 		if t.state == TRunnable {
-			runnable = append(runnable, t)
+			n++
+			pick = t
 		}
 	}
-	if len(runnable) == 0 {
-		return nil
-	}
-	if len(runnable) == 1 {
-		return runnable[0]
+	if n <= 1 {
+		return pick // the only runnable thread, or nil
 	}
 	v.Stats.Switches++
-	t := runnable[int(v.rng()%uint64(len(runnable)))]
-	if v.obs != nil {
-		v.obs.Switch(t.ID)
+	k := int(v.rng() % uint64(n))
+	for _, t := range v.threads {
+		if t.state == TRunnable {
+			if k == 0 {
+				pick = t
+				break
+			}
+			k--
+		}
 	}
-	return t
+	if v.obs != nil {
+		v.obs.Switch(pick.ID)
+	}
+	return pick
 }
 
 // runQuantum executes up to Quantum instructions on t.

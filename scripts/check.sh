@@ -134,7 +134,19 @@ d1=$(mktemp -d); d2=$(mktemp -d)
 cmp "$d1/BENCH_E1.json" "$d2/BENCH_E1.json" || {
     echo "deterministic E1 runs differ byte-for-byte"; exit 1; }
 echo "bench determinism: E1 deterministic collection is byte-reproducible"
-rm -rf "$d1" "$d2" /tmp/bitc-bench-check
+rm -rf "$d1" "$d2"
+
+# E9 trajectory gate (~4s): the deterministic serve experiment must reproduce
+# the committed BENCH_E9.json byte for byte, so a change that moves the
+# service's commits, aborts or latencies (STM, scheduler, 2PC) shows up as a
+# reviewed diff instead of a stale table. Regenerate deliberately with
+# `go run ./cmd/bitc-bench -e E9 -deterministic -metrics .`.
+d9=$(mktemp -d)
+/tmp/bitc-bench-check -e E9 -deterministic -metrics "$d9" > /dev/null
+cmp "$d9/BENCH_E9.json" BENCH_E9.json || {
+    echo "deterministic E9 run differs from the committed BENCH_E9.json"; exit 1; }
+echo "bench trajectory: E9 matches the committed BENCH_E9.json"
+rm -rf "$d9" /tmp/bitc-bench-check
 
 # Serving smoke gate (~2s): 10k transactions across 4 shards with
 # cross-shard 2PC transfers; `bitc serve` exits non-zero unless the
