@@ -2,12 +2,16 @@ package analysis
 
 // The bounds analyzer is the static twin of the VM's vector bounds check
 // (`vector index %d out of range 0..%d`, internal/vm/exec.go). It runs a
-// relational interval analysis over the function's CFG — the same
-// internal/dataflow/interval domain the truncate checker uses, extended
-// with symbolic difference bounds (`i <= n+k`, `i >= n+k`) — and resolves
-// every `vector-ref`/`vector-set!` site against the length of the vector
-// it accesses, recovered from `make-vector`/`vector` allocation sites
-// through the points-to object graph.
+// relational interval analysis over the function's CFG — the
+// internal/dataflow/interval domain extended with symbolic difference
+// bounds (`i <= n+k`, `i >= n+k`) — and resolves every
+// `vector-ref`/`vector-set!` site against the length of the vector it
+// accesses, recovered from `make-vector`/`vector` allocation sites through
+// the points-to object graph.
+//
+// The engine is the package's one range analysis: BITC-TRUNC001 and
+// BITC-PROV001 run it without a points-to graph and read cast operands off
+// its solution.
 //
 // Three mechanisms make loops provable:
 //
@@ -329,28 +333,33 @@ func (eng *boundsEngine) stableAnchor(name string) bool {
 	return false
 }
 
-// analyze solves the dataflow problem and classifies every vector-access
-// site, in deterministic block/atom order.
-func (eng *boundsEngine) analyze() []boundsSite {
+// replay solves the dataflow problem and calls visit on every atom, in
+// block/atom order, with the environment just before it. Deferred atoms
+// (run at an unknown later point) and atoms in refinement-unreachable
+// blocks get the empty reachable environment.
+func (eng *boundsEngine) replay(visit func(env boundsEnv, a cfg.Atom)) {
 	res := dataflow.Solve[boundsEnv](eng.g, eng)
-	var sites []boundsSite
 	for _, b := range eng.g.Blocks {
 		env := res.In[b.Index]
 		for _, a := range b.Atoms {
-			if a.Op == cfg.OpCall {
-				if call, ok := a.Expr.(*ast.Call); ok && isVectorAccess(call) {
-					checkEnv := env
-					if a.Deferred || !env.reached {
-						// Deferred code runs at an unknown later point;
-						// only constants and stable symbols survive.
-						checkEnv = boundsEnv{reached: true}
-					}
-					sites = append(sites, eng.checkSite(checkEnv, call))
-				}
+			if a.Deferred || !env.reached {
+				visit(boundsEnv{reached: true}, a)
+			} else {
+				visit(env, a)
 			}
 			env = eng.step(env, a)
 		}
 	}
+}
+
+// analyze classifies every vector-access site.
+func (eng *boundsEngine) analyze() []boundsSite {
+	var sites []boundsSite
+	eng.replay(func(env boundsEnv, a cfg.Atom) {
+		if call, ok := a.Expr.(*ast.Call); ok && a.Op == cfg.OpCall && isVectorAccess(call) {
+			sites = append(sites, eng.checkSite(env, call))
+		}
+	})
 	return sites
 }
 
@@ -713,6 +722,11 @@ func (eng *boundsEngine) refine(env boundsEnv, cond ast.Expr, truth bool) bounds
 	return env
 }
 
+// fn2 makes a synthetic comparison head reusing the original's span.
+func fn2(name string, like *ast.VarRef) *ast.VarRef {
+	return &ast.VarRef{Name: name, SpanV: like.SpanV}
+}
+
 // constrainLess records a < b (strict) or a <= b into the environment,
 // clamping both operands numerically and merging symbolic offsets from the
 // opposite side. A numeric contradiction makes the edge unreachable.
@@ -817,6 +831,17 @@ func (eng *boundsEngine) evalFact(env boundsEnv, e ast.Expr) *bFact {
 				return nil
 			}
 			f = &bFact{rng: full}
+		} else if full != nil && !f.rng.Within(full) {
+			// A value fits its type (the checker rejects out-of-range
+			// literals; the VM wraps arithmetic and casts), however far
+			// widening pushed the stored range. A range disjoint from the
+			// type comes from a wrapped 64-bit +/- (see wrapFact).
+			if r := interval.Intersect(f.rng, full); r.Empty() {
+				f = &bFact{rng: full}
+			} else {
+				f = f.clone()
+				f.rng = r
+			}
 		}
 		// A stable local is its own exact symbolic anchor: x <= x+0 and
 		// x >= x+0 — the seed every relational fact grows from.
@@ -859,9 +884,10 @@ func (eng *boundsEngine) evalFact(env boundsEnv, e ast.Expr) *bFact {
 }
 
 // callFact evaluates the builtins the relational domain understands:
-// +/- (shifting symbolic offsets through constant offsets), vector-length
-// (projecting a length fact back into the integer domain), and the
-// masking/remainder builtins the truncate checker narrows.
+// +/- (shifting symbolic offsets through constant offsets, and wrapping
+// narrow results into their type), vector-length (projecting a length fact
+// back into the integer domain), and the masking/remainder/shift builtins
+// with literal operands.
 func (eng *boundsEngine) callFact(env boundsEnv, call *ast.Call) *bFact {
 	v, ok := call.Fn.(*ast.VarRef)
 	if !ok {
@@ -876,19 +902,21 @@ func (eng *boundsEngine) callFact(env boundsEnv, call *ast.Call) *bFact {
 		if af == nil || bf == nil {
 			return nil
 		}
+		var f *bFact
 		if v.Name == "+" {
 			if k := pointOf(bf); k != nil {
-				return af.shift(k)
+				f = af.shift(k)
+			} else if k := pointOf(af); k != nil {
+				f = bf.shift(k)
+			} else {
+				f = &bFact{rng: interval.Add(af.rng, bf.rng)}
 			}
-			if k := pointOf(af); k != nil {
-				return bf.shift(k)
-			}
-			return &bFact{rng: interval.Add(af.rng, bf.rng)}
+		} else if k := pointOf(bf); k != nil {
+			f = af.shift(new(big.Int).Neg(k))
+		} else {
+			f = &bFact{rng: interval.Sub(af.rng, bf.rng)}
 		}
-		if k := pointOf(bf); k != nil {
-			return af.shift(new(big.Int).Neg(k))
-		}
-		return &bFact{rng: interval.Sub(af.rng, bf.rng)}
+		return wrapFact(f, types.Prune(eng.info.TypeOf(call)))
 	case "vector-length":
 		if len(call.Args) != 1 {
 			return nil
@@ -911,6 +939,22 @@ func (eng *boundsEngine) callFact(env boundsEnv, call *ast.Call) *bFact {
 	return nil
 }
 
+// wrapFact fits the exact result of a +/- into its type t. The VM wraps
+// 8/16/32-bit arithmetic, so a narrow result that may leave t can be any
+// value of t (`(+ c 1)` over an int8 c in [100, 127] is -128 at c = 127).
+// 64-bit results stay exact: wrapping them would drop the induction proofs
+// of insertion-sort's nested loops. That is a known gap, since a 64-bit
+// `(+ i 1)` with i refined only to [0, 2^63-1] is still proved in range.
+func wrapFact(f *bFact, t *types.Type) *bFact {
+	if t.Kind != types.KInt || t.Bits == 0 || t.Bits >= 64 {
+		return f
+	}
+	if full := typeRange(t); !f.rng.Within(full) {
+		return &bFact{rng: full}
+	}
+	return f
+}
+
 // pointOf returns the constant value of a singleton fact, or nil.
 func pointOf(f *bFact) *big.Int {
 	if f.rng.Lo != nil && f.rng.Hi != nil && f.rng.Lo.Cmp(f.rng.Hi) == 0 {
@@ -919,8 +963,8 @@ func pointOf(f *bFact) *big.Int {
 	return nil
 }
 
-// builtinNumRange mirrors the truncate checker's literal-operand narrowing
-// for masking/remainder/shift builtins, over the relational environment.
+// builtinNumRange narrows the result of masking/remainder/shift builtins
+// with a literal second operand.
 func (eng *boundsEngine) builtinNumRange(env boundsEnv, name string, call *ast.Call) *interval.I {
 	if len(call.Args) != 2 {
 		return nil

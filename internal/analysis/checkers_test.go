@@ -436,6 +436,61 @@ func TestTruncateAssignedRangeNegative(t *testing.T) {
 	}
 }
 
+func TestTruncateWrappedWideOperandPositive(t *testing.T) {
+	// 64-bit +/- wraps at run time: n = 0 makes (- n 1) 2^64-1, and a
+	// non-negative int64 x at its top makes (+ x 1) negative. Each cast
+	// must be judged on its operand's full source type.
+	cases := []struct{ src, rng string }{
+		{`(define (f (n uint64)) int32
+		    (if (< n 100) (cast int32 (- n 1)) 0))`, "[0, 18446744073709551615]"},
+		{`(define (f (x int64)) uint64
+		    (if (>= x 0) (cast uint64 (+ x 1)) 0))`, "[-9223372036854775808, 9223372036854775807]"},
+	}
+	for _, c := range cases {
+		rep := runOn(t, c.src)
+		found := false
+		for _, f := range rep.Findings {
+			if f.Code == analysis.CodeTruncate {
+				found = true
+				if !strings.Contains(f.Message, "source range "+c.rng) {
+					t.Errorf("%s: source range outside the source type: %s", c.src, f.Message)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s: wrapping cast not reported: %v", c.src, codesOf(rep))
+		}
+	}
+}
+
+func TestTruncateWidenedNarrowCounterNegative(t *testing.T) {
+	// The loop widens b's stored range past int8's top; a value still fits
+	// its type, so the widening casts see at most int8's range.
+	rep := runOn(t, `
+	  (define (f) int64
+	    (let ((mutable b (cast int8 120)))
+	      (dotimes (k 10)
+	        (if (>= b 100) (set! b (+ b 1)) ()))
+	      (+ (cast int64 b) (cast int64 (+ b 1)))))`)
+	if hasCode(rep, analysis.CodeTruncate) {
+		t.Fatalf("widened int8 counter flagged: %v", rep.Findings)
+	}
+}
+
+func TestTruncateLoopMaskNarrowedNegative(t *testing.T) {
+	// The loop-head widening loses y's upper bound; narrowing must recover
+	// the mask's [0, 127] before the cast after the loop.
+	rep := runOn(t, `
+	  (define (f (x int64)) uint8
+	    (let ((mutable y 0))
+	      (dotimes (k 10)
+	        (set! y (bitand x 127)))
+	      (cast uint8 y)))`)
+	if hasCode(rep, analysis.CodeTruncate) {
+		t.Fatalf("loop-masked cast flagged: %v", rep.Findings)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // deadstore
 // ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ package analysis
 import (
 	"bitc/internal/ast"
 	"bitc/internal/cfg"
-	"bitc/internal/dataflow"
 	"bitc/internal/dataflow/interval"
 	"bitc/internal/source"
 	"bitc/internal/types"
@@ -129,26 +128,12 @@ func runFFIProv(p *Pass) {
 		if !ok || !callsAny(fn, windows) {
 			continue
 		}
-		g := cfg.Build(fn)
-		eng := newBoundsEngine(p.Info, g, nil, fn.Name)
-		res := dataflow.Solve[boundsEnv](g, eng)
-		for _, b := range g.Blocks {
-			env := res.In[b.Index]
-			for _, a := range b.Atoms {
-				if a.Op == cfg.OpCall {
-					if ws := windows[a.Name]; ws != nil {
-						checkEnv := env
-						if a.Deferred || !env.reached {
-							checkEnv = boundsEnv{reached: true}
-						}
-						if call, ok := a.Expr.(*ast.Call); ok {
-							checkProvCall(p, eng, checkEnv, a.Name, call, ws)
-						}
-					}
-				}
-				env = eng.step(env, a)
+		eng := newBoundsEngine(p.Info, cfg.Build(fn), nil, fn.Name)
+		eng.replay(func(env boundsEnv, a cfg.Atom) {
+			if call, ok := a.Expr.(*ast.Call); ok && a.Op == cfg.OpCall && windows[a.Name] != nil {
+				checkProvCall(p, eng, env, a.Name, call, windows[a.Name])
 			}
-		}
+		})
 	}
 }
 

@@ -1,26 +1,17 @@
 package analysis
 
 import (
-	"math/big"
-
 	"bitc/internal/ast"
 	"bitc/internal/cfg"
-	"bitc/internal/dataflow"
 	"bitc/internal/dataflow/interval"
 	"bitc/internal/source"
 	"bitc/internal/types"
 )
 
 // The truncate analyzer flags explicit-width casts that can lose bits. It
-// runs an interval analysis over the function's CFG: literals, masked
-// values, remainders, and nested casts get tight ranges; locals carry the
-// range of their last assignment; and branch conditions refine ranges along
-// each edge — so inside `(if (< x 256) ...)` a `(cast uint8 x)` is clean
-// while the same cast outside is flagged. The interval domain itself lives
-// in internal/dataflow/interval, shared with the bounds prover; here every
-// range stays finite (every bound derives from a literal, a type bound, or
-// finitely many ±1 refinement steps), so the fixpoint terminates without
-// widening.
+// reads each cast operand's range off the relational bounds engine
+// (bounds.go), run without a points-to graph, so inside `(if (< x 256) ...)`
+// a `(cast uint8 x)` is clean while the same cast outside is flagged.
 
 // Truncation lint codes.
 const (
@@ -39,29 +30,15 @@ var truncateAnalyzer = register(&Analyzer{
 })
 
 func runTruncate(p *Pass) {
-	g := p.CFG(nil)
-	tf := newTruncFlow(p.Info, g)
-	res := dataflow.Solve[rangeEnv](g, tf)
-
-	for _, b := range g.Blocks {
-		env := res.In[b.Index]
-		for _, a := range b.Atoms {
-			if cast, ok := a.Expr.(*ast.Cast); ok && a.Op == cfg.OpEval {
-				checkEnv := env
-				if a.Deferred || !env.reached {
-					// Deferred code runs at an unknown later point, and a
-					// refinement-unreachable block has no flow facts: check
-					// against plain type ranges either way.
-					checkEnv = rangeEnv{}
-				}
-				tf.checkCast(p, cast, checkEnv)
-			}
-			env = tf.step(env, a)
+	eng := newBoundsEngine(p.Info, p.CFG(nil), nil, p.Fn.Name)
+	eng.replay(func(env boundsEnv, a cfg.Atom) {
+		if cast, ok := a.Expr.(*ast.Cast); ok && a.Op == cfg.OpEval {
+			checkCast(p, eng, env, cast)
 		}
-	}
+	})
 }
 
-func (tf *truncFlow) checkCast(p *Pass, cast *ast.Cast, env rangeEnv) {
+func checkCast(p *Pass, eng *boundsEngine, env boundsEnv, cast *ast.Cast) {
 	src := p.Info.TypeOf(cast.Expr)
 	dst := p.Info.TypeOf(cast)
 	switch {
@@ -69,15 +46,16 @@ func (tf *truncFlow) checkCast(p *Pass, cast *ast.Cast, env rangeEnv) {
 		p.Reportf(CodeFloatTrunc, source.Note, cast.Span(),
 			"cast from %s to %s discards the fractional part and may overflow", src, dst)
 	case intLike(src) && intLike(dst):
-		sr := tf.rangeOf(env, cast.Expr)
-		dr := typeRange(dst)
-		if sr == nil || dr == nil {
-			return
+		// The engine keeps 64-bit +/- exact, but the VM wraps them: an
+		// operand outside its own type may hold any value of that type.
+		sr, dr := eng.evalFact(env, cast.Expr).rng, typeRange(dst)
+		if !sr.Within(typeRange(src)) {
+			sr = typeRange(src)
 		}
-		if sr.Lo.Cmp(dr.Lo) < 0 || sr.Hi.Cmp(dr.Hi) > 0 {
+		if !sr.Within(dr) {
 			p.Reportf(CodeTruncate, source.Warning, cast.Span(),
-				"cast from %s to %s may truncate: source range [%s, %s] exceeds target range [%s, %s]",
-				src, dst, sr.Lo, sr.Hi, dr.Lo, dr.Hi)
+				"cast from %s to %s may truncate: source range %s exceeds target range %s",
+				src, dst, sr, dr)
 		}
 	}
 }
@@ -101,357 +79,6 @@ func typeRange(t *types.Type) *interval.I {
 			return interval.Signed(bits)
 		}
 		return interval.Unsigned(bits)
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Interval dataflow
-// ---------------------------------------------------------------------------
-
-// rangeEnv is the dataflow fact: narrowed ranges for locals whose current
-// value is known to fit an interval tighter than its type. An absent key
-// means the full type range; reached distinguishes the bottom element
-// (no path reaches this point) from "reachable, nothing narrowed".
-type rangeEnv struct {
-	reached bool
-	vars    map[string]*interval.I
-}
-
-func (e rangeEnv) clone() rangeEnv {
-	out := rangeEnv{reached: e.reached, vars: make(map[string]*interval.I, len(e.vars))}
-	for k, v := range e.vars {
-		out.vars[k] = v
-	}
-	return out
-}
-
-// truncFlow is the forward interval problem with branch refinement.
-type truncFlow struct {
-	info *types.Info
-	g    *cfg.Graph
-	// volatile holds locals a closure may assign (a deferred WriteRef use
-	// exists): their ranges are never tracked, since the write can happen at
-	// any point relative to this code.
-	volatile map[string]bool
-}
-
-func newTruncFlow(info *types.Info, g *cfg.Graph) *truncFlow {
-	tf := &truncFlow{info: info, g: g, volatile: map[string]bool{}}
-	for _, b := range g.Blocks {
-		for _, a := range b.Atoms {
-			if a.Op == cfg.OpUse && a.Deferred && a.WriteRef {
-				tf.volatile[a.Name] = true
-			}
-		}
-	}
-	return tf
-}
-
-func (tf *truncFlow) Direction() dataflow.Direction { return dataflow.Forward }
-func (tf *truncFlow) Boundary() rangeEnv            { return rangeEnv{reached: true} }
-func (tf *truncFlow) Init() rangeEnv                { return rangeEnv{} }
-
-// Meet is the interval hull, dropping any variable not narrowed on both
-// sides; the bottom element is the identity.
-func (tf *truncFlow) Meet(a, b rangeEnv) rangeEnv {
-	if !a.reached {
-		return b
-	}
-	if !b.reached {
-		return a
-	}
-	out := rangeEnv{reached: true, vars: map[string]*interval.I{}}
-	for k, av := range a.vars {
-		bv, ok := b.vars[k]
-		if !ok {
-			continue
-		}
-		out.vars[k] = interval.Hull(av, bv)
-	}
-	return out
-}
-
-func (tf *truncFlow) Equal(a, b rangeEnv) bool {
-	if a.reached != b.reached || len(a.vars) != len(b.vars) {
-		return false
-	}
-	for k, av := range a.vars {
-		bv, ok := b.vars[k]
-		if !ok || !av.Eq(bv) {
-			return false
-		}
-	}
-	return true
-}
-
-func (tf *truncFlow) Transfer(b *cfg.Block, in rangeEnv) rangeEnv {
-	if !in.reached {
-		return in
-	}
-	out := in.clone()
-	for _, a := range b.Atoms {
-		out = tf.step(out, a)
-	}
-	return out
-}
-
-// step applies one atom to an environment (shared by Transfer and the
-// checker's replay). Deferred defs were already folded into volatile.
-func (tf *truncFlow) step(env rangeEnv, a cfg.Atom) rangeEnv {
-	if !env.reached {
-		return env
-	}
-	set := func(name string, r *interval.I) {
-		if tf.volatile[name] {
-			return
-		}
-		out := env.clone()
-		if r == nil {
-			delete(out.vars, name)
-		} else {
-			out.vars[name] = r
-		}
-		env = out
-	}
-	switch a.Op {
-	case cfg.OpDef:
-		if !a.Deferred {
-			if s, ok := a.Expr.(*ast.Set); ok {
-				set(a.Name, tf.narrowed(env, s.Value))
-			}
-		}
-	case cfg.OpDecl:
-		switch a.Decl.Kind {
-		case cfg.DeclLet:
-			set(a.Name, tf.narrowed(env, a.Decl.Binding.Init))
-		case cfg.DeclLoop:
-			// dotimes counts i = 0 .. count-1.
-			if dt, ok := a.Decl.Node.(*ast.DoTimes); ok {
-				if cr := tf.rangeOf(env, dt.Count); cr != nil && cr.Hi.Sign() > 0 {
-					set(a.Name, interval.New(big.NewInt(0), new(big.Int).Sub(cr.Hi, big.NewInt(1))))
-					break
-				}
-			}
-			set(a.Name, nil)
-		default:
-			set(a.Name, nil)
-		}
-	}
-	return env
-}
-
-// narrowed returns e's interval only when it is strictly tighter than the
-// full type range (keeping the environment small).
-func (tf *truncFlow) narrowed(env rangeEnv, e ast.Expr) *interval.I {
-	r := tf.rangeOf(env, e)
-	if r == nil {
-		return nil
-	}
-	if full := typeRange(types.Prune(tf.info.TypeOf(e))); full != nil && full.Within(r) {
-		return nil
-	}
-	return r
-}
-
-// Flow refines the fact along one branch edge using the block's condition:
-// succ 0 is the true edge, succ 1 the false edge. Non-comparison conditions
-// and multiway dispatch pass the fact through unchanged.
-func (tf *truncFlow) Flow(from *cfg.Block, succIdx int, out rangeEnv) rangeEnv {
-	if !out.reached || from.Cond == nil || len(from.Succs) != 2 {
-		return out
-	}
-	return tf.refine(out, from.Cond, succIdx == 0)
-}
-
-// refine applies a branch condition's truth to the environment.
-func (tf *truncFlow) refine(env rangeEnv, cond ast.Expr, truth bool) rangeEnv {
-	call, ok := cond.(*ast.Call)
-	if !ok {
-		return env
-	}
-	fn, ok := call.Fn.(*ast.VarRef)
-	if !ok {
-		return env
-	}
-	switch fn.Name {
-	case "not":
-		if len(call.Args) == 1 {
-			return tf.refine(env, call.Args[0], !truth)
-		}
-		return env
-	case "and":
-		// A true conjunction makes every conjunct true; a false one tells
-		// us nothing about any individual conjunct.
-		if truth {
-			for _, a := range call.Args {
-				env = tf.refine(env, a, true)
-			}
-		}
-		return env
-	case "or":
-		if !truth {
-			for _, a := range call.Args {
-				env = tf.refine(env, a, false)
-			}
-		}
-		return env
-	}
-	if len(call.Args) != 2 {
-		return env
-	}
-	a, b := call.Args[0], call.Args[1]
-	one := big.NewInt(1)
-	switch fn.Name {
-	case "<":
-		if !truth {
-			return tf.bound(tf.bound(env, a, nil, tf.loOf(env, b)), b, tf.hiOf(env, a), nil)
-		}
-		return tf.bound(tf.bound(env, a, interval.SubBound(tf.hiOf(env, b), one), nil), b, nil, interval.AddBound(tf.loOf(env, a), one))
-	case "<=":
-		if !truth {
-			return tf.bound(tf.bound(env, a, nil, interval.AddBound(tf.loOf(env, b), one)), b, interval.SubBound(tf.hiOf(env, a), one), nil)
-		}
-		return tf.bound(tf.bound(env, a, tf.hiOf(env, b), nil), b, nil, tf.loOf(env, a))
-	case ">":
-		return tf.refine(env, &ast.Call{Fn: fn2("<", fn), Args: []ast.Expr{b, a}}, truth)
-	case ">=":
-		return tf.refine(env, &ast.Call{Fn: fn2("<=", fn), Args: []ast.Expr{b, a}}, truth)
-	case "=":
-		if truth {
-			env = tf.bound(env, a, tf.hiOf(env, b), tf.loOf(env, b))
-			return tf.bound(env, b, tf.hiOf(env, a), tf.loOf(env, a))
-		}
-	}
-	return env
-}
-
-// fn2 makes a synthetic comparison head reusing the original's span.
-func fn2(name string, like *ast.VarRef) *ast.VarRef {
-	return &ast.VarRef{Name: name, SpanV: like.SpanV}
-}
-
-func (tf *truncFlow) loOf(env rangeEnv, e ast.Expr) *big.Int {
-	if r := tf.rangeOf(env, e); r != nil {
-		return r.Lo
-	}
-	return nil
-}
-
-func (tf *truncFlow) hiOf(env rangeEnv, e ast.Expr) *big.Int {
-	if r := tf.rangeOf(env, e); r != nil {
-		return r.Hi
-	}
-	return nil
-}
-
-// bound intersects a local's range with [newLo, newHi] (nil = no bound on
-// that side). A contradictory interval makes the edge unreachable.
-func (tf *truncFlow) bound(env rangeEnv, e ast.Expr, newHi, newLo *big.Int) rangeEnv {
-	if !env.reached {
-		return env
-	}
-	v, ok := e.(*ast.VarRef)
-	if !ok {
-		return env
-	}
-	name := tf.g.Rename[v]
-	if name == "" || tf.volatile[name] {
-		return env
-	}
-	cur := tf.rangeOf(env, e)
-	if cur == nil {
-		return env
-	}
-	next := interval.Intersect(cur, interval.New(newLo, newHi))
-	if next.Empty() {
-		return rangeEnv{} // condition can never hold: edge unreachable
-	}
-	if next.Lo == cur.Lo && next.Hi == cur.Hi {
-		return env
-	}
-	out := env.clone()
-	out.vars[name] = next
-	return out
-}
-
-// rangeOf computes a conservative interval for e under env, or nil when e's
-// type is not integer-like. Truncate ranges are always finite: the fallback
-// is the full (finite) type range.
-func (tf *truncFlow) rangeOf(env rangeEnv, e ast.Expr) *interval.I {
-	t := types.Prune(tf.info.TypeOf(e))
-	full := typeRange(t)
-	switch e := e.(type) {
-	case *ast.IntLit:
-		return interval.Point(big.NewInt(e.Value))
-	case *ast.CharLit:
-		return interval.Point(big.NewInt(int64(e.Value)))
-	case *ast.VarRef:
-		if name := tf.g.Rename[e]; name != "" && env.reached {
-			if r, ok := env.vars[name]; ok {
-				return r
-			}
-		}
-		return full
-	case *ast.Cast:
-		inner := tf.rangeOf(env, e.Expr)
-		if inner != nil && full != nil && inner.Within(full) {
-			return inner // value preserved by the cast
-		}
-		return full
-	case *ast.Begin:
-		if n := len(e.Body); n > 0 {
-			if r := tf.rangeOf(env, e.Body[n-1]); r != nil {
-				return r
-			}
-		}
-		return full
-	case *ast.Call:
-		if r := tf.builtinRange(env, e); r != nil {
-			return r
-		}
-		return full
-	}
-	return full
-}
-
-// builtinRange narrows the result of masking/remainder/shift builtins with
-// literal operands.
-func (tf *truncFlow) builtinRange(env rangeEnv, call *ast.Call) *interval.I {
-	v, ok := call.Fn.(*ast.VarRef)
-	if !ok || len(call.Args) != 2 {
-		return nil
-	}
-	lit, ok := call.Args[1].(*ast.IntLit)
-	if !ok {
-		return nil
-	}
-	argT := types.Prune(tf.info.TypeOf(call.Args[0]))
-	switch v.Name {
-	case "bitand":
-		if lit.Value >= 0 {
-			return interval.Of(0, lit.Value)
-		}
-	case "mod":
-		if lit.Value > 0 {
-			hi := big.NewInt(lit.Value - 1)
-			if argT.Kind == types.KInt && argT.Signed {
-				if r := tf.rangeOf(env, call.Args[0]); r != nil && r.Lo.Sign() >= 0 {
-					return interval.New(big.NewInt(0), hi) // non-negative dividend
-				}
-				return interval.New(new(big.Int).Neg(hi), hi)
-			}
-			return interval.New(big.NewInt(0), hi)
-		}
-	case "shr":
-		if full := typeRange(argT); full != nil && lit.Value >= 0 && lit.Value < 64 &&
-			argT.Kind == types.KInt && !argT.Signed {
-			base := full
-			if r := tf.rangeOf(env, call.Args[0]); r != nil && r.Lo.Sign() >= 0 {
-				base = r
-			}
-			return interval.New(big.NewInt(0), new(big.Int).Rsh(base.Hi, uint(lit.Value)))
-		}
 	}
 	return nil
 }

@@ -109,13 +109,14 @@ func bestOf3(p *core.Program, opts vm.Options, arg int64, deterministic bool) (i
 
 // metricsE1 exports the boxed-vs-unboxed comparison (fallacy 1): every
 // canonical workload under both representations, plus derived box-pressure
-// ratios. On measured (non-deterministic) runs each unboxed row also carries
+// ratios, and boundsProved/boundsSites on kernels with proved sites. On
+// measured (non-deterministic) runs each unboxed row also carries
 // dispatchSpeedup — fused dispatch over the legacy switch interpreter on the
-// same kernel — and, for kernels where the bounds prover discharged sites,
-// boundsElisionSpeedup — the same kernel with proof-guided bounds-check
-// elision over the checked baseline. Final geomean rows summarise both, so
-// the trajectory records the interpreter rebuild and the prover payoff
-// without disturbing the boxed/unboxed ratio shape.
+// same kernel — and, for the proved kernels, boundsElisionSpeedup — the same
+// kernel with proof-guided bounds-check elision over the checked baseline.
+// Final geomean rows summarise both, so the trajectory records the
+// interpreter rebuild and the prover payoff without disturbing the
+// boxed/unboxed ratio shape.
 func metricsE1(p Params, deterministic bool) (*obs.MetricsDoc, error) {
 	doc := obs.NewMetricsDoc("E1", deterministic)
 	speedupProduct, speedups := 1.0, 0
@@ -130,6 +131,16 @@ func metricsE1(p Params, deterministic bool) (*obs.MetricsDoc, error) {
 		if err != nil {
 			return nil, err
 		}
+		eprog, err := core.Load(w.name, w.src, core.Config{Optimize: opt.O1, BoundsElide: true})
+		if err != nil {
+			return nil, fmt.Errorf("%s/elide: %w", w.name, err)
+		}
+		un.Derived = map[string]float64{}
+		proved := eprog.Proofs != nil && eprog.Proofs.Proved > 0
+		if proved { // deterministic counts, checked by TestE1Trajectory
+			un.Derived["boundsProved"] = float64(eprog.Proofs.Proved)
+			un.Derived["boundsSites"] = float64(eprog.Proofs.Sites)
+		}
 		if !deterministic && un.WallNS > 0 {
 			legacy, _, err := bestOf3(prog,
 				vm.Options{Mode: vm.Unboxed, Dispatch: vm.DispatchSwitch}, arg, false)
@@ -137,15 +148,11 @@ func metricsE1(p Params, deterministic bool) (*obs.MetricsDoc, error) {
 				return nil, fmt.Errorf("%s/switch: %w", w.name, err)
 			}
 			s := float64(legacy) / float64(un.WallNS)
-			un.Derived = map[string]float64{"dispatchSpeedup": s}
+			un.Derived["dispatchSpeedup"] = s
 			speedupProduct *= s
 			speedups++
 
-			eprog, err := core.Load(w.name, w.src, core.Config{Optimize: opt.O1, BoundsElide: true})
-			if err != nil {
-				return nil, fmt.Errorf("%s/elide: %w", w.name, err)
-			}
-			if eprog.Proofs != nil && eprog.Proofs.Proved > 0 {
+			if proved {
 				// Paired measurement: re-time the checked baseline back to
 				// back with the elided run so the ratio compares two
 				// adjacent timings instead of inheriting whatever drift
@@ -161,8 +168,6 @@ func metricsE1(p Params, deterministic bool) (*obs.MetricsDoc, error) {
 				}
 				es := float64(checked) / float64(elided)
 				un.Derived["boundsElisionSpeedup"] = es
-				un.Derived["boundsProved"] = float64(eprog.Proofs.Proved)
-				un.Derived["boundsSites"] = float64(eprog.Proofs.Sites)
 				elideProduct *= es
 				elisions++
 			}

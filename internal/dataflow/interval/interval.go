@@ -1,11 +1,12 @@
 // Package interval implements the arbitrary-precision interval-arithmetic
-// domain shared by the flow-sensitive value-range analyses (the truncation
-// checker and the bounds prover in internal/analysis). An interval is a
-// closed range [Lo, Hi] of big integers; a nil bound means the side is
-// unbounded (−∞ or +∞). The package supplies the lattice operations a
-// dataflow problem needs — hull (meet for a may-range analysis),
-// intersection (branch refinement), widening and narrowing (loop
-// convergence) — plus the shift/add arithmetic transfer functions use.
+// domain under the relational range engine in internal/analysis (bounds.go),
+// the one engine behind bounds elision, the truncation checker and the FFI
+// provenance check. An interval is a closed range [Lo, Hi] of big integers;
+// a nil bound means the side is unbounded (−∞ or +∞). The package supplies
+// the lattice operations a dataflow problem needs — hull (meet for a
+// may-range analysis), intersection (branch refinement), widening and
+// narrowing (loop convergence) — plus the shift/add arithmetic transfer
+// functions use.
 package interval
 
 import (

@@ -70,7 +70,8 @@ type checker struct {
 	global   *env
 	level    int
 
-	curFn *funcCtx // function being checked, for %result and returns
+	curFn *funcCtx      // function being checked, for %result and returns
+	lits  []*ast.IntLit // integer literals, range-checked once types settle
 }
 
 type funcCtx struct {
@@ -238,6 +239,30 @@ func (c *checker) run(prog *ast.Program) {
 	for _, s := range c.info.Funcs {
 		defaultTypeExcept(s.Type, keep)
 	}
+	c.checkLiteralRanges()
+}
+
+// checkLiteralRanges rejects an integer literal its settled type cannot
+// hold, such as 300 as a uint8 or -1 as a uint64 (a cast's own literal
+// operand is exempt, see checkCast). The VM loads a literal as written, and
+// the range analyses rely on every value fitting its type.
+func (c *checker) checkLiteralRanges() {
+	for _, e := range c.lits {
+		if t := Prune(c.info.Types[e]); t.Kind == KInt && !intFits(e.Value, t) {
+			c.errf(e.Span(), "integer literal %d does not fit %s", e.Value, t)
+		}
+	}
+}
+
+// intFits reports whether v lies in the range of the integer type t.
+func intFits(v int64, t *Type) bool {
+	switch {
+	case t.Bits == 0 || t.Bits >= 64:
+		return t.Signed || v >= 0
+	case t.Signed:
+		return v >= -1<<(t.Bits-1) && v < 1<<(t.Bits-1)
+	}
+	return v >= 0 && v < 1<<t.Bits
 }
 
 func (c *checker) declared(name string, span source.Span) bool {
@@ -481,6 +506,7 @@ func (c *checker) checkBody(body []ast.Expr, scope *env) *Type {
 func (c *checker) checkExpr(e ast.Expr, scope *env) *Type {
 	switch e := e.(type) {
 	case *ast.IntLit:
+		c.lits = append(c.lits, e)
 		return c.record(e, c.u.fresh(c.level, CIntegral))
 	case *ast.FloatLit:
 		return c.record(e, Float64)
@@ -955,6 +981,11 @@ func (c *checker) checkPattern(p ast.Pattern, scrutT *Type, scope *env, covered 
 func (c *checker) checkCast(e *ast.Cast, scope *env) *Type {
 	target := c.resolveType(e.Type, map[string]*Type{})
 	src := c.checkExpr(e.Expr, scope)
+	if _, ok := e.Expr.(*ast.IntLit); ok {
+		// The cast wraps its operand at run time (`(cast uint8 300)` is
+		// 44): drop the literal checkExpr just queued for the range check.
+		c.lits = c.lits[:len(c.lits)-1]
+	}
 	ts, tt := Prune(src), Prune(target)
 	if ts.Kind == KVar {
 		// Let the cast pin down an unconstrained source (e.g. a literal).

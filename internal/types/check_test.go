@@ -80,6 +80,27 @@ func TestLiteralAdoptsContextWidth(t *testing.T) {
 	}
 }
 
+func TestLiteralOutOfRangeRejected(t *testing.T) {
+	checkErr(t, `
+	  (define (f (k int64)) uint8
+	    (let ((mutable y (cast uint8 5)))
+	      (if (> k 0) (set! y 300) ())
+	      y))`, "integer literal 300 does not fit uint8")
+	checkErr(t, `(define (f (x int8)) (+ x 128))`, "integer literal 128 does not fit int8")
+	checkErr(t, `(define (f (x int8)) (< x -129))`, "integer literal -129 does not fit int8")
+	checkErr(t, `(define (f (x uint64)) (+ x -1))`, "integer literal -1 does not fit uint64")
+	checkErr(t, `(define (f) (vector (cast uint16 1) 65536))`, "integer literal 65536 does not fit uint16")
+}
+
+func TestLiteralRangeEdgesAccepted(t *testing.T) {
+	checkOK(t, `(define (f (x int8)) (+ (+ x 127) -128))`)
+	checkOK(t, `(define (f (x uint8)) (bitand x 255))`)
+	checkOK(t, `(define (f (x uint32)) (+ x 4294967295))`)
+	checkOK(t, `(define (f (x uint64)) (+ x 9223372036854775807))`)
+	// A cast's literal operand may exceed the target: the cast wraps it.
+	checkOK(t, `(define (f) uint8 (cast uint8 300))`)
+}
+
 func TestPolymorphicIdentity(t *testing.T) {
 	info := checkOK(t, `
 	  (define (id x) x)

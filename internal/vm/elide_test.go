@@ -106,23 +106,84 @@ const mixedTrapSrc = `
     (vector-ref v n)))
 `
 
-// TestBoundsElisionTrapIdentical: elision must not change which access
-// traps or the trap message (the VM's `vector index %d out of range 0..%d`).
-func TestBoundsElisionTrapIdentical(t *testing.T) {
+// narrowWrapSrc indexes with `(+ c 1)` over an int8 c refined to
+// [100, 127]: exactly that is [101, 128], but int8 arithmetic wraps, so
+// c = 127 yields index -128. The second loop iteration reuses the vector,
+// so the access runs on the inline-cache fast path, where an elided site
+// has no bounds compare left to trap.
+const narrowWrapSrc = `
+(define (get (b int8)) int64
+  (let ((v (make-vector 200 7)) (mutable acc 0))
+    (dotimes (k 2)
+      (let ((c (if (= k 0) (cast int8 100) b)))
+        (if (>= c 100)
+            (set! acc (+ acc (vector-ref v (cast int64 (+ c 1)))))
+            ())))
+    acc))
+(define (entry) int64 (get (cast int8 127)))
+`
+
+// TestBoundsElisionExternNarrowResult: a proof may rely on an extern's
+// declared result type, so a host function returning 300 for a uint8
+// result must reach the program as 44, not as an index past the proved
+// [0, 255] (the second iteration runs on the inline-cache fast path).
+func TestBoundsElisionExternNarrowResult(t *testing.T) {
+	src := `
+(external next-byte (-> () uint8) "next_byte")
+(define (entry) int64
+  (let ((v (make-vector 256 7)) (mutable acc 0))
+    (dotimes (k 2)
+      (set! acc (+ acc (+ (vector-ref v (cast int64 (next-byte))) (cast int64 (next-byte))))))
+    acc))
+`
 	for _, d := range dispatchModes {
-		_, _, _, _, berr := runElide(t, mixedTrapSrc, false, d, vm.Unboxed, nil, vm.IntValue(9))
-		prog, _, _, _, eerr := runElide(t, mixedTrapSrc, true, d, vm.Unboxed, nil, vm.IntValue(9))
-		if berr == nil || eerr == nil {
-			t.Fatalf("%v: expected traps, got baseline=%v elided=%v", d, berr, eerr)
+		for _, elide := range []bool{false, true} {
+			prog, err := core.Load("t.bitc", src, core.Config{Optimize: opt.O2, Dispatch: d, BoundsElide: elide})
+			if err != nil {
+				t.Fatalf("load: %v", err)
+			}
+			if elide && (prog.Proofs == nil || prog.Proofs.Proved == 0) {
+				t.Fatalf("%v: the uint8-indexed site was not proved", d)
+			}
+			machine := prog.NewVM()
+			machine.Externs["next_byte"] = func([]int64) int64 { return 300 }
+			val, err := machine.RunFunc("entry")
+			if err != nil || val.I != 2*(7+44) {
+				t.Fatalf("%v/elide=%v: got %v, %v; want %d", d, elide, val, err, 2*(7+44))
+			}
 		}
-		if berr.Error() != eerr.Error() {
-			t.Fatalf("%v: trap drifted: baseline %q, elided %q", d, berr, eerr)
-		}
-		if !strings.Contains(berr.Error(), "vector index 4 out of range 0..3") {
-			t.Fatalf("%v: unexpected trap %q", d, berr)
-		}
-		if prog.Proofs == nil || prog.Proofs.Proved == 0 {
-			t.Fatalf("%v: proven v[0] site missing from proof set", d)
+	}
+}
+
+// TestBoundsElisionTrapIdentical: elision must not change which access
+// traps or the trap message (the VM's `vector index %d out of range 0..%d`),
+// and a wrapped narrow-integer index must trap rather than reach an elided
+// handler.
+func TestBoundsElisionTrapIdentical(t *testing.T) {
+	cases := []struct {
+		name, src, trap string
+		args            []vm.Value
+		wantProved      bool
+	}{
+		{"mixed", mixedTrapSrc, "vector index 4 out of range 0..3", []vm.Value{vm.IntValue(9)}, true},
+		{"narrow-wrap", narrowWrapSrc, "vector index -128 out of range 0..199", nil, false},
+	}
+	for _, c := range cases {
+		for _, d := range dispatchModes {
+			_, _, _, _, berr := runElide(t, c.src, false, d, vm.Unboxed, nil, c.args...)
+			prog, _, _, _, eerr := runElide(t, c.src, true, d, vm.Unboxed, nil, c.args...)
+			if berr == nil || eerr == nil {
+				t.Fatalf("%s/%v: expected traps, got baseline=%v elided=%v", c.name, d, berr, eerr)
+			}
+			if berr.Error() != eerr.Error() {
+				t.Fatalf("%s/%v: trap drifted: baseline %q, elided %q", c.name, d, berr, eerr)
+			}
+			if !strings.Contains(berr.Error(), c.trap) {
+				t.Fatalf("%s/%v: unexpected trap %q", c.name, d, berr)
+			}
+			if c.wantProved && (prog.Proofs == nil || prog.Proofs.Proved == 0) {
+				t.Fatalf("%s/%v: proven v[0] site missing from proof set", c.name, d)
+			}
 		}
 	}
 }

@@ -647,6 +647,10 @@ func (v *VM) callExtern(fr *Frame, in *ir.Instr) error {
 		fr.regs[in.Dst] = unitVal()
 	case types.KBool:
 		fr.regs[in.Dst] = v.boxResult(in, boolVal(res != 0))
+	case types.KInt:
+		// Reduce the host's result to the declared width, as a C return
+		// of that type would be: a value must fit its type.
+		fr.regs[in.Dst] = v.boxResult(in, intVal(wrap(res, rt.Bits, rt.Signed)))
 	default:
 		fr.regs[in.Dst] = v.boxResult(in, intVal(wrap(res, 64, true)))
 	}

@@ -14,6 +14,10 @@ fi
 
 go vet ./...
 go build ./...
+# This includes the E1 trajectory gate (trajectory_test.go, ~5s): a fresh
+# full-scale deterministic E1 must match the committed BENCH_E1.json on
+# every row's VM counters and each kernel's boundsProved/boundsSites. The
+# test cache tracks BENCH_E1.json, so a cached pass is never stale.
 go test ./...
 
 # Self-lint: every example program must analyze with zero error-severity
@@ -100,17 +104,20 @@ rm -f /tmp/bitc-serve-shard.bitc /tmp/bitc-serve-twopc.bitc
 # docs/vm.md).
 go test -count=1 -run 'TestDispatchDifferential|TestDisasmGolden' ./internal/vm
 
-# Bounds & provenance gate: the relational prover must (1) hold the E1
-# kernels' discharge rate above the 60% floor, prove exactly the sites an
+# Bounds, provenance & truncation gate: one relational range engine
+# (internal/analysis/bounds.go) answers bounds elision, BITC-PROV001 and
+# BITC-TRUNC001, so all three are held here. The engine must (1) hold the
+# E1 kernels' discharge rate above the 60% floor, prove exactly the sites an
 # every-function run proves while running the engine only on functions
-# with a vector-access site, and keep the PROV001 narrowing checks honest
-# (internal/analysis), (2) report no provably
+# with a vector-access site, and keep the PROV001 narrowing and TRUNC001
+# cast checks honest (internal/analysis), (2) report no provably
 # out-of-range access (BITC-BOUND001) anywhere in the shipped examples or
 # the service's generated programs, and (3) keep proof-guided elision
-# observationally equivalent to the checked interpreter — values, traps,
-# counters, and observer streams (internal/vm/elide_test.go), with every
-# statically flagged site actually trapping in the VM.
-go test -count=1 -run 'TestBoundsE1Discharge|TestBoundsProofsDemandExact|TestFFIProv' ./internal/analysis
+# observationally equivalent to the checked interpreter — values, traps
+# (narrow-integer wraparound included), counters, and observer streams
+# (internal/vm/elide_test.go), with every statically flagged site actually
+# trapping in the VM.
+go test -count=1 -run 'TestBoundsE1Discharge|TestBoundsProofsDemandExact|TestFFIProv|TestTruncate' ./internal/analysis
 go test -count=1 -run 'TestBoundsElision|TestBoundsStaticTrapAgreement' ./internal/vm
 for kind in shard twopc; do
     /tmp/bitc-check serve -emit-program "$kind" > "/tmp/bitc-bound-$kind.bitc"
