@@ -7,6 +7,8 @@ package prover
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -15,6 +17,10 @@ import (
 type Term struct {
 	Const  int64
 	Coeffs map[string]int64
+	// ovf marks a term some int64 operation overflowed while building: its
+	// numbers no longer denote the mathematical term, so a constraint set
+	// holding it is decided as satisfiable (unknown), never as unsat.
+	ovf bool
 }
 
 // NewTerm builds a constant term.
@@ -29,21 +35,55 @@ func VarTerm(name string) Term {
 
 // clone copies t.
 func (t Term) clone() Term {
-	c := Term{Const: t.Const, Coeffs: make(map[string]int64, len(t.Coeffs))}
+	c := Term{Const: t.Const, Coeffs: make(map[string]int64, len(t.Coeffs)), ovf: t.ovf}
 	for k, v := range t.Coeffs {
 		c.Coeffs[k] = v
 	}
 	return c
 }
 
+// addOvf returns a+b and whether the sum overflowed int64.
+func addOvf(a, b int64) (int64, bool) {
+	s := a + b
+	return s, (a >= 0) == (b >= 0) && (s >= 0) != (a >= 0)
+}
+
+// mulOvf returns a·b and whether the product overflowed int64. Of the
+// magnitudes ≥ 2^63, only a negative product of exactly 2^63 fits.
+func mulOvf(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(abs64(a), abs64(b))
+	neg := (a < 0) != (b < 0)
+	return a * b, hi != 0 || lo > math.MaxInt64 && !(neg && lo == 1<<63)
+}
+
+// abs64 returns |a| as an unsigned magnitude (|MinInt64| = 2^63 included).
+func abs64(a int64) uint64 {
+	if a < 0 {
+		return uint64(-a)
+	}
+	return uint64(a)
+}
+
+// addConst returns t + k.
+func (t Term) addConst(k int64) Term {
+	r := t.clone()
+	var o bool
+	r.Const, o = addOvf(r.Const, k)
+	r.ovf = r.ovf || o
+	return r
+}
+
 // Add returns t + u.
 func (t Term) Add(u Term) Term {
-	r := t.clone()
-	r.Const += u.Const
+	r := t.addConst(u.Const)
+	r.ovf = r.ovf || u.ovf
 	for k, v := range u.Coeffs {
-		r.Coeffs[k] += v
-		if r.Coeffs[k] == 0 {
+		c, o := addOvf(r.Coeffs[k], v)
+		r.ovf = r.ovf || o
+		if c == 0 {
 			delete(r.Coeffs, k)
+		} else {
+			r.Coeffs[k] = c
 		}
 	}
 	return r
@@ -54,12 +94,16 @@ func (t Term) Sub(u Term) Term { return t.Add(u.Scale(-1)) }
 
 // Scale returns k·t.
 func (t Term) Scale(k int64) Term {
-	r := Term{Const: t.Const * k, Coeffs: make(map[string]int64, len(t.Coeffs))}
 	if k == 0 {
 		return NewTerm(0)
 	}
+	r := Term{Coeffs: make(map[string]int64, len(t.Coeffs)), ovf: t.ovf}
+	var o bool
+	r.Const, o = mulOvf(t.Const, k)
+	r.ovf = r.ovf || o
 	for name, c := range t.Coeffs {
-		r.Coeffs[name] = c * k
+		r.Coeffs[name], o = mulOvf(c, k)
+		r.ovf = r.ovf || o
 	}
 	return r
 }
@@ -93,6 +137,9 @@ func (t Term) String() string {
 			b.WriteString(" + ")
 		}
 		fmt.Fprintf(&b, "%d", t.Const)
+	}
+	if t.ovf {
+		b.WriteString(" + <overflow>")
 	}
 	return b.String()
 }

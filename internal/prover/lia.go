@@ -23,9 +23,9 @@ func gcd64(a, b int64) int64 {
 	return a
 }
 
-// normalize divides the constraint by the GCD of its coefficients, using
-// floor division on the constant (valid for ≤ over the integers). Returns
-// false if the constraint is trivially unsatisfiable.
+// normalize divides the constraint by the GCD of its coefficients,
+// tightening the constant (valid for ≤ over the integers). Returns false if
+// the constraint is trivially unsatisfiable.
 func normalizeLe(t Term) (Term, bool) {
 	if t.IsConst() {
 		return t, t.Const <= 0
@@ -39,22 +39,32 @@ func normalizeLe(t Term) (Term, bool) {
 		for n, c := range t.Coeffs {
 			nt.Coeffs[n] = c / g
 		}
-		// t ≤ 0  ⇔  Σ c/g·x ≤ floor(-Const/g)·(-1)… do it directly:
 		// Σ ci·xi + k ≤ 0 with all ci divisible by g means
-		// Σ (ci/g)·xi ≤ -k/g, tightened to floor(-k/g).
-		nk := floorDiv(-t.Const, g)
-		nt.Const = -nk
+		// Σ (ci/g)·xi ≤ floor(-k/g), i.e. Σ (ci/g)·xi + ceil(k/g) ≤ 0.
+		// ceil(k/g) is computed directly: negating k could overflow.
+		nt.Const = ceilDiv(t.Const, g)
 		return nt, true
 	}
 	return t, true
 }
 
-func floorDiv(a, b int64) int64 {
+// ceilDiv returns ⌈a/b⌉ for b > 0.
+func ceilDiv(a, b int64) int64 {
 	q := a / b
-	if (a%b != 0) && ((a < 0) != (b < 0)) {
-		q--
+	if a%b != 0 && a > 0 {
+		q++
 	}
 	return q
+}
+
+// overflowed reports whether any term overflowed int64 while it was built.
+func overflowed(ts []Term) bool {
+	for _, t := range ts {
+		if t.ovf {
+			return true
+		}
+	}
+	return false
 }
 
 // eqUnsatByGCD reports whether Σ ci·xi + k = 0 has no integer solution
@@ -73,7 +83,8 @@ func eqUnsatByGCD(t Term) bool {
 // liaSat decides a conjunction: les are T ≤ 0, eqs are T = 0,
 // neqs are T ≠ 0. Work is bounded by maxConstraints to keep FM's worst case
 // in check; hitting the bound returns "unknown = satisfiable" (sound for the
-// prover's use, which only trusts UNSAT results).
+// prover's use, which only trusts UNSAT results). So does a term whose
+// int64 arithmetic overflowed, whether in the input or during elimination.
 func liaSat(les, eqs, neqs []Term) bool {
 	// Substitute out equalities where a variable has coefficient ±1.
 	les = append([]Term{}, les...)
@@ -82,6 +93,9 @@ func liaSat(les, eqs, neqs []Term) bool {
 
 	for i := 0; i < len(eqs); i++ {
 		t := eqs[i]
+		if t.ovf {
+			return true
+		}
 		if eqUnsatByGCD(t) {
 			return false
 		}
@@ -132,13 +146,11 @@ func liaSat(les, eqs, neqs []Term) bool {
 		}
 		t := neqs[0]
 		rest := neqs[1:]
-		lo := t.clone()
-		lo.Const++ // t + 1 ≤ 0  ⇔  t ≤ -1
+		lo := t.addConst(1) // t + 1 ≤ 0  ⇔  t ≤ -1
 		if split(append(append([]Term{}, les...), lo), rest) {
 			return true
 		}
-		hi := t.Scale(-1)
-		hi.Const++ // -t ≤ -1  ⇔  t ≥ 1
+		hi := t.Scale(-1).addConst(1) // -t ≤ -1  ⇔  t ≥ 1
 		return split(append(append([]Term{}, les...), hi), rest)
 	}
 	return split(les, neqs)
@@ -149,6 +161,9 @@ const maxConstraints = 4000
 // fourierMotzkin decides Σ ≤-constraints over the integers (rational
 // elimination + GCD tightening).
 func fourierMotzkin(cons []Term) bool {
+	if overflowed(cons) {
+		return true // unknown: treat as satisfiable
+	}
 	work := append([]Term{}, cons...)
 	for {
 		// Normalise; bail out on trivial falsity.
@@ -217,6 +232,9 @@ func fourierMotzkin(cons []Term) bool {
 				nRest := n.clone()
 				delete(nRest.Coeffs, v)
 				comb := pRest.Scale(b).Add(nRest.Scale(a))
+				if comb.ovf {
+					return true // unknown: treat as satisfiable
+				}
 				if comb.IsConst() {
 					if comb.Const > 0 {
 						return false

@@ -68,8 +68,7 @@ func Satisfiable(f Formula) (bool, []string, int) {
 				blocking = append(blocking, v)
 				if a.Op == OpLe {
 					// ¬(T ≤ 0) ⇔ T ≥ 1 ⇔ -T + 1 ≤ 0
-					neg := a.T.Scale(-1)
-					neg.Const++
+					neg := a.T.Scale(-1).addConst(1)
 					les = append(les, neg)
 					desc = append(desc, "(not "+a.fString()+")")
 				} else {

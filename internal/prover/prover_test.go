@@ -1,6 +1,8 @@
 package prover
 
 import (
+	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -215,3 +217,77 @@ func TestDeepNesting(t *testing.T) {
 }
 
 func vname(i int) string { return "v" + string(rune('a'+i)) }
+
+// TestTermOverflowFlagged pins the overflow checks of Term arithmetic.
+func TestTermOverflowFlagged(t *testing.T) {
+	cases := []struct {
+		name string
+		term Term
+		want bool
+	}{
+		{"add-const", n(math.MaxInt64).Add(n(1)), true},
+		{"add-coeff", x().Scale(math.MaxInt64).Add(x()), true},
+		{"scale", x().Scale(math.MinInt64).Scale(-1), true},
+		{"scale-const", n(1 << 62).Scale(2), true},
+		{"sub-min", x().Sub(n(math.MinInt64)), true},
+		{"propagates", n(math.MaxInt64).Add(n(1)).Add(x()).Scale(0).Add(n(1).Add(n(math.MaxInt64))), true},
+		{"scale-zero", n(math.MaxInt64).Add(n(1)).Scale(0), false},
+		{"min-fits", n(math.MinInt64).Scale(1).Add(x().Scale(-(1 << 62)).Scale(2)), false},
+		{"no-overflow", x().Add(n(math.MaxInt64)).Sub(n(math.MaxInt64)), false},
+	}
+	for _, c := range cases {
+		if got := c.term.ovf; got != c.want {
+			t.Errorf("%s: %s overflowed = %v, want %v", c.name, c.term, got, c.want)
+		}
+	}
+}
+
+// TestOverflowIsUnknownNotUnsat holds the decision procedure to int64
+// soundness: a constraint whose arithmetic overflows (a 64-bit type bound
+// is enough) decides as satisfiable, so Prove reports "not proved" rather
+// than proving a false VC from a wrapped sum.
+func TestOverflowIsUnknownNotUnsat(t *testing.T) {
+	bounded := And(Le(x(), n(math.MaxInt64)), Ge(x(), n(-5)))
+	if sat, _, _ := Satisfiable(bounded); !sat {
+		t.Errorf("x <= MaxInt64 && x >= -5 decided unsat")
+	}
+	mustRefute(t, Implies(bounded, Le(x(), n(-100))))
+	// normalizeLe's tightening of 2x + MinInt64 <= 0 (x <= 2^62).
+	half := And(Le(x().Scale(2).Add(n(math.MinInt64)), n(0)), Ge(x(), n(0)))
+	if sat, _, _ := Satisfiable(half); !sat {
+		t.Errorf("2x + MinInt64 <= 0 && x >= 0 decided unsat")
+	}
+	// The disequality split's ±1: x in {MinInt64, -MaxInt64}, x != -MaxInt64.
+	split := And(Ge(x(), n(math.MinInt64)), Le(x().Add(n(math.MaxInt64)), n(0)),
+		Ne(x().Add(n(math.MaxInt64)), n(0)))
+	if sat, _, _ := Satisfiable(split); !sat {
+		t.Errorf("x = MinInt64 satisfies the split case but it decided unsat")
+	}
+	// Small-number VCs are untouched.
+	mustProve(t, Implies(And(Le(x(), n(10)), Ge(x(), n(-5))), Le(x(), n(10))))
+}
+
+// TestCheckedArithmeticMatchesBig compares addOvf and mulOvf with exact
+// big-integer arithmetic, edge values included.
+func TestCheckedArithmeticMatchesBig(t *testing.T) {
+	check := func(a, b int64) bool {
+		fits := func(z *big.Int) bool { return z.IsInt64() }
+		sum := new(big.Int).Add(big.NewInt(a), big.NewInt(b))
+		prod := new(big.Int).Mul(big.NewInt(a), big.NewInt(b))
+		s, so := addOvf(a, b)
+		p, po := mulOvf(a, b)
+		return so == !fits(sum) && po == !fits(prod) &&
+			(so || s == sum.Int64()) && (po || p == prod.Int64())
+	}
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -(1 << 32), -2, -1, 0, 1, 2, 1 << 31, 1 << 32, math.MaxInt64 - 1, math.MaxInt64}
+	for _, a := range edges {
+		for _, b := range edges {
+			if !check(a, b) {
+				t.Errorf("checked arithmetic disagrees with math/big on %d, %d", a, b)
+			}
+		}
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Error(err)
+	}
+}

@@ -58,10 +58,10 @@ func (v *VM) builtin(t *Thread, fr *Frame, in *ir.Instr) error {
 		return nil
 
 	case "string-length":
-		fr.regs[in.Dst] = v.boxResult(in, intVal(int64(len(arg(0).S))))
+		fr.regs[in.Dst] = v.boxResult(in, intVal(int64(len(arg(0).Str()))))
 		return nil
 	case "string-ref":
-		s := arg(0).S
+		s := arg(0).Str()
 		i := v.loadInt(arg(1))
 		if i < 0 || i >= int64(len(s)) {
 			return trapf("string index %d out of range 0..%d", i, len(s)-1)
@@ -69,10 +69,10 @@ func (v *VM) builtin(t *Thread, fr *Frame, in *ir.Instr) error {
 		fr.regs[in.Dst] = v.boxResult(in, charVal(int64(s[i])))
 		return nil
 	case "string-append":
-		fr.regs[in.Dst] = strVal(arg(0).S + arg(1).S)
+		fr.regs[in.Dst] = strVal(arg(0).Str() + arg(1).Str())
 		return nil
 	case "substring":
-		s := arg(0).S
+		s := arg(0).Str()
 		from, to := v.loadInt(arg(1)), v.loadInt(arg(2))
 		if from < 0 || to < from || to > int64(len(s)) {
 			return trapf("substring range %d..%d invalid for length %d", from, to, len(s))
@@ -127,7 +127,7 @@ func (v *VM) builtin(t *Thread, fr *Frame, in *ir.Instr) error {
 func (v *VM) lessThan(a, b Value) (bool, error) {
 	switch {
 	case a.K == KString && b.K == KString:
-		return a.S < b.S, nil
+		return a.Str() < b.Str(), nil
 	case a.K == KFloat || b.K == KFloat:
 		return v.loadFloat(a) < v.loadFloat(b), nil
 	case a.K == KRef || b.K == KRef:

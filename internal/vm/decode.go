@@ -46,7 +46,7 @@ type handler func(v *VM, t *Thread, fr *Frame, d *dinstr) error
 // holds component 1's operands inline, `base` holds component 1's original
 // handler, and `fused` holds the remaining components; `width` is the number
 // of original instructions the slot consumes (for quantum and instruction-
-// budget accounting — see VM.step and VM.tickFused).
+// budget accounting — see VM.runQuantum and VM.tickFused).
 type dinstr struct {
 	h       handler
 	base    handler // first component of a fused chain
@@ -263,7 +263,7 @@ func (v *VM) boxVal(val Value) Value {
 	case KInt, KBool, KChar:
 		val.b = &box{i: val.I}
 	case KFloat:
-		val.b = &box{f: val.F}
+		val.b = &box{f: val.Float()}
 	default:
 		return val
 	}
@@ -472,8 +472,7 @@ func hNot(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 }
 
 func hCall(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	args := v.gatherArgs(fr, d.args)
-	return v.pushCall(t, d.callee, args, nil, d.dst)
+	return v.pushCall(t, d.callee, fr, d.args, nil, d.dst)
 }
 
 func hCallClosure(v *VM, t *Thread, fr *Frame, d *dinstr) error {
@@ -484,8 +483,7 @@ func hCallClosure(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	if err := v.checkRegion(cl.R); err != nil {
 		return err
 	}
-	args := v.gatherArgs(fr, d.args)
-	return v.pushCall(t, v.dfuncs[cl.R.Fn], args, cl.R.Elems, d.dst)
+	return v.pushCall(t, v.dfuncs[cl.R.Fn], fr, d.args, cl.R.Elems, d.dst)
 }
 
 func hVecLen(v *VM, t *Thread, fr *Frame, d *dinstr) error {

@@ -117,6 +117,108 @@ func TestDispatchDifferentialKernels(t *testing.T) {
 	}
 }
 
+// reprSrc carries strings and the IEEE-754 edge values through every place
+// a Value lives: registers, a vector, a struct field, a box (under Boxed),
+// and an atomic block's buffered writes. Floats travel as bits and strings
+// as OString objects, so each rendering below pins the representation.
+const reprSrc = `
+(defstruct cell (x float64) (tag string))
+(define (strs (n int64)) string
+  (let ((s (string-append "ab" "cd")) (u (substring "hello world" 6 11)))
+    (println s) (println u)
+    (println (string-ref s (+ n 2)))
+    (println (< s u)) (println (= s "abcd")) (println (= s u))
+    (println (min s u)) (println (max s u))
+    (println (string-length (string-append s u)))
+    (string-append (min s u) (max "zz" u))))
+(define (floats (n int64)) float64
+  (let ((zero (cast float64 (- n n))) (one (cast float64 (+ n 1))))
+    (let ((nan (/ zero zero)) (pinf (/ one zero))
+          (ninf (/ (- zero one) zero)) (nzero (neg zero)))
+      (let ((v (vector nan pinf ninf nzero)) (c (make cell :x nzero :tag "t")))
+        (println nan) (println pinf) (println ninf) (println nzero)
+        (println (vector-ref v 0)) (println (vector-ref v 3)) (println (field c x))
+        (atomic
+          (set-field! c x (vector-ref v 2))
+          (vector-set! v 0 (field c x)))
+        (println (field c x)) (println (vector-ref v 0))
+        (println (= nan nan)) (println (< ninf pinf)) (println (= nzero zero))
+        (println (field c tag))
+        (+ (vector-ref v 3) nzero)))))
+(define (main) float64
+  (println (strs 0))
+  (floats 0))
+(define (bad (n int64)) char
+  (string-ref (substring "abc" n 3) 5))
+`
+
+const reprOut = `abcd
+world
+#\c
+#t
+#t
+#f
+abcd
+world
+9
+abcdzz
+NaN
++Inf
+-Inf
+-0
+NaN
+-0
+-0
+-Inf
+-Inf
+#f
+#t
+#t
+t
+`
+
+// TestDispatchDifferentialRepresentation runs reprSrc under both dispatch
+// strategies in both representations. Values, stdout, traps and core
+// counters must agree, and the output must match the pinned rendering.
+func TestDispatchDifferentialRepresentation(t *testing.T) {
+	for _, rep := range []vm.RepMode{vm.Unboxed, vm.Boxed} {
+		for _, c := range []struct{ entry, val, trap string }{
+			{"main", "-0", ""},
+			{"bad", "", "trap: string index 5 out of range 0..1"},
+		} {
+			t.Run(fmt.Sprintf("%s/%v", c.entry, rep), func(t *testing.T) {
+				var baseCnt map[string]uint64
+				for _, d := range dispatchModes {
+					var args []vm.Value
+					if c.entry == "bad" {
+						args = []vm.Value{vm.IntValue(1)}
+					}
+					val, machine, out, err := runDispatch(t, reprSrc, c.entry, d, rep, nil, args...)
+					if c.trap != "" {
+						if err == nil || err.Error() != c.trap {
+							t.Fatalf("%v: err = %v, want %q", d, err, c.trap)
+						}
+					} else if err != nil {
+						t.Fatalf("%v: %v", d, err)
+					} else if val.String() != c.val || out != reprOut {
+						t.Errorf("%v: value %s, stdout:\n%s\nwant value %s, stdout:\n%s", d, val.String(), out, c.val, reprOut)
+					}
+					cnt := coreCounters(machine.Stats)
+					if baseCnt == nil {
+						baseCnt = cnt
+						continue
+					}
+					for k, v := range baseCnt {
+						if cnt[k] != v {
+							t.Errorf("counter %s: %v=%d %v=%d", k, dispatchModes[0], v, d, cnt[k])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestDispatchDifferentialExamples sweeps the checked-in example programs
 // (main entry, printed output included) across dispatch strategies.
 func TestDispatchDifferentialExamples(t *testing.T) {

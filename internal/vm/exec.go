@@ -64,8 +64,7 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		return v.compare(t, fr, in)
 
 	case ir.OpCall:
-		args := v.gatherArgs(fr, in.Args)
-		return v.pushCall(t, v.dfuncs[in.Imm], args, nil, in.Dst)
+		return v.pushCall(t, v.dfuncs[in.Imm], fr, in.Args, nil, in.Dst)
 
 	case ir.OpCallClosure:
 		cl := fr.regs[in.A]
@@ -75,8 +74,7 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		if err := v.checkRegion(cl.R); err != nil {
 			return err
 		}
-		args := v.gatherArgs(fr, in.Args)
-		return v.pushCall(t, v.dfuncs[cl.R.Fn], args, cl.R.Elems, in.Dst)
+		return v.pushCall(t, v.dfuncs[cl.R.Fn], fr, in.Args, cl.R.Elems, in.Dst)
 
 	case ir.OpCallExtern:
 		return v.callExtern(fr, in)
@@ -466,7 +464,7 @@ func (v *VM) compare(t *Thread, fr *Frame, in *ir.Instr) error {
 	var res bool
 	switch {
 	case a.K == KString || b.K == KString:
-		as, bs := a.S, b.S
+		as, bs := a.Str(), b.Str()
 		switch in.Op {
 		case ir.OpEq:
 			res = as == bs

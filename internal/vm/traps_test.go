@@ -58,12 +58,12 @@ func TestFloatArithmetic(t *testing.T) {
 	  (define (hyp (a float64) (b float64)) float64
 	    (sqrt (+ (* a a) (* b b))))`
 	val, _ := run(t, src, "hyp", vm.FloatValue(3), vm.FloatValue(4))
-	if val.F != 5.0 {
-		t.Fatalf("hyp = %g", val.F)
+	if val.Float() != 5.0 {
+		t.Fatalf("hyp = %g", val.Float())
 	}
 	src = `(define (f (a float64) (b float64)) float64 (/ a b))`
 	val, _ = run(t, src, "f", vm.FloatValue(1), vm.FloatValue(0))
-	if val.F == 0 { // IEEE: 1/0 = +Inf, not a trap
+	if val.Float() == 0 { // IEEE: 1/0 = +Inf, not a trap
 		t.Fatal("float division by zero should produce Inf")
 	}
 }
@@ -78,8 +78,8 @@ func TestFloatComparisonsAndMod(t *testing.T) {
 	// mod is integral-only in the type system; cast first.
 	srcOK := `(define (g (a float64)) float64 (floor a))`
 	val, _ = run(t, srcOK, "g", vm.FloatValue(2.9))
-	if val.F != 2.0 {
-		t.Fatalf("floor = %g", val.F)
+	if val.Float() != 2.0 {
+		t.Fatalf("floor = %g", val.Float())
 	}
 	_ = src
 }
@@ -92,8 +92,8 @@ func TestMinMaxAbsAcrossKinds(t *testing.T) {
 	}
 	src = `(define (f) float64 (abs -2.5))`
 	val, _ = run(t, src, "f")
-	if val.F != 2.5 {
-		t.Fatalf("fabs = %g", val.F)
+	if val.Float() != 2.5 {
+		t.Fatalf("fabs = %g", val.Float())
 	}
 	src = `(define (f) int64 (abs -7))`
 	val, _ = run(t, src, "f")
@@ -102,8 +102,8 @@ func TestMinMaxAbsAcrossKinds(t *testing.T) {
 	}
 	src = `(define (f (a string) (b string)) string (min a b))`
 	val, _ = run(t, src, "f", vm.StrValue("zebra"), vm.StrValue("ant"))
-	if val.S != "ant" {
-		t.Fatalf("string min = %q", val.S)
+	if val.Str() != "ant" {
+		t.Fatalf("string min = %q", val.Str())
 	}
 }
 
@@ -140,8 +140,8 @@ func TestStructPrinting(t *testing.T) {
 func parseForTest(t *testing.T, src string) (interface{}, interface{}) {
 	t.Helper()
 	val, machine := run(t, src, "f")
-	if val.S != "done" {
-		t.Fatalf("got %q", val.S)
+	if val.Str() != "done" {
+		t.Fatalf("got %q", val.Str())
 	}
 	return val, machine
 }

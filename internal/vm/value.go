@@ -13,6 +13,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
 	"bitc/internal/types"
 )
@@ -39,15 +40,28 @@ type box struct {
 	f float64
 }
 
-// Value is a VM value. In Boxed mode scalar values additionally carry the
-// box they live in, and reads go through it.
+// Value is a VM value: four words, so the Go compiler keeps one in
+// registers when it is passed, returned or copied (its SSA pass only
+// decomposes structs of at most four fields and four words). A float is
+// carried as its IEEE-754 bits in I; a string is an immutable OString heap
+// object reached through R. In Boxed mode scalar values additionally carry
+// the box they live in, and reads go through it.
 type Value struct {
 	K Kind
-	I int64
-	F float64
-	S string
-	R *Object
+	I int64   // integer, bool, char, or float64 bits (KFloat)
+	R *Object // KRef target, or the OString holding a KString's text
 	b *box
+}
+
+// Float returns a KFloat value's number.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.I)) }
+
+// Str returns a KString value's text, and "" for every other kind.
+func (v Value) Str() string {
+	if v.K != KString || v.R == nil {
+		return ""
+	}
+	return v.R.Str
 }
 
 // Convenience constructors.
@@ -61,9 +75,15 @@ func boolVal(b bool) Value {
 }
 func intVal(i int64) Value     { return Value{K: KInt, I: i} }
 func charVal(c int64) Value    { return Value{K: KChar, I: c} }
-func floatVal(f float64) Value { return Value{K: KFloat, F: f} }
-func strVal(s string) Value    { return Value{K: KString, S: s} }
+func floatVal(f float64) Value { return Value{K: KFloat, I: int64(math.Float64bits(f))} }
 func refVal(o *Object) Value   { return Value{K: KRef, R: o} }
+
+// strVal allocates the string's OString object. Strings are immutable and
+// never region-allocated, and the object is not an aggregate: it is not
+// counted in Stats.Allocs or HeapBytes.
+func strVal(s string) Value {
+	return Value{K: KString, R: &Object{Kind: OString, Str: s, Region: -1}}
+}
 
 // IntValue wraps an int64 as a VM value (public constructor for hosts).
 func IntValue(i int64) Value { return intVal(i) }
@@ -101,9 +121,9 @@ func (v Value) String() string {
 	case KChar:
 		return fmt.Sprintf("#\\%c", rune(v.I))
 	case KFloat:
-		return fmt.Sprintf("%g", v.F)
+		return fmt.Sprintf("%g", v.Float())
 	case KString:
-		return v.S
+		return v.Str()
 	case KRef:
 		return v.R.String()
 	default:
@@ -121,6 +141,7 @@ const (
 	OVector
 	OClosure
 	OChan
+	OString
 )
 
 // ChanState is the payload of a channel object.
@@ -131,8 +152,8 @@ type ChanState struct {
 	RecvQ []*Thread
 }
 
-// Object is a heap value: struct instance, union value, vector, closure, or
-// channel.
+// Object is a heap value: struct instance, union value, vector, closure,
+// channel, or string.
 type Object struct {
 	Kind  ObjKind
 	SDecl *types.StructInfo
@@ -141,6 +162,7 @@ type Object struct {
 	Elems []Value // struct fields / union payload / vector elements / closure env
 	Fn    int     // closure: function index
 	Chan  *ChanState
+	Str   string // OString: the text
 
 	// Region is the region id owning this object, or -1 for the GC'd heap.
 	Region int
@@ -186,6 +208,8 @@ func (o *Object) String() string {
 		return fmt.Sprintf("#<closure fn=%d env=%d>", o.Fn, len(o.Elems))
 	case OChan:
 		return fmt.Sprintf("#<chan cap=%d len=%d>", o.Chan.Cap, len(o.Chan.Buf))
+	case OString:
+		return o.Str
 	default:
 		return "#<object>"
 	}

@@ -175,6 +175,9 @@ type VM struct {
 	// framePool recycles activation records; the interpreter is
 	// single-threaded (green threads share it), so no locking is needed.
 	framePool []*Frame
+	// regSlab is the unused tail of the block newFrame carves register
+	// files from.
+	regSlab []Value
 	// txnPool recycles transaction records the same way; see releaseTxn.
 	txnPool []*txn
 
@@ -347,7 +350,8 @@ func (v *VM) spawnThread(df *dfunc, args []Value, env []Value) *Thread {
 		}
 	}
 	v.nextTid++
-	t := &Thread{ID: v.nextTid, frames: []*Frame{fr}, state: TRunnable}
+	t := &Thread{ID: v.nextTid, frames: make([]*Frame, 1, frameChunk), state: TRunnable}
+	t.frames[0] = fr
 	if v.obs != nil {
 		t.obs = v.obs.Thread(t.ID, f.Name)
 		fr.prof = v.obs.FuncProf(f.Name)
@@ -426,7 +430,13 @@ func (v *VM) pickRunnable() *Thread {
 	return pick
 }
 
-// runQuantum executes up to Quantum instructions on t.
+// runQuantum executes up to Quantum slots on t. The dispatch mode is tested
+// once per quantum, not per slot. Per slot the fused loop makes the same
+// checks in the same order as runSwitch — thread state, yield, instruction
+// budget — then fetches and runs one decoded slot (instruction,
+// superinstruction, or terminator). A superinstruction consumes its full
+// width, so fusion can overrun a quantum boundary by at most width-1
+// instructions but never under-charges the scheduler.
 func (v *VM) runQuantum(t *Thread) error {
 	v.curThread = t
 	var spanStart uint64
@@ -434,24 +444,41 @@ func (v *VM) runQuantum(t *Thread) error {
 		spanStart = v.obs.Clock()
 	}
 	var err error
-	for n := 0; n < v.opts.Quantum; {
-		if t.state != TRunnable || len(t.frames) == 0 {
-			break
-		}
-		if t.yielded {
-			t.yielded = false
-			break
-		}
-		if v.stepsLeft == 0 {
-			err = trapf("instruction budget exhausted")
-			break
-		}
-		v.stepsLeft--
-		var consumed int
-		consumed, err = v.step(t)
-		n += consumed
-		if err != nil {
-			break
+	if v.opts.Dispatch == DispatchSwitch {
+		err = v.runSwitch(t)
+	} else {
+		for n := 0; n < v.opts.Quantum; {
+			if t.state != TRunnable || len(t.frames) == 0 {
+				break
+			}
+			if t.yielded {
+				t.yielded = false
+				break
+			}
+			if v.stepsLeft == 0 {
+				err = trapf("instruction budget exhausted")
+				break
+			}
+			v.stepsLeft--
+			fr := t.frames[len(t.frames)-1]
+			blk := &fr.fn.blocks[fr.block]
+			if fr.ip >= len(blk.code) {
+				n++
+				if err = v.terminator(t, fr, &blk.term); err != nil {
+					break
+				}
+				continue
+			}
+			d := &blk.code[fr.ip]
+			fr.ip++
+			v.Stats.Instrs++
+			if v.obs != nil {
+				v.obs.Tick(t.obs, fr.prof, int(d.op))
+			}
+			n += int(d.width)
+			if err = d.h(v, t, fr, d); err != nil {
+				break
+			}
 		}
 	}
 	if v.obs != nil {
@@ -460,41 +487,46 @@ func (v *VM) runQuantum(t *Thread) error {
 	return err
 }
 
-// step executes one decoded slot (instruction, superinstruction, or
-// terminator) of t's top frame and returns the number of quantum slots it
-// consumed — a superinstruction consumes its full width, so fusion can
-// overrun a quantum boundary by at most width-1 instructions but never
-// under-charges the scheduler.
-func (v *VM) step(t *Thread) (int, error) {
+// runSwitch is runQuantum's DispatchSwitch loop: one step per source
+// instruction or terminator.
+func (v *VM) runSwitch(t *Thread) error {
+	for n := 0; n < v.opts.Quantum; n++ {
+		if t.state != TRunnable || len(t.frames) == 0 {
+			return nil
+		}
+		if t.yielded {
+			t.yielded = false
+			return nil
+		}
+		if v.stepsLeft == 0 {
+			return trapf("instruction budget exhausted")
+		}
+		v.stepsLeft--
+		if err := v.step(t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// step executes one source instruction or terminator of t's top frame
+// under DispatchSwitch: fetch the ir.Instr and re-discriminate it in exec's
+// switch, the legacy interpreter. It is the fused loop's oracle.
+func (v *VM) step(t *Thread) error {
 	fr := t.frames[len(t.frames)-1]
-	if v.opts.Dispatch == DispatchSwitch {
-		// Legacy baseline: fetch ir.Instr and re-discriminate in exec's
-		// switch, exactly the seed interpreter.
-		blk := fr.fn.fn.Blocks[fr.block]
-		if fr.ip >= len(blk.Instrs) {
-			term := &dterm{kind: blk.Term.Kind, cond: blk.Term.Cond,
-				to: blk.Term.To, els: blk.Term.Else, val: blk.Term.Val}
-			return 1, v.terminator(t, fr, term)
-		}
-		in := &blk.Instrs[fr.ip]
-		fr.ip++
-		v.Stats.Instrs++
-		if v.obs != nil {
-			v.obs.Tick(t.obs, fr.prof, int(in.Op))
-		}
-		return 1, v.exec(t, fr, in)
+	blk := fr.fn.fn.Blocks[fr.block]
+	if fr.ip >= len(blk.Instrs) {
+		term := &dterm{kind: blk.Term.Kind, cond: blk.Term.Cond,
+			to: blk.Term.To, els: blk.Term.Else, val: blk.Term.Val}
+		return v.terminator(t, fr, term)
 	}
-	blk := &fr.fn.blocks[fr.block]
-	if fr.ip >= len(blk.code) {
-		return 1, v.terminator(t, fr, &blk.term)
-	}
-	d := &blk.code[fr.ip]
+	in := &blk.Instrs[fr.ip]
 	fr.ip++
 	v.Stats.Instrs++
 	if v.obs != nil {
-		v.obs.Tick(t.obs, fr.prof, int(d.op))
+		v.obs.Tick(t.obs, fr.prof, int(in.Op))
 	}
-	return int(d.width), d.h(v, t, fr, d)
+	return v.exec(t, fr, in)
 }
 
 // tickFused charges one original instruction executed inside a
@@ -574,41 +606,65 @@ func (v *VM) wakeJoiners(done *Thread) {
 
 const maxFrames = 10000
 
-// newFrame takes a pooled activation record when one fits, else allocates.
+// frameChunk is the number of activation records, and regChunk the number
+// of registers, that newFrame allocates at once when the pool runs dry: a
+// fresh VM's first descent allocates once per chunk, not once per level.
+// A thread's frame stack starts frameChunk deep for the same reason.
+const (
+	frameChunk = 32
+	regChunk   = 256
+)
+
+// newFrame takes a pooled callee activation record, refilling the pool a
+// chunk at a time. A record whose register file is too small gets a new one
+// carved out of the VM's register slab.
 func (v *VM) newFrame(df *dfunc, dst ir.Reg) *Frame {
-	f := df.fn
-	if n := len(v.framePool); n > 0 {
-		fr := v.framePool[n-1]
-		v.framePool = v.framePool[:n-1]
-		if cap(fr.regs) >= f.NumRegs {
-			fr.regs = fr.regs[:f.NumRegs]
-			for i := range fr.regs {
-				fr.regs[i] = Value{}
-			}
-		} else {
-			fr.regs = make([]Value, f.NumRegs)
+	n := len(v.framePool)
+	if n == 0 {
+		if v.framePool == nil {
+			v.framePool = make([]*Frame, 0, 2*frameChunk)
 		}
-		fr.fn, fr.dst, fr.block, fr.ip = df, dst, 0, 0
-		fr.prof = nil
-		return fr
+		chunk := make([]Frame, frameChunk)
+		for i := range chunk {
+			v.framePool = append(v.framePool, &chunk[i])
+		}
+		n = frameChunk
 	}
-	return &Frame{fn: df, regs: make([]Value, f.NumRegs), dst: dst}
+	fr := v.framePool[n-1]
+	v.framePool = v.framePool[:n-1]
+	if k := df.fn.NumRegs; cap(fr.regs) >= k {
+		fr.regs = fr.regs[:k]
+		clear(fr.regs)
+	} else {
+		if len(v.regSlab) < k {
+			v.regSlab = make([]Value, max(k, regChunk))
+		}
+		fr.regs, v.regSlab = v.regSlab[:k:k], v.regSlab[k:]
+	}
+	fr.fn, fr.dst, fr.block, fr.ip = df, dst, 0, 0
+	fr.prof = nil
+	return fr
 }
 
 // releaseFrame returns an activation record to the pool.
 func (v *VM) releaseFrame(fr *Frame) {
-	if len(v.framePool) < 64 {
+	if len(v.framePool) < 2*frameChunk {
 		v.framePool = append(v.framePool, fr)
 	}
 }
 
-func (v *VM) pushCall(t *Thread, df *dfunc, args []Value, env []Value, dst ir.Reg) error {
+// pushCall enters df on t, copying the arguments straight from the caller's
+// registers into the pooled callee frame: a call allocates nothing once the
+// frame pool is warm.
+func (v *VM) pushCall(t *Thread, df *dfunc, caller *Frame, args []ir.Reg, env []Value, dst ir.Reg) error {
 	if len(t.frames) >= maxFrames {
 		return trapf("stack overflow: more than %d frames", maxFrames)
 	}
 	f := df.fn
 	fr := v.newFrame(df, dst)
-	copy(fr.regs, args)
+	for i, r := range args {
+		fr.regs[i] = caller.regs[r]
+	}
 	for i, r := range f.CaptureRegs {
 		if i < len(env) {
 			fr.regs[r] = env[i]
@@ -638,7 +694,7 @@ func (v *VM) boxResult(in *ir.Instr, val Value) Value {
 		v.Stats.BoxAllocs++
 		v.Stats.BoxBytes += 16
 	case KFloat:
-		val.b = &box{f: val.F}
+		val.b = &box{f: val.Float()}
 		v.Stats.BoxAllocs++
 		v.Stats.BoxBytes += 16
 	default:
@@ -680,7 +736,7 @@ func (v *VM) loadFloat(val Value) float64 {
 		}
 		return val.b.f
 	}
-	return val.F
+	return val.Float()
 }
 
 // wrap truncates x to the given width/signedness (two's complement).

@@ -173,8 +173,8 @@ func TestUnionsAndCase(t *testing.T) {
 	      ((Empty) 0.0)))
 	  (define (f) float64 (+ (area (Circle 2.0)) (+ (area (Rect 3.0 4.0)) (area Empty))))`
 	val, _ := run(t, src, "f")
-	if val.F != 24.0 {
-		t.Fatalf("got %g", val.F)
+	if val.Float() != 24.0 {
+		t.Fatalf("got %g", val.Float())
 	}
 }
 
@@ -198,12 +198,12 @@ func TestCaseLiteralPatterns(t *testing.T) {
 	src := `(define (name (x int64)) string
 	          (case x (0 "zero") (1 "one") (_ "many")))`
 	val, _ := run(t, src, "name", vm.IntValue(1))
-	if val.S != "one" {
-		t.Fatalf("got %q", val.S)
+	if val.Str() != "one" {
+		t.Fatalf("got %q", val.Str())
 	}
 	val, _ = run(t, src, "name", vm.IntValue(7))
-	if val.S != "many" {
-		t.Fatalf("got %q", val.S)
+	if val.Str() != "many" {
+		t.Fatalf("got %q", val.Str())
 	}
 }
 

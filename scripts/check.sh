@@ -99,10 +99,12 @@ rm -f /tmp/bitc-serve-shard.bitc /tmp/bitc-serve-twopc.bitc
 
 # Dispatch fidelity gate: the fused interpreter must agree with the legacy
 # switch baseline on values, traps, counters, and observer streams over the
-# kernel + example corpus, and the pinned fusion listings of two E1 kernels
-# must not drift silently (regenerate with -update and review the diff; see
-# docs/vm.md).
-go test -count=1 -run 'TestDispatchDifferential|TestDisasmGolden' ./internal/vm
+# kernel + example corpus (strings and IEEE-754 edge floats included), and
+# the pinned fusion listings of two E1 kernels must not drift silently
+# (regenerate with -update and review the diff; see docs/vm.md). vm.Value
+# must stay four fields and 32 bytes, calls must allocate nothing, and a
+# string must never pass a reference operand check.
+go test -count=1 -run 'TestDispatchDifferential|TestDisasmGolden|TestValueLayout|TestCallsAllocateNothing|TestStringIsNotRef' ./internal/vm
 
 # Bounds, provenance & truncation gate: one relational range engine
 # (internal/analysis/bounds.go) answers bounds elision, BITC-PROV001 and
