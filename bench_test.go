@@ -337,14 +337,12 @@ func BenchmarkAnalysisAtomicity(b *testing.B) {
 	})
 }
 
-// BenchmarkAnalysisBounds measures the relational bounds prover over the
-// E1 kernels: cold proves every site-bearing function against a fresh fact
-// store, warm serves the per-function proof sites from unchanged content
-// keys. corpus is the load-time path (no store) on a 1000-function
-// site-free corpus with the vector kernels appended, where the engine runs
-// on the kernels' site-bearing functions only. The discharged-site
-// ratio is reported alongside the timing so a domain regression that
-// silently stops proving sites is as visible as a slowdown.
+// BenchmarkAnalysisBounds measures the relational bounds prover: kernels
+// proves every site-bearing function of the E1 kernels, and corpus runs on
+// a 1000-function site-free corpus with the vector kernels appended, where
+// the engine runs on the kernels' site-bearing functions only. The
+// discharged-site ratio is reported alongside the timing so a domain
+// regression that silently stops proving sites is as visible as a slowdown.
 func BenchmarkAnalysisBounds(b *testing.B) {
 	var progs []*core.Program
 	for _, name := range bench.KernelNames() {
@@ -355,31 +353,18 @@ func BenchmarkAnalysisBounds(b *testing.B) {
 		progs = append(progs, core.MustLoad(name, src, core.DefaultConfig))
 	}
 
-	b.Run("cold", func(b *testing.B) {
+	b.Run("kernels", func(b *testing.B) {
 		sites, proved := 0, 0
 		for i := 0; i < b.N; i++ {
 			sites, proved = 0, 0
 			for _, p := range progs {
-				ps := analysis.BoundsProofsWithStore(p.AST, p.Info, factstore.New())
+				ps := analysis.BoundsProofs(p.AST, p.Info)
 				sites += ps.Sites
 				proved += ps.Proved
 			}
 		}
 		b.ReportMetric(float64(sites), "sites")
 		b.ReportMetric(float64(proved), "proved")
-	})
-	b.Run("warm", func(b *testing.B) {
-		stores := make([]*factstore.Store, len(progs))
-		for i, p := range progs {
-			stores[i] = factstore.New()
-			analysis.BoundsProofsWithStore(p.AST, p.Info, stores[i])
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j, p := range progs {
-				analysis.BoundsProofsWithStore(p.AST, p.Info, stores[j])
-			}
-		}
 	})
 	b.Run("corpus", func(b *testing.B) {
 		src := corpus.Text(1000, 24)

@@ -19,13 +19,12 @@
 //	bitc verify <file>           generate + discharge verification conditions
 //	bitc analyze [-json] [-enable LIST] [-disable LIST] [-severity S]
 //	             [-watch [-interval D] [-metrics out.json] [-keep-runs N]]
-//	             [-verify-cache] [-warm] <file>
+//	             [-verify-cache] <file>
 //	                             run the unified static-analysis suite;
 //	                             exits 1 if any error-severity finding.
 //	                             -watch re-analyzes on change over a shared
 //	                             incremental fact store and prints finding
-//	                             deltas; -verify-cache checks warm == cold;
-//	                             -warm renders a primed-cache re-analysis
+//	                             deltas; -verify-cache checks warm == cold
 //	bitc analyzers [-codes]      list registered analyzers (with -codes, print
 //	                             just the BITC lint codes, one per line)
 //	bitc serve [-shards N] [-users N] [-rate N] [-duration N] [-skew F]
@@ -132,7 +131,6 @@ func run(args []string) error {
 	metricsOut := fs.String("metrics", "", "analyze: -watch maintains a bitc-metrics/v1 JSON file here (cold/warm analysisNs)")
 	keepRuns := fs.Uint64("keep-runs", 8, "analyze: -watch evicts cached facts untouched for this many runs")
 	verifyCacheFlag := fs.Bool("verify-cache", false, "analyze: check that a warm cached run renders byte-identically to a cold run, then exit")
-	warm := fs.Bool("warm", false, "analyze: render a warm re-analysis from a primed fact store (the daemon's code path)")
 	profile := fs.String("profile", "", "run/top: collect a profile along this dimension (cpu|alloc)")
 	tracePath := fs.String("trace", "", "run: write a Chrome trace_event JSON file (load in Perfetto or chrome://tracing)")
 	topN := fs.Int("top", 10, "run/top: number of functions shown in the profile report")
@@ -162,8 +160,8 @@ func run(args []string) error {
 	}
 
 	// analyze never needs compiled code: it parses + type-checks only
-	// (core.LoadAnalysis) and dispatches to the one-shot, -warm,
-	// -verify-cache, or -watch driver in watch.go.
+	// (core.LoadAnalysis) and dispatches to the one-shot, -verify-cache,
+	// or -watch driver in watch.go.
 	if cmd == "analyze" {
 		opts := analysis.Options{Strict: *strict}
 		if *enable != "" {
@@ -197,7 +195,6 @@ func run(args []string) error {
 			interval: *interval,
 			metrics:  *metricsOut,
 			verify:   *verifyCacheFlag,
-			warm:     *warm,
 			keepRuns: *keepRuns,
 		})
 	}

@@ -1,7 +1,7 @@
-// bitc analyze's incremental modes: the polling -watch daemon, the
-// -verify-cache correctness gate, and the -warm primed-cache run. All three
-// stand on core.LoadAnalysis (parse + type-check only; the analyzers never
-// need compiled code) and core.AnalyzeWithStore, the incremental driver.
+// bitc analyze's incremental modes: the polling -watch daemon and the
+// -verify-cache correctness gate. Both stand on core.LoadAnalysis (parse +
+// type-check only; the analyzers never need compiled code) and
+// core.AnalyzeWithStore, the incremental driver.
 package main
 
 import (
@@ -28,7 +28,6 @@ type analyzeConfig struct {
 	interval time.Duration
 	metrics  string // path of the bitc-metrics/v1 file -watch maintains
 	verify   bool   // -verify-cache
-	warm     bool   // -warm
 	keepRuns uint64 // -keep-runs: fact-store retention window (0 = default 8)
 }
 
@@ -53,24 +52,7 @@ func runAnalyze(path, src string, cfg analyzeConfig) error {
 	if err != nil {
 		return err
 	}
-	var rep *analysis.Report
-	if cfg.warm {
-		// Prime a fact store with one run, then re-parse and render the
-		// warm re-analysis — the exact code path a long-lived daemon
-		// serves, so baseline and suppression accounting are maintained
-		// against cached results, not only cold ones.
-		store := factstore.New()
-		if _, err := prog.AnalyzeWithStore(cfg.opts, store); err != nil {
-			return err
-		}
-		reprog, rerr := core.LoadAnalysis(path, src)
-		if rerr != nil {
-			return rerr
-		}
-		rep, err = reprog.AnalyzeWithStore(cfg.opts, store)
-	} else {
-		rep, err = prog.Analyze(cfg.opts)
-	}
+	rep, err := prog.Analyze(cfg.opts)
 	if err != nil {
 		return err
 	}

@@ -286,7 +286,9 @@ func TestAtomRetryNegatives(t *testing.T) {
 // atomIncrSrc trips all four BITC-ATOM codes at once, so cold/warm
 // equivalence exercises every cached atomic fact kind (atomic sites,
 // irreversible effects, retry loops, lock edges) together with the older
-// fact families.
+// fact families. audit is a second entry point in its own flow component
+// (tally is its only global), so an edit to it leaves every other summary
+// clean.
 const atomIncrSrc = `
 (defstruct cell (v int64))
 (define counter cell (make cell :v 0))
@@ -316,11 +318,16 @@ const atomIncrSrc = `
     (spin)
     (move)
     (println (neighbor 1))))
+(define tally cell (make cell :v 0))
+(define (audit) unit
+  (atomic (set-field! tally v (+ (field tally v) 1))))
 `
 
 // TestIncrementalAtomicFactsMatchCold: plain, cold-cached, warm-cached, and
 // warm-after-one-edit runs of a program that fires every ATOM code must all
-// render byte-identically to a fresh cold run in every output format.
+// render byte-identically to a fresh cold run in every output format, both
+// after an edit that leaves every summary value unchanged (the aggregation
+// cache hits) and after one that changes a summary's value (it misses).
 func TestIncrementalAtomicFactsMatchCold(t *testing.T) {
 	opts := analysis.Options{Parallelism: 1}
 	prog, info := check(t, atomIncrSrc)
@@ -357,6 +364,37 @@ func TestIncrementalAtomicFactsMatchCold(t *testing.T) {
 	}
 	if wantEdit := renderAll(t, fresh); warmEdit != wantEdit {
 		t.Errorf("warm one-edit run differs from fresh cold run on atomic facts:\nfresh:\n%s\nwarm:\n%s", wantEdit, warmEdit)
+	}
+
+	// A space inside audit's atomic shifts its access spans, so audit's
+	// summary value changes and the aggregation cache misses. Only audit is
+	// recomputed, so the warm run must decode every other summary before
+	// the fold: the nested atomic, effect, retry and lock-edge sites of
+	// main's component included. The control edit is the same length and
+	// changes audit's text but no summary value, so it invalidates the same
+	// function keys and hits the aggregation cache: one miss apart.
+	shifted := strings.Replace(edited, "(atomic (set-field! tally", "(atomic  (set-field! tally", 1)
+	control := strings.Replace(edited, "(field tally v) 1)", "(field tally v) 2)", 1)
+	rerun := func(src string) (uint64, string) {
+		store := factstore.New()
+		runStore(t, edited, opts, store)
+		before := store.Stats().Misses
+		_, out := runStore(t, src, opts, store)
+		return store.Stats().Misses - before, out
+	}
+	shiftMisses, warmShift := rerun(shifted)
+	controlMisses, _ := rerun(control)
+	if shiftMisses != controlMisses+1 {
+		t.Errorf("summary-changing edit missed %d times, same-value edit %d; want exactly one more (the aggregation key)",
+			shiftMisses, controlMisses)
+	}
+	sprog, sinfo := check(t, shifted)
+	freshShift, err := analysis.Run(sprog, sinfo, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantShift := renderAll(t, freshShift); warmShift != wantShift {
+		t.Errorf("warm run after an aggregation miss differs from fresh cold run:\nfresh:\n%s\nwarm:\n%s", wantShift, warmShift)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"bitc/internal/analysis"
 	"bitc/internal/ast"
 	"bitc/internal/bench"
-	"bitc/internal/factstore"
 	"bitc/internal/parser"
 	"bitc/internal/source"
 	"bitc/internal/types"
@@ -189,34 +188,6 @@ func TestBoundsE1Discharge(t *testing.T) {
 	if proved*100 < total*60 {
 		t.Fatalf("prover discharged %d/%d E1 sites (%d%%), acceptance floor is 60%%",
 			proved, total, proved*100/total)
-	}
-}
-
-// TestBoundsProofsWarmIdentity checks the cached proof path returns the
-// same proof set as the cold path, and that a warm re-run recomputes
-// nothing (all per-function probes hit).
-func TestBoundsProofsWarmIdentity(t *testing.T) {
-	src, _ := bench.KernelSource("insertion-sort")
-	prog, info := checkSrc(t, src)
-	cold := analysis.BoundsProofs(prog, info)
-
-	store := factstore.New()
-	first := analysis.BoundsProofsWithStore(prog, info, store)
-	warm := analysis.BoundsProofsWithStore(prog, info, store)
-
-	for _, ps := range []*analysis.BoundsProofSet{first, warm} {
-		if ps.Sites != cold.Sites || ps.Proved != cold.Proved {
-			t.Fatalf("stored run disagrees with cold run: %d/%d vs %d/%d",
-				ps.Proved, ps.Sites, cold.Proved, cold.Sites)
-		}
-		if len(ps.Elidable()) != len(cold.Elidable()) {
-			t.Fatalf("elidable set size drifted: %d vs %d", len(ps.Elidable()), len(cold.Elidable()))
-		}
-		for pos := range cold.Elidable() {
-			if !ps.Elidable()[pos] {
-				t.Fatalf("position %d missing from stored proof set", pos)
-			}
-		}
 	}
 }
 

@@ -23,7 +23,6 @@ package analysis
 import (
 	"bitc/internal/ast"
 	"bitc/internal/cfg"
-	"bitc/internal/factstore"
 	"bitc/internal/pointsto"
 	"bitc/internal/source"
 	"bitc/internal/types"
@@ -79,82 +78,19 @@ func hasVectorSite(fn *ast.DefineFunc) bool {
 // access and returns the proof set. It is independent of the finding
 // drivers so the VM path can ask for proofs without assembling a report.
 func BoundsProofs(prog *ast.Program, info *types.Info) *BoundsProofSet {
-	return BoundsProofsWithStore(prog, info, nil)
-}
-
-// cachedProofs is one function's proof sites with relative spans, rebased on
-// every hit like all cached facts.
-type cachedProofs struct {
-	Sites []cachedProofSite
-}
-
-type cachedProofSite struct {
-	Span   factstore.RelSpan
-	Proved bool
-}
-
-// BoundsProofsWithStore is BoundsProofs backed by the incremental fact
-// store: per-function proof sites are cached under the function's content
-// key, its free-name environment signature, and its points-to flow
-// component key — exactly the inputs the engine's verdicts depend on — so a
-// warm call recomputes nothing and returns an identical proof set. Every
-// function is probed once; a site-free miss is stored as an empty proof
-// without running the engine.
-func BoundsProofsWithStore(prog *ast.Program, info *types.Info, store *factstore.Store) *BoundsProofSet {
-	var funcs []*ast.DefineFunc
+	var funcs, need []*ast.DefineFunc
 	for _, d := range prog.Defs {
 		if fn, ok := d.(*ast.DefineFunc); ok {
 			funcs = append(funcs, fn)
-		}
-	}
-	ps := &BoundsProofSet{elidable: map[int]bool{}}
-
-	if store == nil {
-		var need []*ast.DefineFunc
-		for _, fn := range funcs {
 			if hasVectorSite(fn) {
 				need = append(need, fn)
 			}
 		}
-		for _, sites := range proveSites(prog, info, funcs, need) {
-			for _, s := range sites {
-				ps.add(s.span, s.verdict == siteProved)
-			}
-		}
-		return ps
 	}
-
-	store.BeginRun()
-	k := buildKeys(prog, info, store, funcs, true, 0)
-	key := make([]string, len(funcs))
-	proofs := make([]*cachedProofs, len(funcs))
-	var need []*ast.DefineFunc
-	var needIdx []int
-	for fi, fn := range funcs {
-		key[fi] = "bp\x00" + k.funcKey[fi] + k.envSig[fi] + k.compKey[k.fnComp[fi]]
-		if v, ok := store.Get(key[fi]); ok {
-			proofs[fi] = v.(*cachedProofs)
-		} else if hasVectorSite(fn) {
-			need = append(need, fn)
-			needIdx = append(needIdx, fi)
-		} else {
-			proofs[fi] = &cachedProofs{}
-			store.Put(key[fi], proofs[fi])
-		}
-	}
-	for i, sites := range proveSites(prog, info, funcs, need) {
-		cp := &cachedProofs{}
+	ps := &BoundsProofSet{elidable: map[int]bool{}}
+	for _, sites := range proveSites(prog, info, funcs, need) {
 		for _, s := range sites {
-			cp.Sites = append(cp.Sites, cachedProofSite{
-				Span: k.ix.Rel(s.span), Proved: s.verdict == siteProved,
-			})
-		}
-		proofs[needIdx[i]] = cp
-		store.Put(key[needIdx[i]], cp)
-	}
-	for _, cp := range proofs {
-		for _, s := range cp.Sites {
-			ps.add(k.ix.Abs(s.Span), s.Proved)
+			ps.add(s.span, s.verdict == siteProved)
 		}
 	}
 	return ps

@@ -11,7 +11,6 @@ import (
 	"bitc/internal/analysis"
 	"bitc/internal/bench"
 	"bitc/internal/corpus"
-	"bitc/internal/factstore"
 	"bitc/internal/serve"
 )
 
@@ -122,9 +121,7 @@ func sameProofs(a, b *analysis.BoundsProofSet) bool {
 // TestBoundsProofsDemandExact holds the demand-driven prover (the engine
 // runs only on functions the site scan selects) to the every-function
 // reference on every shipped, kernel, golden and generated program plus
-// hand-written cases with sites in lambdas and vectors from elsewhere —
-// and the fact-store path to the same answer, cold and warm, with a warm
-// run that misses nothing.
+// hand-written cases with sites in lambdas and vectors from elsewhere.
 func TestBoundsProofsDemandExact(t *testing.T) {
 	inputs := demandInputs(t)
 	totalSites := 0
@@ -135,17 +132,6 @@ func TestBoundsProofsDemandExact(t *testing.T) {
 		if got := analysis.BoundsProofs(prog, info); !sameProofs(got, want) {
 			t.Errorf("%s: demand proofs %d/%d %v, whole-program %d/%d %v",
 				name, got.Proved, got.Sites, got.Elidable(), want.Proved, want.Sites, want.Elidable())
-		}
-		store := factstore.New()
-		cold := analysis.BoundsProofsWithStore(prog, info, store)
-		before := store.Stats()
-		warm := analysis.BoundsProofsWithStore(prog, info, store)
-		if misses := store.Stats().Misses - before.Misses; misses != 0 {
-			t.Errorf("%s: warm run missed the store %d times", name, misses)
-		}
-		if !sameProofs(cold, want) || !sameProofs(warm, want) {
-			t.Errorf("%s: stored proofs cold %d/%d, warm %d/%d, whole-program %d/%d",
-				name, cold.Proved, cold.Sites, warm.Proved, warm.Sites, want.Proved, want.Sites)
 		}
 	}
 	if len(inputs) < 30 || totalSites < 30 {

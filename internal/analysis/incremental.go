@@ -187,7 +187,7 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 	// the whole SCC (the fixpoint recomputes all members together) and pulls
 	// its members into the points-to slice. Hits stay in their compact
 	// cached form: decoding all of them would rebuild the whole program's
-	// effects every run, and aggregation can fold the cached form directly.
+	// effects every run, and only an aggregation miss needs them all.
 	var effects map[string]*FuncEffects
 	cached := make([]*cachedEffects, len(funcs))
 	var dirtySCCs [][]string
@@ -259,9 +259,7 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 	// Recompute dirty SCC summaries bottom-up over the demand points-to
 	// slice. Only the direct out-of-SCC callees of dirty members need their
 	// clean effects decoded as the callee environment (a callee's finished
-	// summary already folds everything below it). Aggregation (lock-order
-	// union, entry-point race detection) is a cheap deterministic fold,
-	// re-run every time over the mixed fresh-and-cached effects set.
+	// summary already folds everything below it).
 	var summaries *Summaries
 	if needSums {
 		if len(dirtySCCs) > 0 {
@@ -303,12 +301,22 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 		}
 		aggKey := factstore.Hash(aggParts...)
 		if v, ok := store.Get(aggKey); ok {
-			summaries = decodeAgg(k, effects, v.(*cachedAgg))
+			summaries = decodeAgg(k.ix, v.(*cachedAgg))
 		} else {
-			summaries = aggregateStore(prog, k, effects, cached)
+			// A miss folds with aggregate, Run's own fold, so the warm
+			// report is byte-identical to a cold one. A cold run computed
+			// every summary into effects just now; a warm run first decodes
+			// the clean summaries it has not decoded yet (factstore.RelSpan
+			// is a lossless rebase, so a decoded summary equals the one
+			// that was encoded).
+			for fi, fn := range funcs {
+				if effects[fn.Name] == nil {
+					effects[fn.Name] = decodeEffects(k.ix, fn.Name, cached[fi])
+				}
+			}
+			summaries = aggregate(prog, k.cg, effects)
 			store.Put(aggKey, encodeAgg(k.ix, summaries))
 		}
-		summaries.SCCOrder = k.sccOrder
 	}
 
 	execTasks(prog, info, cfgs, pts, summaries, pending, results, opts.Parallelism)
@@ -324,96 +332,6 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 		store.Put(missKey[fi], cb)
 	}
 	return assembleReport(prog, opts, selected, results), nil
-}
-
-// aggregateStore is aggregate over the cached effects forms (by this point
-// every function has one: probe hits stayed cached, dirty recomputes were
-// re-encoded). It must fold in exactly the order aggregate does — sorted
-// function names for ordering facts, definition order for entry points —
-// so a warm report is byte-identical to a cold one. A cached span decodes
-// to exactly the absolute span it was encoded from (factstore.RelSpan is a
-// lossless rebase), so folding the cached form of a just-computed summary
-// equals folding the summary itself.
-func aggregateStore(prog *ast.Program, k *progKeys,
-	effects map[string]*FuncEffects, cached []*cachedEffects) *Summaries {
-
-	s := &Summaries{
-		Graph:     k.cg,
-		Effects:   effects,
-		LockEdges: map[string]map[string]LockSite{},
-		LockSelf:  map[string]LockSite{},
-	}
-	for _, name := range k.cg.Names {
-		ce := cached[k.fnIndex[name]]
-		if ce == nil {
-			continue
-		}
-		if len(ce.Edges) > 0 {
-			for _, a := range sortedCachedEdgeKeys(ce.Edges) {
-				outs := ce.Edges[a]
-				for _, b := range sortedCachedKeys(outs) {
-					addEdgeSite(s.LockEdges, a, b, decodeSite(k.ix, outs[b]))
-				}
-			}
-		}
-		if len(ce.Self) > 0 {
-			for _, a := range sortedCachedKeys(ce.Self) {
-				if _, ok := s.LockSelf[a]; !ok {
-					s.LockSelf[a] = decodeSite(k.ix, ce.Self[a])
-				}
-			}
-		}
-	}
-
-	var accesses []concurrent.Access
-	seen := map[string]bool{}
-	for _, d := range prog.Defs {
-		fn, ok := d.(*ast.DefineFunc)
-		if !ok {
-			continue
-		}
-		if k.cg.CalledByOther[fn.Name] && fn.Name != "main" {
-			continue
-		}
-		ce := cached[k.fnIndex[fn.Name]]
-		if ce == nil {
-			continue
-		}
-		for _, ca := range ce.Accesses {
-			ac := decodeAccess(k.ix, ca)
-			if key := accessKey(ac); !seen[key] {
-				seen[key] = true
-				accesses = append(accesses, ac)
-			}
-		}
-	}
-	s.Races = concurrent.FindRaces(accesses)
-	s.SharedAccesses = accesses
-
-	foldAtomicFacts(s, k.cg.Names, func(name string) ([]AtomicSite, []EffectSite, []RetrySite) {
-		ce := cached[k.fnIndex[name]]
-		if ce == nil {
-			return nil, nil, nil
-		}
-		var atomics []AtomicSite
-		var irrev []EffectSite
-		var retries []RetrySite
-		for _, s := range ce.Atomics {
-			if s.Nested { // the fold only keeps nested sites
-				atomics = append(atomics, decodeAtomicSite(k.ix, s))
-			}
-		}
-		for _, s := range ce.Irrev {
-			if s.Atomic { // the fold only keeps atomic-context effects
-				irrev = append(irrev, decodeEffectSite(k.ix, s))
-			}
-		}
-		for _, s := range ce.Retries {
-			retries = append(retries, decodeRetrySite(k.ix, s))
-		}
-		return atomics, irrev, retries
-	})
-	return s
 }
 
 func decodeSite(ix *factstore.Index, s cachedSite) LockSite {
@@ -1031,7 +949,7 @@ func decodeEffects(ix *factstore.Index, name string, ce *cachedEffects) *FuncEff
 	if len(ce.Acquires) > 0 {
 		eff.Acquires = make(map[string]LockSite, len(ce.Acquires))
 		for l, s := range ce.Acquires {
-			eff.Acquires[l] = LockSite{Lock: s.Lock, Span: ix.Abs(s.Span), Fn: s.Fn}
+			eff.Acquires[l] = decodeSite(ix, s)
 		}
 	}
 	if len(ce.Edges) > 0 {
@@ -1039,7 +957,7 @@ func decodeEffects(ix *factstore.Index, name string, ce *cachedEffects) *FuncEff
 		for a, outs := range ce.Edges {
 			m := make(map[string]LockSite, len(outs))
 			for b, s := range outs {
-				m[b] = LockSite{Lock: s.Lock, Span: ix.Abs(s.Span), Fn: s.Fn}
+				m[b] = decodeSite(ix, s)
 			}
 			eff.Edges[a] = m
 		}
@@ -1047,7 +965,7 @@ func decodeEffects(ix *factstore.Index, name string, ce *cachedEffects) *FuncEff
 	if len(ce.Self) > 0 {
 		eff.Self = make(map[string]LockSite, len(ce.Self))
 		for l, s := range ce.Self {
-			eff.Self[l] = LockSite{Lock: s.Lock, Span: ix.Abs(s.Span), Fn: s.Fn}
+			eff.Self[l] = decodeSite(ix, s)
 		}
 	}
 	if len(ce.Accesses) > 0 {
@@ -1155,10 +1073,8 @@ func encodeAgg(ix *factstore.Index, s *Summaries) *cachedAgg {
 	return ca
 }
 
-func decodeAgg(k *progKeys, effects map[string]*FuncEffects, ca *cachedAgg) *Summaries {
+func decodeAgg(ix *factstore.Index, ca *cachedAgg) *Summaries {
 	s := &Summaries{
-		Graph:     k.cg,
-		Effects:   effects,
 		LockEdges: map[string]map[string]LockSite{},
 		LockSelf:  map[string]LockSite{},
 	}
@@ -1168,43 +1084,43 @@ func decodeAgg(k *progKeys, effects map[string]*FuncEffects, ca *cachedAgg) *Sum
 			m = map[string]LockSite{}
 			s.LockEdges[e.A] = m
 		}
-		m[e.B] = decodeSite(k.ix, e.Site)
+		m[e.B] = decodeSite(ix, e.Site)
 	}
 	for _, e := range ca.Self {
-		s.LockSelf[e.Lock] = decodeSite(k.ix, e.Site)
+		s.LockSelf[e.Lock] = decodeSite(ix, e.Site)
 	}
 	if len(ca.Races) > 0 {
 		s.Races = make([]concurrent.Race, len(ca.Races))
 		for i, r := range ca.Races {
 			s.Races[i] = concurrent.Race{
 				Location: r.Location,
-				A:        decodeAccess(k.ix, r.A),
-				B:        decodeAccess(k.ix, r.B),
+				A:        decodeAccess(ix, r.A),
+				B:        decodeAccess(ix, r.B),
 			}
 		}
 	}
 	if len(ca.Shared) > 0 {
 		s.SharedAccesses = make([]concurrent.Access, len(ca.Shared))
 		for i, ac := range ca.Shared {
-			s.SharedAccesses[i] = decodeAccess(k.ix, ac)
+			s.SharedAccesses[i] = decodeAccess(ix, ac)
 		}
 	}
 	if len(ca.Nested) > 0 {
 		s.NestedAtomics = make([]AtomicSite, len(ca.Nested))
 		for i, a := range ca.Nested {
-			s.NestedAtomics[i] = decodeAtomicSite(k.ix, a)
+			s.NestedAtomics[i] = decodeAtomicSite(ix, a)
 		}
 	}
 	if len(ca.Effects) > 0 {
 		s.AtomicEffects = make([]EffectSite, len(ca.Effects))
 		for i, e := range ca.Effects {
-			s.AtomicEffects[i] = decodeEffectSite(k.ix, e)
+			s.AtomicEffects[i] = decodeEffectSite(ix, e)
 		}
 	}
 	if len(ca.Retries) > 0 {
 		s.RetryLoops = make([]RetrySite, len(ca.Retries))
 		for i, r := range ca.Retries {
-			s.RetryLoops[i] = decodeRetrySite(k.ix, r)
+			s.RetryLoops[i] = decodeRetrySite(ix, r)
 		}
 	}
 	return s

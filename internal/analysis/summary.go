@@ -95,10 +95,6 @@ type FuncEffects struct {
 // Summaries is the whole-program summary set plus the derived whole-program
 // results the interprocedural checkers consume.
 type Summaries struct {
-	Graph   *CallGraph
-	Effects map[string]*FuncEffects
-	// SCCOrder is the bottom-up order summaries were computed in.
-	SCCOrder [][]string
 	// Races are the conflicting access pairs reachable from entry points.
 	Races []concurrent.Race
 	// LockEdges and LockSelf are the union of every function's ordering
@@ -128,13 +124,10 @@ type Summaries struct {
 func ComputeSummaries(prog *ast.Program, info *types.Info, pts *pointsto.Result) *Summaries {
 	cg := BuildCallGraph(prog)
 	sb := newSummaryBuilder(info, cg, pts)
-	order := cg.SCCs()
-	for _, scc := range order {
+	for _, scc := range cg.SCCs() {
 		sb.computeSCC(scc)
 	}
-	s := aggregate(prog, cg, sb.effects)
-	s.SCCOrder = order
-	return s
+	return aggregate(prog, cg, sb.effects)
 }
 
 // computeSCC (re)computes the effects of one strongly connected component,
@@ -161,12 +154,11 @@ func (sb *summaryBuilder) computeSCC(scc []string) {
 }
 
 // aggregate derives the whole-program facts from a complete effects set.
-// It is a pure, deterministic fold: the incremental driver re-runs it every
-// analysis over a mix of cached and freshly computed effects.
+// It is the only fold: ComputeSummaries calls it on freshly computed
+// effects, and the incremental driver on a mix of fresh and decoded ones
+// whenever its aggregation cache misses.
 func aggregate(prog *ast.Program, cg *CallGraph, effects map[string]*FuncEffects) *Summaries {
 	s := &Summaries{
-		Graph:     cg,
-		Effects:   effects,
 		LockEdges: map[string]map[string]LockSite{},
 		LockSelf:  map[string]LockSite{},
 	}
@@ -211,10 +203,7 @@ func aggregate(prog *ast.Program, cg *CallGraph, effects map[string]*FuncEffects
 	s.Races = concurrent.FindRaces(accesses)
 	s.SharedAccesses = accesses
 
-	foldAtomicFacts(s, cg.Names, func(name string) ([]AtomicSite, []EffectSite, []RetrySite) {
-		eff := effects[name]
-		return eff.Atomics, eff.Irrev, eff.Retries
-	})
+	foldAtomicFacts(s, cg.Names, effects)
 	return s
 }
 
@@ -223,15 +212,12 @@ func aggregate(prog *ast.Program, cg *CallGraph, effects map[string]*FuncEffects
 // atomic regions, and unbounded-retry sites. Instantiation copies a callee's
 // sites into each caller's summary, so the same site reappears across the
 // call chain; the fold deduplicates by site identity and sorts for a
-// deterministic report. Both the cold aggregate and the incremental
-// aggregateStore funnel through here so warm output stays byte-identical.
-func foldAtomicFacts(s *Summaries, names []string,
-	facts func(name string) ([]AtomicSite, []EffectSite, []RetrySite)) {
-
+// deterministic report.
+func foldAtomicFacts(s *Summaries, names []string, effects map[string]*FuncEffects) {
 	seen := map[string]bool{}
 	for _, name := range names {
-		atomics, irrev, retries := facts(name)
-		for _, a := range atomics {
+		eff := effects[name]
+		for _, a := range eff.Atomics {
 			if !a.Nested {
 				continue
 			}
@@ -240,7 +226,7 @@ func foldAtomicFacts(s *Summaries, names []string,
 				s.NestedAtomics = append(s.NestedAtomics, a)
 			}
 		}
-		for _, e := range irrev {
+		for _, e := range eff.Irrev {
 			if !e.Atomic {
 				continue
 			}
@@ -249,7 +235,7 @@ func foldAtomicFacts(s *Summaries, names []string,
 				s.AtomicEffects = append(s.AtomicEffects, e)
 			}
 		}
-		for _, r := range retries {
+		for _, r := range eff.Retries {
 			if k := "r|" + retryKey(r); !seen[k] {
 				seen[k] = true
 				s.RetryLoops = append(s.RetryLoops, r)

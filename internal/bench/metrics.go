@@ -350,40 +350,6 @@ func metricsAnalyze(p Params, deterministic bool) (*obs.MetricsDoc, error) {
 		return nil, err
 	}
 
-	// Bounds-prover tier: the relational range analysis over the E1 kernels,
-	// cold (fresh fact store, full CFG + points-to rebuild) then warm
-	// (per-function proof sites served from unchanged content keys). The
-	// sites/proved counts pin the discharge rate the elision experiment in
-	// BENCH_E1.json depends on, and the cache traffic shows whether the
-	// proof keys still match the incremental driver's invalidation.
-	for _, w := range workloads() {
-		bprog, err := core.LoadAnalysis(w.name, w.src)
-		if err != nil {
-			return nil, fmt.Errorf("ANALYZE bounds %s: %w", w.name, err)
-		}
-		bstore := factstore.New()
-		for _, mode := range []string{"bounds-cold", "bounds-warm"} {
-			before := bstore.Stats()
-			start := time.Now()
-			ps := analysis.BoundsProofsWithStore(bprog.AST, bprog.Info, bstore)
-			wall := time.Since(start).Nanoseconds()
-			if deterministic {
-				wall = 0
-			}
-			after := bstore.Stats()
-			doc.Rows = append(doc.Rows, obs.Metrics{
-				Workload:   w.name,
-				Mode:       mode,
-				AnalysisNS: wall,
-				Derived: map[string]float64{
-					"sites":       float64(ps.Sites),
-					"proved":      float64(ps.Proved),
-					"cacheHits":   float64(after.Hits - before.Hits),
-					"cacheMisses": float64(after.Misses - before.Misses),
-				},
-			})
-		}
-	}
 	return doc, nil
 }
 

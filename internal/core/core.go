@@ -39,8 +39,6 @@ type Config struct {
 	// Dispatch selects the interpreter dispatch strategy (default
 	// DispatchFused: specialized handlers with superinstruction fusion).
 	Dispatch vm.DispatchMode
-	// RespectNoBox honours unboxing annotations in Boxed mode.
-	RespectNoBox bool
 	// Seed drives the deterministic scheduler.
 	Seed uint64
 	// Quantum is the preemption interval in instructions (default 64).
@@ -128,14 +126,13 @@ func MustLoad(name, src string, cfg Config) *Program {
 // NewVM creates a fresh VM for the program with the program's config.
 func (p *Program) NewVM() *vm.VM {
 	opts := vm.Options{
-		Mode:         p.cfg.Mode,
-		Dispatch:     p.cfg.Dispatch,
-		RespectNoBox: p.cfg.RespectNoBox,
-		Seed:         p.cfg.Seed,
-		Quantum:      p.cfg.Quantum,
-		MaxSteps:     p.cfg.MaxSteps,
-		Stdout:       p.cfg.Stdout,
-		Observer:     p.cfg.Observer,
+		Mode:     p.cfg.Mode,
+		Dispatch: p.cfg.Dispatch,
+		Seed:     p.cfg.Seed,
+		Quantum:  p.cfg.Quantum,
+		MaxSteps: p.cfg.MaxSteps,
+		Stdout:   p.cfg.Stdout,
+		Observer: p.cfg.Observer,
 	}
 	if p.Proofs != nil {
 		opts.BoundsElide = p.Proofs.Elidable()

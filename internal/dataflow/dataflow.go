@@ -7,10 +7,9 @@
 // (backward) until a fixpoint; problems over finite lattices always
 // terminate.
 //
-// Two canned instances cover the classic bit-vector analyses the checkers
-// need: Liveness (backward may) and ReachingDefs (forward may), both over
-// the use/def/decl atoms the CFG builder emits. MustAssign (forward must) is
-// the definite-initialization skeleton.
+// Liveness (backward may) is the canned bit-vector instance the checkers
+// need, over the use/def/decl atoms the CFG builder emits. MustAssign
+// (forward must) is the definite-initialization skeleton.
 package dataflow
 
 import (
@@ -345,83 +344,6 @@ func LivenessStep(live NameSet, a cfg.Atom) NameSet {
 // exit.
 func Liveness(g *cfg.Graph) *Result[NameSet] {
 	return Solve[NameSet](g, livenessProblem{})
-}
-
-// ---------------------------------------------------------------------------
-// Reaching definitions (forward may)
-// ---------------------------------------------------------------------------
-
-// DefRef identifies one definition atom: block index and atom index.
-type DefRef struct {
-	Block, Atom int
-}
-
-// DefSet maps each local to the set of definitions that may reach a point.
-type DefSet map[string]map[DefRef]struct{}
-
-func (d DefSet) clone() DefSet {
-	out := make(DefSet, len(d))
-	for k, v := range d {
-		m := make(map[DefRef]struct{}, len(v))
-		for r := range v {
-			m[r] = struct{}{}
-		}
-		out[k] = m
-	}
-	return out
-}
-
-type reachingProblem struct{}
-
-func (reachingProblem) Direction() Direction { return Forward }
-func (reachingProblem) Boundary() DefSet     { return DefSet{} }
-func (reachingProblem) Init() DefSet         { return DefSet{} }
-
-func (reachingProblem) Meet(a, b DefSet) DefSet {
-	out := a.clone()
-	for k, v := range b {
-		if out[k] == nil {
-			out[k] = map[DefRef]struct{}{}
-		}
-		for r := range v {
-			out[k][r] = struct{}{}
-		}
-	}
-	return out
-}
-
-func (reachingProblem) Equal(a, b DefSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		w, ok := b[k]
-		if !ok || len(v) != len(w) {
-			return false
-		}
-		for r := range v {
-			if _, ok := w[r]; !ok {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func (reachingProblem) Transfer(b *cfg.Block, in DefSet) DefSet {
-	out := in.clone()
-	for i, a := range b.Atoms {
-		if (a.Op == cfg.OpDef || a.Op == cfg.OpDecl) && !a.Deferred {
-			out[a.Name] = map[DefRef]struct{}{{Block: b.Index, Atom: i}: {}}
-		}
-	}
-	return out
-}
-
-// ReachingDefs solves forward reaching definitions: Result.In[i] holds, for
-// each local, the definitions that may reach the entry of block i.
-func ReachingDefs(g *cfg.Graph) *Result[DefSet] {
-	return Solve[DefSet](g, reachingProblem{})
 }
 
 // ---------------------------------------------------------------------------

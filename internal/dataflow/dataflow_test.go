@@ -109,28 +109,6 @@ func TestLivenessLoop(t *testing.T) {
 	}
 }
 
-func TestReachingDefsJoin(t *testing.T) {
-	g := buildFn(t, `
-(define (f (a int64)) int64
-  (let ((mutable x 0))
-    (if (< a 0) (set! x 1) (set! x 2))
-    x))
-`, "f")
-	res := dataflow.ReachingDefs(g)
-	// Two defs of x (one per arm) reach the join; the initial decl is killed
-	// on both paths.
-	reach := res.In[g.Exit.Index]["x"]
-	if len(reach) != 2 {
-		t.Fatalf("want 2 reaching defs of x at join, got %d\n%s", len(reach), g)
-	}
-	for r := range reach {
-		a := g.Blocks[r.Block].Atoms[r.Atom]
-		if a.Op != cfg.OpDef {
-			t.Fatalf("decl should be killed, but %v reaches join", a.Op)
-		}
-	}
-}
-
 // trackAll builds a MustAssign problem over every let-bound local, where no
 // initialiser counts as an assignment.
 func trackAll(g *cfg.Graph) *dataflow.MustAssignProblem {

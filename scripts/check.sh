@@ -48,12 +48,12 @@ done
 # must already be listed in scripts/lint-baseline.txt. New findings fail the
 # gate (fix the code, suppress with a directive, or deliberately re-baseline
 # with `make lint-baseline`); stale baseline entries only warn. The sweep
-# runs warm (-warm: re-analysis from a primed store, the daemon's code
-# path), which the verify-cache sweep above proves equal to cold.
+# runs a plain `analyze`; the verify-cache sweep above proves that a warm
+# re-analysis from a primed store (the daemon's code path) renders the same.
 baseline=scripts/lint-baseline.txt
 current=$(mktemp)
 for f in examples/progs/*.bitc internal/core/testdata/analyze/*.bitc; do
-    /tmp/bitc-check analyze -warm "$f" | grep '\[BITC-' | grep -v '^    ' || true
+    /tmp/bitc-check analyze "$f" | grep '\[BITC-' | grep -v '^    ' || true
 done | sort > "$current"
 if [ ! -f "$baseline" ]; then
     echo "missing $baseline (run 'make lint-baseline' to create it)"
@@ -155,7 +155,20 @@ d9=$(mktemp -d)
 cmp "$d9/BENCH_E9.json" BENCH_E9.json || {
     echo "deterministic E9 run differs from the committed BENCH_E9.json"; exit 1; }
 echo "bench trajectory: E9 matches the committed BENCH_E9.json"
-rm -rf "$d9" /tmp/bitc-bench-check
+rm -rf "$d9"
+
+# ANALYZE trajectory gate (~0.5s): the deterministic incremental-analysis
+# experiment must reproduce the committed BENCH_ANALYZE.json byte for byte.
+# Its rows carry findings and per-run fact-store hits and misses, so a change
+# that widens invalidation or breaks the early cutoffs (summary values,
+# aggregation) shows up as a reviewed diff. Regenerate deliberately with
+# `go run ./cmd/bitc-bench -e ANALYZE -deterministic -metrics .`.
+da=$(mktemp -d)
+/tmp/bitc-bench-check -e ANALYZE -deterministic -metrics "$da" > /dev/null
+cmp "$da/BENCH_ANALYZE.json" BENCH_ANALYZE.json || {
+    echo "deterministic ANALYZE run differs from the committed BENCH_ANALYZE.json"; exit 1; }
+echo "bench trajectory: ANALYZE matches the committed BENCH_ANALYZE.json"
+rm -rf "$da" /tmp/bitc-bench-check
 
 # Serving smoke gate (~2s): 10k transactions across 4 shards with
 # cross-shard 2PC transfers; `bitc serve` exits non-zero unless the
