@@ -118,7 +118,7 @@ type DefineFunc struct {
 	RetType  TypeExpr // nil means "infer"
 	Contract Contract
 	Body     []Expr
-	Inline   bool // :inline annotation
+	Inline   bool // :inline annotation: a hint, accepted and printed, with no effect
 	Pure     bool // :pure annotation (no heap writes; checked by the verifier)
 }
 

@@ -66,7 +66,7 @@ func (m *moduleCompiler) run(prog *ast.Program) {
 		ft := types.Prune(sch.Type)
 		m.mod.Funcs = append(m.mod.Funcs, &ir.Func{
 			Name: d.Name, NumParams: len(d.Params),
-			Params: ft.Params, Result: ft.Result, Inline: d.Inline,
+			Params: ft.Params, Result: ft.Result,
 		})
 	}
 	// Globals: each gets an initialiser function.

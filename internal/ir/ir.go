@@ -244,7 +244,6 @@ type Func struct {
 	Blocks    []*Block
 	Result    *types.Type
 	Params    []*types.Type
-	Inline    bool
 
 	// CaptureRegs lists, in capture order, the registers that receive the
 	// closure environment when this (lifted) function is invoked through

@@ -1,37 +1,47 @@
-// Package opt implements bitc's optimiser. Beyond the classic clean-up
-// passes (constant folding, copy propagation, dead-code elimination,
-// inlining), it contains the escape-based unboxing analysis that experiment
-// E2 interrogates: under a uniform (boxed) representation, which values can
-// a compiler legitimately keep out of heap boxes, and which are pinned by
-// stores, calls, and returns? The paper's fallacy 2 is the claim that this
-// residue is negligible.
+// Package opt implements bitc's optimiser: three block-local clean-up
+// passes (constant folding, copy propagation, dead-code elimination) and
+// the escape-based unboxing analysis that experiment E2 interrogates: under
+// a uniform (boxed) representation, which values can a compiler
+// legitimately keep out of heap boxes, and which are pinned by stores,
+// calls, and returns? The paper's fallacy 2 is the claim that this residue
+// is negligible.
 package opt
 
 import (
+	"math"
+
 	"bitc/internal/ir"
 	"bitc/internal/types"
 )
 
-// Level selects how much optimisation runs.
+// Level selects how much optimisation runs. O2 rewrites no instruction
+// that O1 leaves alone: it only adds the NoBox annotation.
 type Level int
 
 // Optimisation levels.
 const (
 	O0 Level = iota // nothing
 	O1              // local: const-fold, copy-prop, DCE
-	O2              // O1 + inlining + unboxing annotation
+	O2              // O1 + unboxing annotation
 )
 
 // Result summarises what the optimiser did (for the experiment tables).
 type Result struct {
-	ConstFolded    int
-	CopiesRemoved  int
-	DeadRemoved    int
-	Inlined        int
+	ConstFolded   int
+	CopiesRemoved int
+	DeadRemoved   int
+	// Inlined is always zero: the optimiser has no inliner. It is kept
+	// only because the benchmark reports it as opt.inlined.
+	Inlined int
+	// BranchesFolded is always zero: the optimiser has no branch folding.
+	// It is kept only because the benchmark reports it as
+	// opt.branches_folded.
 	BranchesFolded int
-	BlocksRemoved  int
-	CSEReplaced    int
-	Boxing         BoxingStats
+	// CSEReplaced is always zero: the optimiser has no common-subexpression
+	// elimination. It is kept only because the benchmark reports it as
+	// opt.cse_replaced.
+	CSEReplaced int
+	Boxing      BoxingStats
 }
 
 // Optimize runs the passes at the given level over every function.
@@ -40,22 +50,12 @@ func Optimize(mod *ir.Module, level Level) *Result {
 	if level == O0 {
 		return res
 	}
-	if level >= O2 {
-		res.Inlined = inlineAll(mod)
-	}
 	for _, f := range mod.Funcs {
 		res.ConstFolded += constFold(f)
 		res.CopiesRemoved += copyProp(f)
-		res.CSEReplaced += cse(f)
-		res.CopiesRemoved += copyProp(f) // clean up the Movs CSE introduced
-		res.BranchesFolded += foldBranches(f)
-		res.BlocksRemoved += dropUnreachable(f)
 		res.DeadRemoved += deadCode(f)
-	}
-	if level >= O2 {
-		for _, f := range mod.Funcs {
-			bs := AnnotateUnboxed(f)
-			res.Boxing.add(bs)
+		if level >= O2 {
+			res.Boxing.add(AnnotateUnboxed(f))
 		}
 	}
 	return res
@@ -159,10 +159,15 @@ func tryFold(in *ir.Instr, known map[ir.Reg]constVal) bool {
 			return false // never fold a trap away
 		}
 		var r int64
-		if in.Op == ir.OpDiv {
+		switch {
+		case in.Op == ir.OpDiv && in.Signed:
 			r = a.i / b.i
-		} else {
+		case in.Op == ir.OpDiv:
+			r = int64(uint64(a.i) / uint64(b.i))
+		case in.Signed:
 			r = a.i % b.i
+		default:
+			r = int64(uint64(a.i) % uint64(b.i))
 		}
 		r = wrapConst(r, in.NumBits, in.Signed)
 		*in = ir.Instr{Op: ir.OpConst, Dst: in.Dst, CKind: ir.ConstInt, Imm: r, Type: in.Type, Region: ir.NoReg}
@@ -171,20 +176,26 @@ func tryFold(in *ir.Instr, known map[ir.Reg]constVal) bool {
 		if !aok || !bok || in.Float || !isIntish(a) || !isIntish(b) {
 			return false
 		}
+		// Ordered comparisons follow the VM: unsigned unless in.Signed.
+		// Flipping the sign bit maps unsigned order onto signed order.
+		x, y := a.i, b.i
+		if !in.Signed {
+			x, y = x^math.MinInt64, y^math.MinInt64
+		}
 		var res bool
 		switch in.Op {
 		case ir.OpEq:
-			res = a.i == b.i
+			res = x == y
 		case ir.OpNe:
-			res = a.i != b.i
+			res = x != y
 		case ir.OpLt:
-			res = a.i < b.i
+			res = x < y
 		case ir.OpLe:
-			res = a.i <= b.i
+			res = x <= y
 		case ir.OpGt:
-			res = a.i > b.i
+			res = x > y
 		case ir.OpGe:
-			res = a.i >= b.i
+			res = x >= y
 		}
 		imm := int64(0)
 		if res {
@@ -376,96 +387,6 @@ func deadCode(f *ir.Func) int {
 			return removed
 		}
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Inlining
-// ---------------------------------------------------------------------------
-
-const inlineMaxInstrs = 12
-
-// inlinable reports whether f is a single-block leaf small enough to inline.
-func inlinable(f *ir.Func) bool {
-	if len(f.Blocks) != 1 || len(f.CaptureRegs) != 0 {
-		return false
-	}
-	blk := f.Blocks[0]
-	if blk.Term.Kind != ir.TermReturn {
-		return false
-	}
-	if len(blk.Instrs) > inlineMaxInstrs && !f.Inline {
-		return false
-	}
-	for _, in := range blk.Instrs {
-		switch in.Op {
-		case ir.OpCall, ir.OpCallClosure, ir.OpCallExtern, ir.OpSpawn,
-			ir.OpAtomicBegin, ir.OpAtomicEnd, ir.OpLockAcquire, ir.OpLockRelease,
-			ir.OpRegionEnter, ir.OpRegionExit:
-			return false
-		}
-	}
-	return true
-}
-
-// inlineAll splices inlinable callees into their callers. Returns the number
-// of call sites inlined.
-func inlineAll(mod *ir.Module) int {
-	count := 0
-	for _, caller := range mod.Funcs {
-		for _, blk := range caller.Blocks {
-			var out []ir.Instr
-			for _, in := range blk.Instrs {
-				if in.Op != ir.OpCall {
-					out = append(out, in)
-					continue
-				}
-				callee := mod.Funcs[in.Imm]
-				if callee == caller || !inlinable(callee) {
-					out = append(out, in)
-					continue
-				}
-				count++
-				// Map callee registers into fresh caller registers; callee
-				// params map to the call's argument registers directly.
-				base := ir.Reg(caller.NumRegs)
-				mapReg := func(r ir.Reg) ir.Reg {
-					if r == ir.NoReg {
-						return r
-					}
-					if int(r) < callee.NumParams {
-						return in.Args[r]
-					}
-					return base + r
-				}
-				need := callee.NumRegs
-				caller.NumRegs += need
-				cblk := callee.Blocks[0]
-				for _, cin := range cblk.Instrs {
-					ni := cin
-					ni.Dst = mapReg(cin.Dst)
-					ni.A = mapReg(cin.A)
-					ni.B = mapReg(cin.B)
-					if cin.Region != ir.NoReg {
-						ni.Region = mapReg(cin.Region)
-					}
-					if len(cin.Args) > 0 {
-						ni.Args = make([]ir.Reg, len(cin.Args))
-						for i, a := range cin.Args {
-							ni.Args[i] = mapReg(a)
-						}
-					}
-					out = append(out, ni)
-				}
-				// Return value -> the call's destination.
-				if in.Dst != ir.NoReg {
-					src := mapReg(cblk.Term.Val)
-					out = append(out, ir.Instr{Op: ir.OpMov, Dst: in.Dst, A: src, Region: ir.NoReg})
-				}
-			}
-			blk.Instrs = out
-		}
-	}
-	return count
 }
 
 // ---------------------------------------------------------------------------

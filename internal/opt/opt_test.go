@@ -1,6 +1,7 @@
 package opt_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -44,19 +45,6 @@ func countInstrs(mod *ir.Module, fn string) int {
 	n := 0
 	for _, b := range f.Blocks {
 		n += len(b.Instrs)
-	}
-	return n
-}
-
-func countOp(mod *ir.Module, fn string, op ir.Op) int {
-	f := mod.FuncByName(fn)
-	n := 0
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == op {
-				n++
-			}
-		}
 	}
 	return n
 }
@@ -123,34 +111,6 @@ func TestCopyPropagation(t *testing.T) {
 	}
 }
 
-func TestInlining(t *testing.T) {
-	src := `
-	  (define (sq (x int64)) int64 :inline (* x x))
-	  (define (f (x int64)) int64 (+ (sq x) (sq (+ x 1))))`
-	mod := compile(t, src)
-	res := opt.Optimize(mod, opt.O2)
-	if res.Inlined != 2 {
-		t.Fatalf("inlined = %d, want 2", res.Inlined)
-	}
-	if countOp(mod, "f", ir.OpCall) != 0 {
-		t.Error("calls remain after inlining")
-	}
-	if runMod(t, mod, "f", vm.IntValue(3)).I != 25 {
-		t.Fatal("semantics changed")
-	}
-}
-
-func TestInliningSkipsRecursionAndBigFuncs(t *testing.T) {
-	src := `
-	  (define (fact (n int64)) int64 (if (= n 0) 1 (* n (fact (- n 1)))))
-	  (define (f) int64 (fact 5))`
-	mod := compile(t, src)
-	opt.Optimize(mod, opt.O2)
-	if runMod(t, mod, "f").I != 120 {
-		t.Fatal("semantics changed")
-	}
-}
-
 func TestUnboxAnnotationLoopLocals(t *testing.T) {
 	// A tight loop over locals: almost everything should be unboxable.
 	src := `(define (f (n int64)) int64
@@ -190,7 +150,7 @@ func TestUnboxAnnotationCallEscape(t *testing.T) {
 	    (+ a (+ b (+ c (+ d (+ e (g (g (g (g (g a)))))))))))
 	  (define (f (x int64)) int64 (big (* x 1) (* x 2) (* x 3) (* x 4) (* x 5)))`
 	mod := compile(t, src)
-	// O1 keeps calls (no inlining) so arguments escape at the call.
+	// Calls stay calls, so their arguments escape at the call.
 	for _, fn := range mod.Funcs {
 		opt.AnnotateUnboxed(fn)
 	}
@@ -265,25 +225,7 @@ func TestOptimizeLevels(t *testing.T) {
 	}
 }
 
-func TestBranchFoldingAndUnreachableBlocks(t *testing.T) {
-	// A compile-time-true condition: the else branch must disappear.
-	src := `(define (f (x int64)) int64 (if (< 1 2) (+ x 1) (/ x 0)))`
-	mod := compile(t, src)
-	blocksBefore := len(mod.FuncByName("f").Blocks)
-	res := opt.Optimize(mod, opt.O1)
-	if res.BranchesFolded == 0 {
-		t.Fatal("constant branch not folded")
-	}
-	if res.BlocksRemoved == 0 || len(mod.FuncByName("f").Blocks) >= blocksBefore {
-		t.Fatalf("unreachable block kept: %d -> %d", blocksBefore, len(mod.FuncByName("f").Blocks))
-	}
-	// Semantics preserved — and the dead division-by-zero can no longer trap.
-	if runMod(t, mod, "f", vm.IntValue(41)).I != 42 {
-		t.Fatal("semantics changed")
-	}
-}
-
-func TestBranchFoldingKeepsLiveBranches(t *testing.T) {
+func TestO2KeepsBothBranches(t *testing.T) {
 	src := `(define (f (c bool) (x int64)) int64 (if c (+ x 1) (- x 1)))`
 	mod := compile(t, src)
 	opt.Optimize(mod, opt.O2)
@@ -295,65 +237,7 @@ func TestBranchFoldingKeepsLiveBranches(t *testing.T) {
 	}
 }
 
-func TestWholeLoopFoldsToConstant(t *testing.T) {
-	// while #f never runs: condition folds, body block unreachable.
-	src := `(define (f (x int64)) int64 (begin (while #f (println x)) x))`
-	mod := compile(t, src)
-	res := opt.Optimize(mod, opt.O1)
-	if res.BranchesFolded == 0 {
-		t.Fatal("while #f branch not folded")
-	}
-	if runMod(t, mod, "f", vm.IntValue(3)).I != 3 {
-		t.Fatal("semantics changed")
-	}
-}
-
-func TestCSEEliminatesRepeatedSubexpressions(t *testing.T) {
-	// (x*y) appears twice with no intervening redefinition.
-	src := `(define (f (x int64) (y int64)) int64 (+ (* x y) (* x y)))`
-	mod := compile(t, src)
-	res := opt.Optimize(mod, opt.O1)
-	if res.CSEReplaced == 0 {
-		t.Fatal("repeated subexpression not eliminated")
-	}
-	if countOp(mod, "f", ir.OpMul) != 1 {
-		t.Errorf("muls remaining = %d, want 1:\n%s", countOp(mod, "f", ir.OpMul), mod.FuncByName("f").String())
-	}
-	if runMod(t, mod, "f", vm.IntValue(6), vm.IntValue(7)).I != 84 {
-		t.Fatal("semantics changed")
-	}
-}
-
-func TestCSERespectsRedefinition(t *testing.T) {
-	// The second (* x 2) sees a DIFFERENT x: must not be merged.
-	src := `(define (f (x0 int64)) int64
-	          (let ((mutable x x0))
-	            (let ((a (* x 2)))
-	              (set! x (+ x 1))
-	              (+ a (* x 2)))))`
-	mod := compile(t, src)
-	opt.Optimize(mod, opt.O1)
-	if got := runMod(t, mod, "f", vm.IntValue(5)).I; got != 22 { // 10 + 12
-		t.Fatalf("got %d, want 22", got)
-	}
-	if countOp(mod, "f", ir.OpMul) != 2 {
-		t.Errorf("CSE merged across redefinition:\n%s", mod.FuncByName("f").String())
-	}
-}
-
-func TestCSESkipsDivision(t *testing.T) {
-	src := `(define (f (x int64) (y int64)) int64 (+ (/ x y) (/ x y)))`
-	mod := compile(t, src)
-	opt.Optimize(mod, opt.O1)
-	if countOp(mod, "f", ir.OpDiv) != 2 {
-		t.Error("CSE touched division")
-	}
-	if runMod(t, mod, "f", vm.IntValue(10), vm.IntValue(2)).I != 10 {
-		t.Fatal("semantics changed")
-	}
-}
-
-func TestCSEDifferentialSpotCheck(t *testing.T) {
+func TestO2MatchesO0OnRepeatedSubexpressions(t *testing.T) {
 	// Expression-heavy program: O2 result must equal O0 result.
 	src := `(define (f (x int64) (y int64)) int64
 	          (+ (+ (* x y) (- x y))
@@ -366,6 +250,37 @@ func TestCSEDifferentialSpotCheck(t *testing.T) {
 		b := runMod(t, m2, "f", vm.IntValue(pair[0]), vm.IntValue(pair[1])).I
 		if a != b {
 			t.Fatalf("O0=%d O2=%d at %v", a, b, pair)
+		}
+	}
+}
+
+func TestConstFoldMatchesVMSignedness(t *testing.T) {
+	// Every operand is a constant computed in the function's one block, so
+	// O1 folds each operation; O0 leaves it to the VM. (- z o) is the
+	// type's all-ones value: 2^n-1 for the unsigned types, -1 for int64.
+	operands := []string{"(- z o)", "(- (- z o) o)", "o", "t"}
+	ops := []string{"/", "mod", "<", "<=", ">", ">="}
+	for _, ty := range []string{"uint8", "uint16", "uint32", "uint64", "int64"} {
+		for _, op := range ops {
+			for _, a := range operands {
+				for _, b := range operands {
+					result := ty
+					if op != "/" && op != "mod" {
+						result = "bool"
+					}
+					src := fmt.Sprintf(`(define (f) %s (let ((z %s 0) (o %s 1) (t %s 2)) (%s %s %s)))`,
+						result, ty, ty, ty, op, a, b)
+					m0 := compile(t, src)
+					m1 := compile(t, src)
+					if res := opt.Optimize(m1, opt.O1); res.ConstFolded == 0 {
+						t.Fatalf("%s: nothing folded", src)
+					}
+					want, got := runMod(t, m0, "f"), runMod(t, m1, "f")
+					if want.K != got.K || want.I != got.I {
+						t.Errorf("%s: O0=%d O1=%d", src, want.I, got.I)
+					}
+				}
+			}
 		}
 	}
 }

@@ -157,6 +157,19 @@ cmp "$d9/BENCH_E9.json" BENCH_E9.json || {
 echo "bench trajectory: E9 matches the committed BENCH_E9.json"
 rm -rf "$d9"
 
+# E8 trajectory gate (<0.1s): the deterministic bank-transfer experiment
+# must reproduce the committed BENCH_E8.json byte for byte. Its rows carry
+# each discipline's VM counters and final total, so an optimiser or
+# scheduler change that moves the instructions or calls the bank programs
+# execute shows up as a reviewed diff. Regenerate deliberately with
+# `go run ./cmd/bitc-bench -e E8 -quick -deterministic -metrics .`.
+d8=$(mktemp -d)
+/tmp/bitc-bench-check -e E8 -quick -deterministic -metrics "$d8" > /dev/null
+cmp "$d8/BENCH_E8.json" BENCH_E8.json || {
+    echo "deterministic E8 run differs from the committed BENCH_E8.json"; exit 1; }
+echo "bench trajectory: E8 matches the committed BENCH_E8.json"
+rm -rf "$d8"
+
 # ANALYZE trajectory gate (~0.5s): the deterministic incremental-analysis
 # experiment must reproduce the committed BENCH_ANALYZE.json byte for byte.
 # Its rows carry findings and per-run fact-store hits and misses, so a change
