@@ -15,8 +15,11 @@ import (
 	"bitc/internal/core"
 	"bitc/internal/corpus"
 	"bitc/internal/factstore"
+	"bitc/internal/lexer"
 	"bitc/internal/opt"
+	"bitc/internal/parser"
 	"bitc/internal/pointsto"
+	"bitc/internal/types"
 	"bitc/internal/vm"
 )
 
@@ -383,5 +386,52 @@ func BenchmarkAnalysisBounds(b *testing.B) {
 		}
 		b.ReportMetric(float64(ps.Sites), "sites")
 		b.ReportMetric(float64(ps.Proved), "proved")
+	})
+}
+
+// BenchmarkFrontEnd measures each front-end layer on the 1000-function
+// corpus with allocations reported: lex tokenizes, parse builds the AST,
+// types type-checks a parsed program, and load runs core.Load end to end
+// (front end plus compiler, optimiser and bounds prover). It lets a
+// front-end change be measured layer by layer without the benchmark module.
+func BenchmarkFrontEnd(b *testing.B) {
+	const name = "corpus.bitc"
+	src := corpus.Text(1000, 25)
+	b.Run("lex", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, diags := lexer.Tokenize(name, src); diags.HasErrors() {
+				b.Fatal(diags)
+			}
+		}
+	})
+	b.Run("parse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, diags := parser.Parse(name, src); diags.HasErrors() {
+				b.Fatal(diags)
+			}
+		}
+	})
+	b.Run("types", func(b *testing.B) {
+		prog, diags := parser.Parse(name, src)
+		if diags.HasErrors() {
+			b.Fatal(diags)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, diags := types.Check(prog); diags.HasErrors() {
+				b.Fatal(diags)
+			}
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Load(name, src, core.DefaultConfig); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"bitc/internal/core"
@@ -25,6 +26,18 @@ func FuzzLoad(f *testing.F) {
 		`#| nested #| comment |# |# (define x 1)`,
 		"\x00\xff\xfe",
 		`(define (f (x 'a)) 'a x)`,
+		// The reader's error paths: mismatched and crossed closers, a quote
+		// with nothing or an open list after it, unterminated string, block
+		// comment and character, a lone closer, and a 10,000-deep nest.
+		`(a ] b)`,
+		`[(])`,
+		`'`,
+		`'(`,
+		`"abc`,
+		`#|`,
+		`#\`,
+		`)`,
+		strings.Repeat("(", 10000) + strings.Repeat(")", 10000),
 	}
 	for _, s := range seeds {
 		f.Add(s)

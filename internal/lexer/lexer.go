@@ -2,10 +2,16 @@
 // S-expression based (in the BitC tradition), so the token set is small:
 // parentheses, atoms (symbols, keywords, numbers, characters, strings), and
 // the quote shorthand.
+//
+// The parser streams tokens from Lexer.Next one at a time; Tokenize, the
+// same loop collected into a slice, serves tests and tools that want the
+// whole stream. Symbol, keyword and character-name scans look ASCII bytes up
+// in a table built from isSymbolChar and decode only non-ASCII runes.
 package lexer
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -208,16 +214,40 @@ func (l *Lexer) Next() Token {
 	}
 }
 
-func (l *Lexer) lexKeyword() Token {
-	start := l.pos
-	l.pos++ // consume ':'
-	for l.pos < len(l.file.Text) {
-		r, size := utf8.DecodeRuneInString(l.file.Text[l.pos:])
-		if !isSymbolChar(r) && r != ':' {
-			break
+// symbolByte[c] is isSymbolChar(c) for every ASCII byte c. It is built from
+// isSymbolChar itself, so the table and the function cannot disagree.
+var symbolByte = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		t[c] = isSymbolChar(rune(c))
+	}
+	return t
+}()
+
+// scanSymbolChars advances past the longest run of symbol characters. ASCII
+// bytes are looked up in symbolByte; only the rest are decoded and checked
+// against the unicode tables.
+func (l *Lexer) scanSymbolChars() {
+	text := l.file.Text
+	for l.pos < len(text) {
+		if c := text[l.pos]; c < utf8.RuneSelf {
+			if !symbolByte[c] {
+				return
+			}
+			l.pos++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(text[l.pos:])
+		if !isSymbolChar(r) {
+			return
 		}
 		l.pos += size
 	}
+}
+
+func (l *Lexer) lexKeyword() Token {
+	start := l.pos
+	l.pos++ // consume ':'; later colons are symbol characters
+	l.scanSymbolChars()
 	text := l.file.Text[start:l.pos]
 	if len(text) == 1 {
 		l.diags.Errorf(span(start, l.pos), "empty keyword")
@@ -227,13 +257,7 @@ func (l *Lexer) lexKeyword() Token {
 
 func (l *Lexer) lexSymbol() Token {
 	start := l.pos
-	for l.pos < len(l.file.Text) {
-		r, size := utf8.DecodeRuneInString(l.file.Text[l.pos:])
-		if !isSymbolChar(r) {
-			break
-		}
-		l.pos += size
-	}
+	l.scanSymbolChars()
 	text := l.file.Text[start:l.pos]
 	if text == "" {
 		// Unlexable byte: report and skip so the lexer always progresses.
@@ -318,6 +342,8 @@ done:
 		s = strings.TrimPrefix(s, "0o")
 		s = strings.TrimPrefix(s, "0O")
 	}
+	// A positive literal may use all 64 bits (it wraps to a negative int64);
+	// a negative one may reach magnitude 2^63, the most negative int64.
 	var v uint64
 	for i := 0; i < len(s); i++ {
 		d := digitVal(s[i])
@@ -325,8 +351,9 @@ done:
 			l.diags.Errorf(tok.Span, "digit %q invalid in base-%d literal", s[i], base)
 			break
 		}
-		nv := v*uint64(base) + uint64(d)
-		if nv < v {
+		hi, lo := bits.Mul64(v, uint64(base))
+		nv, carry := bits.Add64(lo, uint64(d), 0)
+		if hi != 0 || carry != 0 || (neg && nv > 1<<63) {
 			l.diags.Errorf(tok.Span, "integer literal %q overflows 64 bits", text)
 			break
 		}
@@ -375,13 +402,7 @@ func (l *Lexer) lexHash() Token {
 	case '\\':
 		l.pos++
 		nameStart := l.pos
-		for l.pos < len(l.file.Text) {
-			r, size := utf8.DecodeRuneInString(l.file.Text[l.pos:])
-			if !isSymbolChar(r) {
-				break
-			}
-			l.pos += size
-		}
+		l.scanSymbolChars()
 		name := l.file.Text[nameStart:l.pos]
 		tok := Token{Kind: Char, Span: span(start, l.pos), Text: l.file.Text[start:l.pos]}
 		switch {

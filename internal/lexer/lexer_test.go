@@ -2,9 +2,11 @@ package lexer
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 )
 
 func kindsOf(toks []Token) []Kind {
@@ -215,6 +217,59 @@ func TestIntegerOverflowReported(t *testing.T) {
 	_, diags := Tokenize("t", "99999999999999999999999999")
 	if !diags.HasErrors() {
 		t.Fatal("expected overflow diagnostic")
+	}
+}
+
+// TestIntegerOverflowBounds holds the 64-bit limits exactly: a positive
+// literal may use all 64 bits (wrapping to a negative int64), a negative one
+// may reach -2^63, and one digit more in either direction is an error, not a
+// silently wrapped value.
+func TestIntegerOverflowBounds(t *testing.T) {
+	cases := []struct {
+		text     string
+		want     int64
+		overflow bool
+	}{
+		{"18446744073709551615", -1, false},
+		{"9223372036854775807", math.MaxInt64, false},
+		{"-9223372036854775808", math.MinInt64, false},
+		{"0xFFFFFFFFFFFFFFFF", -1, false},
+		{"-0x8000000000000000", math.MinInt64, false},
+		{"18446744073709551616", 0, true},
+		{"30000000000000000000", 0, true},
+		{"0x1FFFFFFFFFFFFFFFF", 0, true},
+		{"0b11111111111111111111111111111111111111111111111111111111111111111", 0, true},
+		{"-18446744073709551615", 0, true},
+		{"-9223372036854775809", 0, true},
+		{"-0x8000000000000001", 0, true},
+	}
+	for _, c := range cases {
+		toks, diags := Tokenize("t", c.text)
+		if toks[0].Kind != Int {
+			t.Errorf("%s: kind = %v, want Int", c.text, toks[0].Kind)
+			continue
+		}
+		if c.overflow {
+			if !diags.HasErrors() || !strings.Contains(diags.Error(), "overflows 64 bits") {
+				t.Errorf("%s: diagnostics %q, want an overflow error", c.text, diags.Error())
+			}
+			continue
+		}
+		if diags.HasErrors() {
+			t.Errorf("%s: unexpected error %v", c.text, diags)
+		} else if toks[0].IntVal != c.want {
+			t.Errorf("%s = %d, want %d", c.text, toks[0].IntVal, c.want)
+		}
+	}
+}
+
+// TestSymbolTableMatchesIsSymbolChar checks the ASCII fast path against the
+// function it is built from, byte by byte.
+func TestSymbolTableMatchesIsSymbolChar(t *testing.T) {
+	for c := 0; c < utf8.RuneSelf; c++ {
+		if symbolByte[c] != isSymbolChar(rune(c)) {
+			t.Errorf("byte %#x: table says %v, isSymbolChar says %v", c, symbolByte[c], isSymbolChar(rune(c)))
+		}
 	}
 }
 

@@ -2,7 +2,10 @@
 //
 // Parsing happens in two stages: a generic S-expression reader (sexp.go) and
 // a form recogniser (this file) that maps list heads like define, let, case
-// onto AST nodes, reporting malformed forms with precise spans.
+// onto AST nodes, reporting malformed forms with precise spans. The reader
+// pulls tokens from the lexer one at a time, with one token of lookahead,
+// and carves its S-expressions from per-parse slabs that die with the parse;
+// no token slice is ever built.
 package parser
 
 import (
@@ -14,9 +17,9 @@ import (
 // Parse parses a named compilation unit. The returned program is always
 // non-nil; check diags for errors.
 func Parse(name, text string) (*ast.Program, *source.Diagnostics) {
-	toks, diags := lexer.Tokenize(name, text)
-	file := diags.File
-	sexps := readSexps(toks, diags)
+	file := source.NewFile(name, text)
+	diags := source.NewDiagnostics(file)
+	sexps := readSexps(file, diags)
 	p := &former{diags: diags}
 	prog := &ast.Program{File: file}
 	for _, s := range sexps {
@@ -30,8 +33,9 @@ func Parse(name, text string) (*ast.Program, *source.Diagnostics) {
 
 // ParseExpr parses a single expression (used by tests and the REPL-ish API).
 func ParseExpr(text string) (ast.Expr, *source.Diagnostics) {
-	toks, diags := lexer.Tokenize("<expr>", text)
-	sexps := readSexps(toks, diags)
+	file := source.NewFile("<expr>", text)
+	diags := source.NewDiagnostics(file)
+	sexps := readSexps(file, diags)
 	p := &former{diags: diags}
 	if len(sexps) == 0 {
 		diags.Errorf(source.Span{}, "empty input")

@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 
 	"bitc/internal/ast"
+	"bitc/internal/corpus"
+	"bitc/internal/lexer"
 )
 
 func parseOK(t *testing.T, text string) *ast.Program {
@@ -356,5 +358,26 @@ func TestNestedExprSpansNest(t *testing.T) {
 	}
 	if got := strings.TrimSpace(text[body.Span().Start:body.Span().End]); got != "(+ x 1)" {
 		t.Errorf("body span text = %q", got)
+	}
+}
+
+// TestParseAllocsPerToken holds the reader to allocating in proportion to
+// the AST, not the token stream: sexp nodes, atom tokens and child lists
+// come from per-parse slabs, so on the 1000-function corpus a parse makes
+// about 0.6 heap objects per token, nearly all of them AST nodes. A reader
+// that builds a token slice or heap-copies each atom makes about 2.5.
+func TestParseAllocsPerToken(t *testing.T) {
+	text := corpus.Text(1000, 25)
+	toks, diags := lexer.Tokenize("corpus.bitc", text)
+	if diags.HasErrors() {
+		t.Fatal(diags)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, diags := Parse("corpus.bitc", text); diags.HasErrors() {
+			t.Fatal(diags)
+		}
+	})
+	if perTok := allocs / float64(len(toks)); perTok > 0.75 {
+		t.Errorf("parse makes %.0f allocations for %d tokens: %.2f per token, want at most 0.75", allocs, len(toks), perTok)
 	}
 }

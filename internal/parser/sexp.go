@@ -11,7 +11,7 @@ import (
 type sexp struct {
 	span source.Span
 	tok  *lexer.Token // atom payload; nil for lists
-	list []*sexp      // non-nil (possibly empty) for lists
+	list []*sexp      // a list's children, possibly none; nil for atoms
 }
 
 func (s *sexp) isList() bool { return s.tok == nil }
@@ -40,32 +40,79 @@ func (s *sexp) head() string {
 	return ""
 }
 
-// readSexps parses the whole token stream into a slice of top-level sexps.
-func readSexps(toks []lexer.Token, diags *source.Diagnostics) []*sexp {
-	r := &reader{toks: toks, diags: diags}
-	var out []*sexp
-	for r.peek().Kind != lexer.EOF {
+// readSexps reads every top-level S-expression in file. Tokens are pulled
+// from the lexer one at a time; no token slice is built.
+func readSexps(file *source.File, diags *source.Diagnostics) []*sexp {
+	r := newReader(file, diags)
+	for r.tok.Kind != lexer.EOF {
 		if s := r.read(); s != nil {
-			out = append(out, s)
+			r.stack = append(r.stack, s)
 		}
 	}
-	return out
+	return r.closeList(0)
 }
 
+// reader builds sexps from a token stream with one token of lookahead. Its
+// nodes, atom tokens and child lists are carved from per-parse slabs, so a
+// parse allocates a few chunks instead of one object per token. Nothing in
+// the AST points into the slabs, so they die with the parse.
 type reader struct {
-	toks  []lexer.Token
-	pos   int
+	lx    *lexer.Lexer
 	diags *source.Diagnostics
+	tok   lexer.Token // lookahead: the next token, not yet consumed
+
+	nodes slab[sexp]
+	atoms slab[lexer.Token]
+	kids  slab[*sexp]
+	// stack holds the children read so far of every list still open,
+	// innermost last; closeList moves a list's children off it.
+	stack []*sexp
 }
 
-func (r *reader) peek() lexer.Token { return r.toks[r.pos] }
+func newReader(file *source.File, diags *source.Diagnostics) *reader {
+	// Dense source runs at about one sexp and one child-list slot per 3.7
+	// bytes and one atom per 5.6 (the generated corpus; hand-written
+	// programs with comments are sparser). First chunks sized from the text
+	// at about that rate keep a small program's parse small and hold most of
+	// a large one.
+	n := len(file.Text)
+	r := &reader{
+		lx:    lexer.New(file, diags),
+		diags: diags,
+		nodes: slab[sexp]{size: n/4 + 16},
+		atoms: slab[lexer.Token]{size: n/6 + 16},
+		kids:  slab[*sexp]{size: n/4 + 16},
+	}
+	r.tok = r.lx.Next()
+	return r
+}
 
+// next consumes the lookahead token and returns it. At end of file it keeps
+// returning the EOF token.
 func (r *reader) next() lexer.Token {
-	t := r.toks[r.pos]
+	t := r.tok
 	if t.Kind != lexer.EOF {
-		r.pos++
+		r.tok = r.lx.Next()
 	}
 	return t
+}
+
+// closeList pops the children pushed since base and returns them as a slice
+// of exact length.
+func (r *reader) closeList(base int) []*sexp {
+	list := r.kids.take(len(r.stack) - base)
+	copy(list, r.stack[base:])
+	r.stack = r.stack[:base]
+	return list
+}
+
+// atom returns a leaf sexp for tok.
+func (r *reader) atom(tok lexer.Token) *sexp {
+	t := r.atoms.one()
+	*t = tok
+	n := r.nodes.one()
+	*n = sexp{span: tok.Span, tok: t}
+	return n
 }
 
 // read parses one S-expression; nil on unrecoverable junk (already reported).
@@ -77,26 +124,28 @@ func (r *reader) read() *sexp {
 		if t.Kind == lexer.LBracket {
 			closer = lexer.RBracket
 		}
-		node := &sexp{span: t.Span, list: []*sexp{}}
+		node := r.nodes.one()
+		node.span = t.Span
+		base := len(r.stack)
 		for {
-			p := r.peek()
-			if p.Kind == closer {
-				r.next()
+			switch p := &r.tok; p.Kind {
+			case closer:
 				node.span = node.span.Union(p.Span)
-				return node
-			}
-			if p.Kind == lexer.EOF {
-				r.diags.Errorf(t.Span, "unclosed %s", t.Kind)
-				return node
-			}
-			if p.Kind == lexer.RParen || p.Kind == lexer.RBracket {
-				// Mismatched closer: consume and report, keep going.
 				r.next()
+				node.list = r.closeList(base)
+				return node
+			case lexer.EOF:
+				r.diags.Errorf(t.Span, "unclosed %s", t.Kind)
+				node.list = r.closeList(base)
+				return node
+			case lexer.RParen, lexer.RBracket:
+				// Mismatched closer: consume and report, keep going.
 				r.diags.Errorf(p.Span, "mismatched %s", p.Kind)
+				r.next()
 				continue
 			}
 			if child := r.read(); child != nil {
-				node.list = append(node.list, child)
+				r.stack = append(r.stack, child)
 				node.span = node.span.Union(child.span)
 			}
 		}
@@ -110,15 +159,43 @@ func (r *reader) read() *sexp {
 			return nil
 		}
 		// 'x is only used for type variables; represent as (quote x).
-		q := &lexer.Token{Kind: lexer.Symbol, Text: "quote", Span: t.Span}
-		return &sexp{
-			span: t.Span.Union(inner.span),
-			list: []*sexp{{span: t.Span, tok: q}, inner},
-		}
+		list := r.kids.take(2)
+		list[0] = r.atom(lexer.Token{Kind: lexer.Symbol, Text: "quote", Span: t.Span})
+		list[1] = inner
+		n := r.nodes.one()
+		*n = sexp{span: t.Span.Union(inner.span), list: list}
+		return n
 	case lexer.EOF:
 		return nil
 	default:
-		tok := t
-		return &sexp{span: t.Span, tok: &tok}
+		return r.atom(t)
 	}
 }
+
+// slab hands out values of T carved from chunks, so that many small objects
+// cost one allocation per chunk. Chunks after the first are an eighth of its
+// size, which bounds the unused tail when the first was sized too small. A
+// chunk is never reallocated, so pointers into it stay valid for the slab's
+// lifetime.
+type slab[T any] struct {
+	chunk []T
+	size  int // length of the next chunk
+}
+
+// take returns n zeroed values with capacity n, so appending to the result
+// cannot overwrite a neighbour.
+func (s *slab[T]) take(n int) []T {
+	if n > s.size {
+		return make([]T, n)
+	}
+	i := len(s.chunk)
+	if i+n > cap(s.chunk) {
+		s.chunk, i = make([]T, 0, s.size), 0
+		s.size = max(s.size/8, 16)
+	}
+	s.chunk = s.chunk[:i+n]
+	return s.chunk[i : i+n : i+n]
+}
+
+// one returns a pointer to one zeroed T.
+func (s *slab[T]) one() *T { return &s.take(1)[0] }

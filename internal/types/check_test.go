@@ -123,6 +123,14 @@ func TestMismatchedIntWidths(t *testing.T) {
 	checkErr(t, `(define (f (a int32) (b int64)) (+ a b))`, "mismatch")
 }
 
+// A type declaration whose name pass 1 rejects must not reach pass 2, which
+// once resolved its fields into a nil StructInfo or UnionInfo and panicked.
+func TestTypeNamedAfterBuiltinRejected(t *testing.T) {
+	checkErr(t, `(defstruct + (a int64))`, "shadows a builtin")
+	checkErr(t, `(defunion * (A (A A)) (A (A A)))`, "shadows a builtin")
+	checkErr(t, `(defstruct p (a int64)) (defunion p (A))`, "already defined")
+}
+
 func TestFloatIntMixRejected(t *testing.T) {
 	checkErr(t, `(define (f (a int32)) (+ a 1.5))`, "")
 }

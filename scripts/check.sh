@@ -20,6 +20,12 @@ go build ./...
 # test cache tracks BENCH_E1.json, so a cached pass is never stale.
 go test ./...
 
+# Front-end fuzz gate (~10s): FuzzLoad feeds mutated source through the
+# lexer, the streaming reader, the type checker, the compiler and the
+# optimiser; no input may panic. A crasher the fuzzer finds is written to
+# internal/core/testdata/fuzz/FuzzLoad, where plain `go test` replays it.
+go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/core
+
 # Self-lint: every example program must analyze with zero error-severity
 # findings. `bitc analyze` exits 1 on errors; the JSON is also checked so a
 # regression in the exit-code contract cannot mask findings.
