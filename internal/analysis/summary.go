@@ -624,7 +624,7 @@ func (sb *summaryBuilder) sharedTargets(e ast.Expr) []string {
 	var out []string
 	seen := map[string]bool{}
 	if v, ok := e.(*ast.VarRef); ok {
-		if sym := sb.info.Uses[v]; sym != nil && sym.Kind == types.SymGlobal && sb.shared[v.Name] {
+		if sym := sb.info.Use(v); sym != nil && sym.Kind == types.SymGlobal && sb.shared[v.Name] {
 			seen[v.Name] = true
 			out = append(out, v.Name)
 		}

@@ -73,6 +73,9 @@ func (*TypeBitfield) typeExpr() {}
 type Program struct {
 	File *source.File
 	Defs []Def
+	// ExprCount is the number of expressions the parser built, so the
+	// highest ExprID in the unit.
+	ExprCount int32
 	// Suppressions are the lint-muting directives found in the unit; the
 	// static-analysis driver honours them, the compiler ignores them.
 	Suppressions []Suppression
@@ -118,7 +121,6 @@ type DefineFunc struct {
 	RetType  TypeExpr // nil means "infer"
 	Contract Contract
 	Body     []Expr
-	Inline   bool // :inline annotation: a hint, accepted and printed, with no effect
 	Pure     bool // :pure annotation (no heap writes; checked by the verifier)
 }
 
@@ -190,56 +192,69 @@ func (d *External) DefName() string   { return d.Name }
 // Expressions
 // ---------------------------------------------------------------------------
 
-// Expr is any expression node.
+// Expr is any expression node. ExprID returns the number the parser gave
+// the node: parsing numbers every expression it builds from 1 upwards, in
+// pre-order, and records the count in Program.ExprCount. A node built
+// anywhere else (a synthesised comparison, a compiler thunk) has ID 0, which
+// means "not recorded": the type checker keeps its per-expression facts in
+// tables indexed by this number and reports nothing for ID 0.
 type Expr interface {
 	Node
-	expr()
+	ExprID() int32
 }
 
 // IntLit is an integer literal. Its concrete width is inferred.
 type IntLit struct {
 	SpanV source.Span
+	ID    int32
 	Value int64
 }
 
 // FloatLit is a float64 literal.
 type FloatLit struct {
 	SpanV source.Span
+	ID    int32
 	Value float64
 }
 
 // BoolLit is #t or #f.
 type BoolLit struct {
 	SpanV source.Span
+	ID    int32
 	Value bool
 }
 
 // CharLit is a character literal (Unicode code point).
 type CharLit struct {
 	SpanV source.Span
+	ID    int32
 	Value rune
 }
 
 // StringLit is a string literal.
 type StringLit struct {
 	SpanV source.Span
+	ID    int32
 	Value string
 }
 
 // UnitLit is the unit value, written ().
 type UnitLit struct {
 	SpanV source.Span
+	ID    int32
 }
 
 // VarRef is a reference to a bound name.
 type VarRef struct {
 	SpanV source.Span
+	ID    int32
 	Name  string
 }
 
 // Call applies a function (or builtin, resolved during checking) to args.
 type Call struct {
 	SpanV source.Span
+	ID    int32
 	Fn    Expr
 	Args  []Expr
 }
@@ -247,6 +262,7 @@ type Call struct {
 // If is (if cond then [else]); a missing else is unit.
 type If struct {
 	SpanV source.Span
+	ID    int32
 	Cond  Expr
 	Then  Expr
 	Else  Expr // nil means unit
@@ -276,6 +292,7 @@ func (b *Binding) Span() source.Span { return b.SpanV }
 // Let is (let ((x e)...) body...).
 type Let struct {
 	SpanV    source.Span
+	ID       int32
 	Kind     LetKind
 	Bindings []*Binding
 	Body     []Expr
@@ -284,6 +301,7 @@ type Let struct {
 // Lambda is (lambda ((x T)...) body...).
 type Lambda struct {
 	SpanV   source.Span
+	ID      int32
 	Params  []*Param
 	RetType TypeExpr
 	Body    []Expr
@@ -292,12 +310,14 @@ type Lambda struct {
 // Begin is (begin e...), evaluating to its last expression.
 type Begin struct {
 	SpanV source.Span
+	ID    int32
 	Body  []Expr
 }
 
 // Set is (set! name e).
 type Set struct {
 	SpanV source.Span
+	ID    int32
 	Name  string
 	Value Expr
 }
@@ -307,6 +327,7 @@ type Set struct {
 // preservation by the verifier, optionally asserted at run time.
 type While struct {
 	SpanV      source.Span
+	ID         int32
 	Cond       Expr
 	Invariants []Expr
 	Body       []Expr
@@ -315,6 +336,7 @@ type While struct {
 // DoTimes is (dotimes (i n) body...) — i ranges over [0, n).
 type DoTimes struct {
 	SpanV source.Span
+	ID    int32
 	Var   string
 	Count Expr
 	Body  []Expr
@@ -323,6 +345,7 @@ type DoTimes struct {
 // MakeStruct is (make name :field e ...).
 type MakeStruct struct {
 	SpanV  source.Span
+	ID     int32
 	Name   string
 	Fields []StructFieldInit
 }
@@ -336,6 +359,7 @@ type StructFieldInit struct {
 // FieldRef is (field e name).
 type FieldRef struct {
 	SpanV source.Span
+	ID    int32
 	Expr  Expr
 	Name  string
 }
@@ -343,6 +367,7 @@ type FieldRef struct {
 // FieldSet is (set-field! e name v).
 type FieldSet struct {
 	SpanV source.Span
+	ID    int32
 	Expr  Expr
 	Name  string
 	Value Expr
@@ -353,6 +378,7 @@ type FieldSet struct {
 // as (make-union name ctor args...).
 type MakeUnion struct {
 	SpanV source.Span
+	ID    int32
 	Union string // may be "" until resolved
 	Ctor  string
 	Args  []Expr
@@ -408,6 +434,7 @@ func (c *CaseClause) Span() source.Span { return c.SpanV }
 // Case is (case scrutinee clause...).
 type Case struct {
 	SpanV   source.Span
+	ID      int32
 	Scrut   Expr
 	Clauses []*CaseClause
 }
@@ -415,12 +442,14 @@ type Case struct {
 // Assert is (assert e) — a runtime-checked, prover-visible assertion.
 type Assert struct {
 	SpanV source.Span
+	ID    int32
 	Cond  Expr
 }
 
 // Cast is (cast Type e) — checked numeric conversion.
 type Cast struct {
 	SpanV source.Span
+	ID    int32
 	Type  TypeExpr
 	Expr  Expr
 }
@@ -429,6 +458,7 @@ type Cast struct {
 // inside body live exactly as long as the dynamic extent of the form.
 type WithRegion struct {
 	SpanV source.Span
+	ID    int32
 	Name  string
 	Body  []Expr
 }
@@ -437,6 +467,7 @@ type WithRegion struct {
 // result placed in region r.
 type AllocIn struct {
 	SpanV  source.Span
+	ID     int32
 	Region string
 	Expr   Expr
 }
@@ -444,6 +475,7 @@ type AllocIn struct {
 // Atomic is (atomic body...) — an STM transaction (challenge 4).
 type Atomic struct {
 	SpanV source.Span
+	ID    int32
 	Body  []Expr
 }
 
@@ -451,12 +483,14 @@ type Atomic struct {
 // a thread id (int32).
 type Spawn struct {
 	SpanV source.Span
+	ID    int32
 	Expr  Expr
 }
 
 // WithLock is (with-lock name body...) — acquire named global lock.
 type WithLock struct {
 	SpanV source.Span
+	ID    int32
 	Lock  string
 	Body  []Expr
 }
@@ -489,30 +523,30 @@ func (e *Atomic) Span() source.Span     { return e.SpanV }
 func (e *Spawn) Span() source.Span      { return e.SpanV }
 func (e *WithLock) Span() source.Span   { return e.SpanV }
 
-func (*IntLit) expr()     {}
-func (*FloatLit) expr()   {}
-func (*BoolLit) expr()    {}
-func (*CharLit) expr()    {}
-func (*StringLit) expr()  {}
-func (*UnitLit) expr()    {}
-func (*VarRef) expr()     {}
-func (*Call) expr()       {}
-func (*If) expr()         {}
-func (*Let) expr()        {}
-func (*Lambda) expr()     {}
-func (*Begin) expr()      {}
-func (*Set) expr()        {}
-func (*While) expr()      {}
-func (*DoTimes) expr()    {}
-func (*MakeStruct) expr() {}
-func (*FieldRef) expr()   {}
-func (*FieldSet) expr()   {}
-func (*MakeUnion) expr()  {}
-func (*Case) expr()       {}
-func (*Assert) expr()     {}
-func (*Cast) expr()       {}
-func (*WithRegion) expr() {}
-func (*AllocIn) expr()    {}
-func (*Atomic) expr()     {}
-func (*Spawn) expr()      {}
-func (*WithLock) expr()   {}
+func (e *IntLit) ExprID() int32     { return e.ID }
+func (e *FloatLit) ExprID() int32   { return e.ID }
+func (e *BoolLit) ExprID() int32    { return e.ID }
+func (e *CharLit) ExprID() int32    { return e.ID }
+func (e *StringLit) ExprID() int32  { return e.ID }
+func (e *UnitLit) ExprID() int32    { return e.ID }
+func (e *VarRef) ExprID() int32     { return e.ID }
+func (e *Call) ExprID() int32       { return e.ID }
+func (e *If) ExprID() int32         { return e.ID }
+func (e *Let) ExprID() int32        { return e.ID }
+func (e *Lambda) ExprID() int32     { return e.ID }
+func (e *Begin) ExprID() int32      { return e.ID }
+func (e *Set) ExprID() int32        { return e.ID }
+func (e *While) ExprID() int32      { return e.ID }
+func (e *DoTimes) ExprID() int32    { return e.ID }
+func (e *MakeStruct) ExprID() int32 { return e.ID }
+func (e *FieldRef) ExprID() int32   { return e.ID }
+func (e *FieldSet) ExprID() int32   { return e.ID }
+func (e *MakeUnion) ExprID() int32  { return e.ID }
+func (e *Case) ExprID() int32       { return e.ID }
+func (e *Assert) ExprID() int32     { return e.ID }
+func (e *Cast) ExprID() int32       { return e.ID }
+func (e *WithRegion) ExprID() int32 { return e.ID }
+func (e *AllocIn) ExprID() int32    { return e.ID }
+func (e *Atomic) ExprID() int32     { return e.ID }
+func (e *Spawn) ExprID() int32      { return e.ID }
+func (e *WithLock) ExprID() int32   { return e.ID }

@@ -36,7 +36,6 @@ func TestPrintCoversEveryForm(t *testing.T) {
 	(external ext (-> (int64) int64) "sym")
 	(define gv int64 42)
 	(define (f (p s) (o u) (g (-> (int64) int64))) int64
-	  :inline
 	  :requires (> gv 0)
 	  :ensures (>= %result 0)
 	  (begin
@@ -62,7 +61,7 @@ func TestPrintCoversEveryForm(t *testing.T) {
 	out := reparse(t, src)
 	for _, want := range []string{
 		"defstruct", ":packed", ":align 4", "bitfield", "array",
-		"defunion", "external", ":inline", ":requires", ":ensures",
+		"defunion", "external", ":requires", ":ensures",
 		"let*", "letrec", "lambda", "while", "dotimes", "case",
 		"with-region", "alloc-in", "set-field!", "with-lock", "atomic",
 		"spawn", "cast", "assert", "#\\x",

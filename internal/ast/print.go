@@ -101,9 +101,6 @@ func printNode(b *strings.Builder, n Node) {
 			b.WriteByte(' ')
 			printNode(b, n.RetType)
 		}
-		if n.Inline {
-			b.WriteString(" :inline")
-		}
 		if n.Pure {
 			b.WriteString(" :pure")
 		}

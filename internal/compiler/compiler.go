@@ -443,7 +443,7 @@ func (fc *funcCompiler) varRef(e *ast.VarRef) ir.Reg {
 	if cu, ok := fc.m.info.CtorOf[e.Name]; ok && len(cu.Arm.Fields) == 0 {
 		return fc.newUnion(cu, nil)
 	}
-	if sym := fc.m.info.Uses[e]; sym != nil && sym.Kind == types.SymBuiltin {
+	if sym := fc.m.info.Use(e); sym != nil && sym.Kind == types.SymBuiltin {
 		fc.errf(e.Span(), "builtin %s cannot be used as a value; wrap it in a lambda", e.Name)
 		return fc.constUnit()
 	}
@@ -617,7 +617,7 @@ func (fc *funcCompiler) call(e *ast.Call) ir.Reg {
 				return r
 			}
 			// Remaining builtins (strings, channels, IO, floats...).
-			if sym := fc.m.info.Uses[v]; sym != nil && sym.Kind == types.SymBuiltin {
+			if sym := fc.m.info.Use(v); sym != nil && sym.Kind == types.SymBuiltin {
 				args := fc.evalArgs(e.Args)
 				r := fc.newReg()
 				fc.emit(ir.Instr{Op: ir.OpBuiltin, Dst: r, Str: v.Name, Args: args, Type: fc.m.info.TypeOf(e), Region: fc.region})

@@ -27,6 +27,7 @@ func Parse(name, text string) (*ast.Program, *source.Diagnostics) {
 			prog.Defs = append(prog.Defs, d)
 		}
 	}
+	prog.ExprCount = p.exprs
 	prog.Suppressions = append(p.suppressions, scanIgnoreComments(file)...)
 	return prog, diags
 }
@@ -39,7 +40,7 @@ func ParseExpr(text string) (ast.Expr, *source.Diagnostics) {
 	p := &former{diags: diags}
 	if len(sexps) == 0 {
 		diags.Errorf(source.Span{}, "empty input")
-		return &ast.UnitLit{}, diags
+		return &ast.UnitLit{ID: p.id()}, diags
 	}
 	return p.formExpr(sexps[0]), diags
 }
@@ -47,6 +48,14 @@ func ParseExpr(text string) (ast.Expr, *source.Diagnostics) {
 type former struct {
 	diags        *source.Diagnostics
 	suppressions []ast.Suppression
+	exprs        int32 // expressions numbered so far
+}
+
+// id numbers the next expression node. Each node literal takes its ID
+// before its children are formed, so IDs count from 1 in pre-order.
+func (p *former) id() int32 {
+	p.exprs++
+	return p.exprs
 }
 
 func (p *former) errf(s source.Span, format string, args ...any) {
@@ -123,9 +132,6 @@ func (p *former) formDefineFunc(s *sexp, sig *sexp) ast.Def {
 	// Keyword annotations.
 	for len(rest) > 0 {
 		switch rest[0].keyword() {
-		case ":inline":
-			fn.Inline = true
-			rest = rest[1:]
 		case ":pure":
 			fn.Pure = true
 			rest = rest[1:]
@@ -334,32 +340,32 @@ func (p *former) formType(s *sexp) ast.TypeExpr {
 
 func (p *former) formExpr(s *sexp) ast.Expr {
 	if s == nil {
-		return &ast.UnitLit{}
+		return &ast.UnitLit{ID: p.id()}
 	}
 	if t := s.tok; t != nil {
 		switch t.Kind {
 		case lexer.Int:
-			return &ast.IntLit{SpanV: s.span, Value: t.IntVal}
+			return &ast.IntLit{ID: p.id(), SpanV: s.span, Value: t.IntVal}
 		case lexer.Float:
-			return &ast.FloatLit{SpanV: s.span, Value: t.FloatVal}
+			return &ast.FloatLit{ID: p.id(), SpanV: s.span, Value: t.FloatVal}
 		case lexer.Bool:
-			return &ast.BoolLit{SpanV: s.span, Value: t.IntVal != 0}
+			return &ast.BoolLit{ID: p.id(), SpanV: s.span, Value: t.IntVal != 0}
 		case lexer.Char:
-			return &ast.CharLit{SpanV: s.span, Value: rune(t.IntVal)}
+			return &ast.CharLit{ID: p.id(), SpanV: s.span, Value: rune(t.IntVal)}
 		case lexer.String:
-			return &ast.StringLit{SpanV: s.span, Value: t.StrVal}
+			return &ast.StringLit{ID: p.id(), SpanV: s.span, Value: t.StrVal}
 		case lexer.Symbol:
 			if t.Text == "_" {
 				p.errf(s.span, "_ is only valid as a pattern")
 			}
-			return &ast.VarRef{SpanV: s.span, Name: t.Text}
+			return &ast.VarRef{ID: p.id(), SpanV: s.span, Name: t.Text}
 		case lexer.Keyword:
 			p.errf(s.span, "keyword %s not valid as an expression", t.Text)
-			return &ast.UnitLit{SpanV: s.span}
+			return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 		}
 	}
 	if len(s.list) == 0 {
-		return &ast.UnitLit{SpanV: s.span}
+		return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 	}
 	switch s.head() {
 	case "if":
@@ -369,23 +375,23 @@ func (p *former) formExpr(s *sexp) ast.Expr {
 	case "lambda":
 		return p.formLambda(s)
 	case "begin":
-		return &ast.Begin{SpanV: s.span, Body: p.formBody(s.list[1:], s.span)}
+		return &ast.Begin{ID: p.id(), SpanV: s.span, Body: p.formBody(s.list[1:], s.span)}
 	case "set!":
 		if len(s.list) == 4 {
 			// (set! e field v) sugar for set-field!
-			return &ast.FieldSet{SpanV: s.span, Expr: p.formExpr(s.list[1]), Name: s.list[2].sym(), Value: p.formExpr(s.list[3])}
+			return &ast.FieldSet{ID: p.id(), SpanV: s.span, Expr: p.formExpr(s.list[1]), Name: s.list[2].sym(), Value: p.formExpr(s.list[3])}
 		}
 		if len(s.list) != 3 || s.list[1].sym() == "" {
 			p.errf(s.span, "set! must be (set! name expr)")
-			return &ast.UnitLit{SpanV: s.span}
+			return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 		}
-		return &ast.Set{SpanV: s.span, Name: s.list[1].sym(), Value: p.formExpr(s.list[2])}
+		return &ast.Set{ID: p.id(), SpanV: s.span, Name: s.list[1].sym(), Value: p.formExpr(s.list[2])}
 	case "while":
 		if len(s.list) < 2 {
 			p.errf(s.span, "while needs a condition")
-			return &ast.UnitLit{SpanV: s.span}
+			return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 		}
-		w := &ast.While{SpanV: s.span, Cond: p.formExpr(s.list[1])}
+		w := &ast.While{ID: p.id(), SpanV: s.span, Cond: p.formExpr(s.list[1])}
 		rest := s.list[2:]
 		for len(rest) >= 2 && rest[0].keyword() == ":invariant" {
 			w.Invariants = append(w.Invariants, p.formExpr(rest[1]))
@@ -400,55 +406,55 @@ func (p *former) formExpr(s *sexp) ast.Expr {
 	case "field":
 		if len(s.list) != 3 || s.list[2].sym() == "" {
 			p.errf(s.span, "field must be (field expr name)")
-			return &ast.UnitLit{SpanV: s.span}
+			return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 		}
-		return &ast.FieldRef{SpanV: s.span, Expr: p.formExpr(s.list[1]), Name: s.list[2].sym()}
+		return &ast.FieldRef{ID: p.id(), SpanV: s.span, Expr: p.formExpr(s.list[1]), Name: s.list[2].sym()}
 	case "set-field!":
 		if len(s.list) != 4 || s.list[2].sym() == "" {
 			p.errf(s.span, "set-field! must be (set-field! expr name value)")
-			return &ast.UnitLit{SpanV: s.span}
+			return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 		}
-		return &ast.FieldSet{SpanV: s.span, Expr: p.formExpr(s.list[1]), Name: s.list[2].sym(), Value: p.formExpr(s.list[3])}
+		return &ast.FieldSet{ID: p.id(), SpanV: s.span, Expr: p.formExpr(s.list[1]), Name: s.list[2].sym(), Value: p.formExpr(s.list[3])}
 	case "case":
 		return p.formCase(s)
 	case "assert":
 		if len(s.list) != 2 {
 			p.errf(s.span, "assert must be (assert expr)")
-			return &ast.UnitLit{SpanV: s.span}
+			return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 		}
-		return &ast.Assert{SpanV: s.span, Cond: p.formExpr(s.list[1])}
+		return &ast.Assert{ID: p.id(), SpanV: s.span, Cond: p.formExpr(s.list[1])}
 	case "cast":
 		if len(s.list) != 3 {
 			p.errf(s.span, "cast must be (cast type expr)")
-			return &ast.UnitLit{SpanV: s.span}
+			return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 		}
-		return &ast.Cast{SpanV: s.span, Type: p.formType(s.list[1]), Expr: p.formExpr(s.list[2])}
+		return &ast.Cast{ID: p.id(), SpanV: s.span, Type: p.formType(s.list[1]), Expr: p.formExpr(s.list[2])}
 	case "with-region":
 		if len(s.list) < 3 || s.list[1].sym() == "" {
 			p.errf(s.span, "with-region must be (with-region name body...)")
-			return &ast.UnitLit{SpanV: s.span}
+			return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 		}
-		return &ast.WithRegion{SpanV: s.span, Name: s.list[1].sym(), Body: p.formBody(s.list[2:], s.span)}
+		return &ast.WithRegion{ID: p.id(), SpanV: s.span, Name: s.list[1].sym(), Body: p.formBody(s.list[2:], s.span)}
 	case "alloc-in":
 		if len(s.list) != 3 || s.list[1].sym() == "" {
 			p.errf(s.span, "alloc-in must be (alloc-in region expr)")
-			return &ast.UnitLit{SpanV: s.span}
+			return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 		}
-		return &ast.AllocIn{SpanV: s.span, Region: s.list[1].sym(), Expr: p.formExpr(s.list[2])}
+		return &ast.AllocIn{ID: p.id(), SpanV: s.span, Region: s.list[1].sym(), Expr: p.formExpr(s.list[2])}
 	case "atomic":
-		return &ast.Atomic{SpanV: s.span, Body: p.formBody(s.list[1:], s.span)}
+		return &ast.Atomic{ID: p.id(), SpanV: s.span, Body: p.formBody(s.list[1:], s.span)}
 	case "spawn":
 		if len(s.list) != 2 {
 			p.errf(s.span, "spawn must be (spawn expr)")
-			return &ast.UnitLit{SpanV: s.span}
+			return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 		}
-		return &ast.Spawn{SpanV: s.span, Expr: p.formExpr(s.list[1])}
+		return &ast.Spawn{ID: p.id(), SpanV: s.span, Expr: p.formExpr(s.list[1])}
 	case "with-lock":
 		if len(s.list) < 3 || s.list[1].sym() == "" {
 			p.errf(s.span, "with-lock must be (with-lock name body...)")
-			return &ast.UnitLit{SpanV: s.span}
+			return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 		}
-		return &ast.WithLock{SpanV: s.span, Lock: s.list[1].sym(), Body: p.formBody(s.list[2:], s.span)}
+		return &ast.WithLock{ID: p.id(), SpanV: s.span, Lock: s.list[1].sym(), Body: p.formBody(s.list[2:], s.span)}
 	case "suppress":
 		// (suppress "BITC-XXXX" expr) evaluates exactly like expr; the code
 		// and form span are recorded for the static-analysis driver.
@@ -457,7 +463,7 @@ func (p *former) formExpr(s *sexp) ast.Expr {
 			if len(s.list) >= 3 {
 				return p.formExpr(s.list[2])
 			}
-			return &ast.UnitLit{SpanV: s.span}
+			return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 		}
 		p.suppressions = append(p.suppressions, ast.Suppression{
 			Code: s.list[1].tok.StrVal,
@@ -466,9 +472,9 @@ func (p *former) formExpr(s *sexp) ast.Expr {
 		return p.formExpr(s.list[2])
 	case "quote":
 		p.errf(s.span, "quote is only valid in type position")
-		return &ast.UnitLit{SpanV: s.span}
+		return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 	default:
-		call := &ast.Call{SpanV: s.span, Fn: p.formExpr(s.list[0])}
+		call := &ast.Call{ID: p.id(), SpanV: s.span, Fn: p.formExpr(s.list[0])}
 		for _, a := range s.list[1:] {
 			call.Args = append(call.Args, p.formExpr(a))
 		}
@@ -478,7 +484,7 @@ func (p *former) formExpr(s *sexp) ast.Expr {
 
 func (p *former) formBody(body []*sexp, span source.Span) []ast.Expr {
 	if len(body) == 0 {
-		return []ast.Expr{&ast.UnitLit{SpanV: span}}
+		return []ast.Expr{&ast.UnitLit{ID: p.id(), SpanV: span}}
 	}
 	out := make([]ast.Expr, 0, len(body))
 	for _, b := range body {
@@ -490,9 +496,9 @@ func (p *former) formBody(body []*sexp, span source.Span) []ast.Expr {
 func (p *former) formIf(s *sexp) ast.Expr {
 	if len(s.list) != 3 && len(s.list) != 4 {
 		p.errf(s.span, "if must be (if cond then [else])")
-		return &ast.UnitLit{SpanV: s.span}
+		return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 	}
-	e := &ast.If{SpanV: s.span, Cond: p.formExpr(s.list[1]), Then: p.formExpr(s.list[2])}
+	e := &ast.If{ID: p.id(), SpanV: s.span, Cond: p.formExpr(s.list[1]), Then: p.formExpr(s.list[2])}
 	if len(s.list) == 4 {
 		e.Else = p.formExpr(s.list[3])
 	}
@@ -509,9 +515,9 @@ func (p *former) formLet(s *sexp) ast.Expr {
 	}
 	if len(s.list) < 3 || !s.list[1].isList() {
 		p.errf(s.span, "%s must be (%s ((name init)...) body...)", s.head(), s.head())
-		return &ast.UnitLit{SpanV: s.span}
+		return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 	}
-	let := &ast.Let{SpanV: s.span, Kind: kind}
+	let := &ast.Let{ID: p.id(), SpanV: s.span, Kind: kind}
 	for _, bs := range s.list[1].list {
 		if b := p.formBinding(bs); b != nil {
 			let.Bindings = append(let.Bindings, b)
@@ -553,9 +559,9 @@ func (p *former) formBinding(s *sexp) *ast.Binding {
 func (p *former) formLambda(s *sexp) ast.Expr {
 	if len(s.list) < 3 || !s.list[1].isList() {
 		p.errf(s.span, "lambda must be (lambda (params...) body...)")
-		return &ast.UnitLit{SpanV: s.span}
+		return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 	}
-	lam := &ast.Lambda{SpanV: s.span}
+	lam := &ast.Lambda{ID: p.id(), SpanV: s.span}
 	for _, ps := range s.list[1].list {
 		lam.Params = append(lam.Params, p.formParam(ps))
 	}
@@ -571,9 +577,10 @@ func (p *former) formLambda(s *sexp) ast.Expr {
 func (p *former) formDoTimes(s *sexp) ast.Expr {
 	if len(s.list) < 3 || !s.list[1].isList() || len(s.list[1].list) != 2 || s.list[1].list[0].sym() == "" {
 		p.errf(s.span, "dotimes must be (dotimes (var count) body...)")
-		return &ast.UnitLit{SpanV: s.span}
+		return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 	}
 	return &ast.DoTimes{
+		ID:    p.id(),
 		SpanV: s.span,
 		Var:   s.list[1].list[0].sym(),
 		Count: p.formExpr(s.list[1].list[1]),
@@ -584,9 +591,9 @@ func (p *former) formDoTimes(s *sexp) ast.Expr {
 func (p *former) formMake(s *sexp) ast.Expr {
 	if len(s.list) < 2 || s.list[1].sym() == "" {
 		p.errf(s.span, "make must be (make struct-name :field value ...)")
-		return &ast.UnitLit{SpanV: s.span}
+		return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 	}
-	m := &ast.MakeStruct{SpanV: s.span, Name: s.list[1].sym()}
+	m := &ast.MakeStruct{ID: p.id(), SpanV: s.span, Name: s.list[1].sym()}
 	rest := s.list[2:]
 	for len(rest) > 0 {
 		kw := rest[0].keyword()
@@ -603,9 +610,9 @@ func (p *former) formMake(s *sexp) ast.Expr {
 func (p *former) formCase(s *sexp) ast.Expr {
 	if len(s.list) < 3 {
 		p.errf(s.span, "case must be (case scrutinee (pattern body...)...)")
-		return &ast.UnitLit{SpanV: s.span}
+		return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 	}
-	c := &ast.Case{SpanV: s.span, Scrut: p.formExpr(s.list[1])}
+	c := &ast.Case{ID: p.id(), SpanV: s.span, Scrut: p.formExpr(s.list[1])}
 	for _, cs := range s.list[2:] {
 		if !cs.isList() || len(cs.list) < 2 {
 			p.errf(cs.span, "case clause must be (pattern body...)")

@@ -78,10 +78,15 @@ func TestDefineFuncContract(t *testing.T) {
 }
 
 func TestDefineFuncInlinePure(t *testing.T) {
-	prog := parseOK(t, `(define (f (x int32)) int32 :inline :pure (* x x))`)
+	prog := parseOK(t, `(define (f (x int32)) int32 :pure (* x x))`)
 	fn := prog.Defs[0].(*ast.DefineFunc)
-	if !fn.Inline || !fn.Pure {
-		t.Errorf("inline=%v pure=%v", fn.Inline, fn.Pure)
+	if !fn.Pure {
+		t.Errorf("pure=%v", fn.Pure)
+	}
+	// :inline is not an annotation: it is a stray keyword in the body.
+	_, diags := Parse("t.bitc", `(define (f (x int32)) int32 :inline (* x x))`)
+	if !diags.HasErrors() || !strings.Contains(diags.Error(), "keyword :inline not valid as an expression") {
+		t.Errorf(":inline accepted: %v", diags)
 	}
 }
 
@@ -379,5 +384,30 @@ func TestParseAllocsPerToken(t *testing.T) {
 	})
 	if perTok := allocs / float64(len(toks)); perTok > 0.75 {
 		t.Errorf("parse makes %.0f allocations for %d tokens: %.2f per token, want at most 0.75", allocs, len(toks), perTok)
+	}
+}
+
+func TestExprIDsNumberEveryExpression(t *testing.T) {
+	prog := parseOK(t, corpus.Text(50, 5)+`
+	  (defunion u (A) (B (x int64)))
+	  (define (f (o u)) int64 :requires (> 1 0)
+	    (case o ((B 7) 1) (_ (let* ((a 1)) (begin (set! a 2) a)))))`)
+	seen := map[int32]bool{}
+	for _, d := range prog.Defs {
+		ast.WalkDef(d, func(e ast.Expr) bool {
+			id := e.ExprID()
+			if id < 1 || id > prog.ExprCount {
+				t.Errorf("%T at %v has ID %d, outside 1..%d", e, e.Span(), id, prog.ExprCount)
+			}
+			if seen[id] {
+				t.Errorf("%T at %v reuses ID %d", e, e.Span(), id)
+			}
+			seen[id] = true
+			return true
+		})
+	}
+	// Only the pattern literal 7 is an expression WalkDef does not reach.
+	if len(seen) != int(prog.ExprCount)-1 {
+		t.Errorf("walked %d distinct IDs, the parser numbered %d", len(seen), prog.ExprCount)
 	}
 }

@@ -310,7 +310,7 @@ func (w *escWalker) checkCall(e *ast.Call) {
 	v, _ := e.Fn.(*ast.VarRef)
 	var sym *types.Symbol
 	if v != nil {
-		sym = w.info.Uses[v]
+		sym = w.info.Use(v)
 	}
 	localHead := v != nil && w.g.Rename[v] != ""
 

@@ -595,7 +595,7 @@ func (b *builder) eval(c *genCtx, e ast.Expr) int {
 				return n
 			}
 		}
-		if sym := b.info.Uses[e]; sym != nil {
+		if sym := b.info.Use(e); sym != nil {
 			switch sym.Kind {
 			case types.SymGlobal:
 				b.edge(b.gvar(e.Name), n)
@@ -779,7 +779,7 @@ func (b *builder) call(c *genCtx, e *ast.Call, n int) {
 	v, _ := e.Fn.(*ast.VarRef)
 	var sym *types.Symbol
 	if v != nil {
-		sym = b.info.Uses[v]
+		sym = b.info.Use(v)
 	}
 
 	// A head the CFG resolved to a tracked local is a closure call.

@@ -13,9 +13,16 @@ type CtorUse struct {
 
 // Info is the result of type checking: every expression's type plus the
 // resolution tables later stages (compiler, verifier, region checker) need.
+//
+// Types and Uses are dense tables indexed by ast.Expr.ExprID: Types holds
+// each checked expression's type, Uses each variable reference's symbol.
+// ID 0 means "not recorded": a node the parser did not build has it, and
+// slot 0 is never read. Read the tables through TypeOf and Use. Every type
+// Info holds is its own representative once Check returns, so a Prune on
+// it walks no chain.
 type Info struct {
-	Types    map[ast.Expr]*Type
-	Uses     map[*ast.VarRef]*Symbol
+	Types    []*Type
+	Uses     []*Symbol
 	Structs  map[string]*StructInfo
 	Unions   map[string]*UnionInfo
 	CtorOf   map[string]*CtorUse
@@ -29,32 +36,42 @@ type Info struct {
 	Externals   []*ast.External
 }
 
-// TypeOf returns the (pruned, defaulted) type recorded for e, or Unit if the
-// expression was never checked (which only happens after errors).
+// TypeOf returns the (pruned, defaulted) type recorded for e, or Unit if
+// nothing was recorded: the expression was never checked (which only
+// happens after errors) or the parser did not build it.
 func (in *Info) TypeOf(e ast.Expr) *Type {
-	if t, ok := in.Types[e]; ok {
-		return Prune(t)
+	if id := int(e.ExprID()); id > 0 && id < len(in.Types) && in.Types[id] != nil {
+		return Prune(in.Types[id])
 	}
 	return Unit
+}
+
+// Use returns the symbol v resolves to, or nil if v was never resolved
+// (an unbound name, a region used as a value, or a node the parser did
+// not build).
+func (in *Info) Use(v *ast.VarRef) *Symbol {
+	if id := int(v.ID); id > 0 && id < len(in.Uses) {
+		return in.Uses[id]
+	}
+	return nil
 }
 
 // Check type-checks a parsed program. It always returns a non-nil Info;
 // consult diags for errors.
 func Check(prog *ast.Program) (*Info, *source.Diagnostics) {
-	diags := source.NewDiagnostics(prog.File)
-	// Size the two per-node maps from the text so that filling them never
-	// rehashes: source runs at under one typed expression per eight bytes
-	// and one variable reference per sixteen.
-	text := 0
-	if prog.File != nil {
-		text = len(prog.File.Text)
-	}
-	c := &checker{
+	c := newChecker(prog)
+	c.run(prog)
+	return c.info, c.diags
+}
+
+func newChecker(prog *ast.Program) *checker {
+	n := int(prog.ExprCount) + 1
+	return &checker{
 		u:     &unifier{},
-		diags: diags,
+		diags: source.NewDiagnostics(prog.File),
 		info: &Info{
-			Types:    make(map[ast.Expr]*Type, text/8),
-			Uses:     make(map[*ast.VarRef]*Symbol, text/16),
+			Types:    make([]*Type, n),
+			Uses:     make([]*Symbol, n),
 			Structs:  map[string]*StructInfo{},
 			Unions:   map[string]*UnionInfo{},
 			CtorOf:   map[string]*CtorUse{},
@@ -63,10 +80,8 @@ func Check(prog *ast.Program) (*Info, *source.Diagnostics) {
 			Globals:  map[string]*Type{},
 		},
 		builtins: builtinSchemes(),
+		scope:    scopes{names: make(map[string]*Symbol, len(prog.Defs))},
 	}
-	c.global = newEnv(nil)
-	c.run(prog)
-	return c.info, diags
 }
 
 type checker struct {
@@ -74,7 +89,7 @@ type checker struct {
 	diags    *source.Diagnostics
 	info     *Info
 	builtins map[string]*Scheme
-	global   *env
+	scope    scopes // globals at mark 0, then the locals in scope
 	level    int
 
 	curFn *funcCtx      // function being checked, for %result and returns
@@ -91,9 +106,18 @@ func (c *checker) errf(span source.Span, format string, args ...any) {
 
 func (c *checker) fresh() *Type { return c.u.fresh(c.level, CNone) }
 
+// record notes e's type. A node the parser did not build writes slot 0,
+// which no reader looks at. Every other ID was given by the parse that set
+// prog.ExprCount, so it lies inside the table; one that does not is a bug
+// and panics with an index out of range rather than being dropped.
 func (c *checker) record(e ast.Expr, t *Type) *Type {
-	c.info.Types[e] = t
+	c.info.Types[e.ExprID()] = t
 	return t
+}
+
+// use notes the symbol v resolves to, like record.
+func (c *checker) use(v *ast.VarRef, sym *Symbol) {
+	c.info.Uses[v.ID] = sym
 }
 
 // run drives the multi-pass checking: declarations, signatures, bodies,
@@ -175,17 +199,17 @@ func (c *checker) run(prog *ast.Program) {
 			c.level = 1
 			sig := c.funcSignature(d.Params, d.RetType)
 			c.level = 0
-			c.global.bind(&Symbol{Name: d.Name, Kind: SymFunc, Scheme: Mono(sig)})
+			c.scope.bind(&Symbol{Name: d.Name, Kind: SymFunc, Scheme: Mono(sig)})
 		case *ast.External:
 			if c.declared(d.Name, d.Span()) {
 				continue
 			}
 			c.info.Externals = append(c.info.Externals, d)
 			t := c.resolveType(d.Type, map[string]*Type{})
-			if Prune(t).Kind != KFn {
+			if c.u.find(t).Kind != KFn {
 				c.errf(d.Span(), "external %s must have a function type", d.Name)
 			}
-			c.global.bind(&Symbol{Name: d.Name, Kind: SymExternal, Scheme: Mono(t)})
+			c.scope.bind(&Symbol{Name: d.Name, Kind: SymExternal, Scheme: Mono(t)})
 			c.info.Funcs[d.Name] = Mono(t)
 		case *ast.DefineVar:
 			// handled below in order
@@ -197,7 +221,7 @@ func (c *checker) run(prog *ast.Program) {
 				continue
 			}
 			c.info.GlobalDecls = append(c.info.GlobalDecls, d)
-			t := c.checkExpr(d.Init, c.global)
+			t := c.checkExpr(d.Init)
 			if d.Type != nil {
 				want := c.resolveType(d.Type, map[string]*Type{})
 				if err := c.u.Unify(t, want); err != nil {
@@ -205,7 +229,7 @@ func (c *checker) run(prog *ast.Program) {
 				}
 				t = want
 			}
-			c.global.bind(&Symbol{Name: d.Name, Kind: SymGlobal, Scheme: Mono(t)})
+			c.scope.bind(&Symbol{Name: d.Name, Kind: SymGlobal, Scheme: Mono(t)})
 			c.info.Globals[d.Name] = t
 		}
 	}
@@ -216,8 +240,8 @@ func (c *checker) run(prog *ast.Program) {
 			// function polymorphically. Within its own body (and in any
 			// earlier definitions) it is monomorphic, which is the usual
 			// HM treatment of recursion.
-			if sym := c.global.lookup(d.Name); sym != nil && sym.Kind == SymFunc {
-				sym.Scheme = generalize(sym.Scheme.Type, 0)
+			if sym := c.scope.lookup(d.Name); sym != nil && sym.Kind == SymFunc {
+				sym.Scheme = c.u.generalize(sym.Scheme.Type, 0)
 				c.info.Funcs[d.Name] = sym.Scheme
 			}
 		}
@@ -243,14 +267,18 @@ func (c *checker) run(prog *ast.Program) {
 			keep[v.ID] = true
 		}
 	}
-	for e, t := range c.info.Types {
-		c.info.Types[e] = defaultTypeExcept(t, keep)
+	// Settling leaves each entry at its representative, so a Prune after
+	// Check never walks a chain.
+	for i, t := range c.info.Types {
+		if t != nil {
+			c.info.Types[i] = c.u.settle(t, keep)
+		}
 	}
 	for n, t := range c.info.Globals {
-		c.info.Globals[n] = defaultTypeExcept(t, keep)
+		c.info.Globals[n] = c.u.settle(t, keep)
 	}
 	for _, s := range c.info.Funcs {
-		defaultTypeExcept(s.Type, keep)
+		c.u.settle(s.Type, keep)
 	}
 	c.checkLiteralRanges()
 }
@@ -261,7 +289,7 @@ func (c *checker) run(prog *ast.Program) {
 // the range analyses rely on every value fitting its type.
 func (c *checker) checkLiteralRanges() {
 	for _, e := range c.lits {
-		if t := Prune(c.info.Types[e]); t.Kind == KInt && !intFits(e.Value, t) {
+		if t := c.info.TypeOf(e); t.Kind == KInt && !intFits(e.Value, t) {
 			c.errf(e.Span(), "integer literal %d does not fit %s", e.Value, t)
 		}
 	}
@@ -279,7 +307,7 @@ func intFits(v int64, t *Type) bool {
 }
 
 func (c *checker) declared(name string, span source.Span) bool {
-	if c.global.lookup(name) != nil || c.info.Structs[name] != nil || c.info.Unions[name] != nil {
+	if c.scope.lookup(name) != nil || c.info.Structs[name] != nil || c.info.Unions[name] != nil {
 		c.errf(span, "%s is already defined", name)
 		return true
 	}
@@ -309,12 +337,12 @@ func (c *checker) checkStructCycles(prog *ast.Program) {
 		state[s] = grey
 		cyclic := false
 		for _, f := range s.Fields {
-			ft := Prune(f.Type)
+			ft := c.u.find(f.Type)
 			if ft.Kind == KStruct && visit(ft.SDecl) {
 				cyclic = true
 			}
 			if ft.Kind == KArray {
-				if el := Prune(ft.Elem); el.Kind == KStruct && visit(el.SDecl) {
+				if el := c.u.find(ft.Elem); el.Kind == KStruct && visit(el.SDecl) {
 					cyclic = true
 				}
 			}
@@ -336,7 +364,7 @@ func (c *checker) checkStructCycles(prog *ast.Program) {
 func (c *checker) resolveFieldType(te ast.TypeExpr) (*Type, int) {
 	if bf, ok := te.(*ast.TypeBitfield); ok {
 		base := c.resolveType(bf.Base, map[string]*Type{})
-		pb := Prune(base)
+		pb := c.u.find(base)
 		if pb.Kind != KInt {
 			c.errf(te.Span(), "bitfield base must be an integer type, got %s", base)
 			return Uint32, 0
@@ -461,17 +489,18 @@ func (c *checker) funcSignature(params []*ast.Param, ret ast.TypeExpr) *Type {
 }
 
 func (c *checker) checkFuncBody(d *ast.DefineFunc) {
-	sym := c.global.lookup(d.Name)
+	sym := c.scope.lookup(d.Name)
 	if sym == nil {
 		return
 	}
-	sig := Prune(sym.Scheme.Type)
+	sig := c.u.find(sym.Scheme.Type)
 	if sig.Kind != KFn || len(sig.Params) != len(d.Params) {
 		return // a signature error was already reported
 	}
-	scope := newEnv(c.global)
+	m := c.scope.mark()
+	defer c.scope.release(m)
 	for i, p := range d.Params {
-		scope.bind(&Symbol{Name: p.Name, Kind: SymParam, Scheme: Mono(sig.Params[i])})
+		c.scope.bind(&Symbol{Name: p.Name, Kind: SymParam, Scheme: Mono(sig.Params[i])})
 	}
 	prevFn := c.curFn
 	c.curFn = &funcCtx{ret: sig.Result}
@@ -483,23 +512,22 @@ func (c *checker) checkFuncBody(d *ast.DefineFunc) {
 	defer func() { c.curFn = prevFn; c.level = prevLevel }()
 
 	for _, r := range d.Contract.Requires {
-		t := c.checkExpr(r, scope)
+		t := c.checkExpr(r)
 		if err := c.u.Unify(t, Bool); err != nil {
 			c.errf(r.Span(), ":requires must be boolean: %v", err)
 		}
 	}
 
-	bodyT := c.checkBody(d.Body, scope)
+	bodyT := c.checkBody(d.Body)
 	if err := c.u.Unify(bodyT, sig.Result); err != nil {
 		c.errf(d.Span(), "function %s: body has type %s but is declared %s",
-			d.Name, Prune(bodyT), Prune(sig.Result))
+			d.Name, c.u.find(bodyT), c.u.find(sig.Result))
 	}
 
 	if len(d.Contract.Ensures) > 0 {
-		post := newEnv(scope)
-		post.bind(&Symbol{Name: "%result", Kind: SymParam, Scheme: Mono(sig.Result)})
+		c.scope.bind(&Symbol{Name: "%result", Kind: SymParam, Scheme: Mono(sig.Result)})
 		for _, e := range d.Contract.Ensures {
-			t := c.checkExpr(e, post)
+			t := c.checkExpr(e)
 			if err := c.u.Unify(t, Bool); err != nil {
 				c.errf(e.Span(), ":ensures must be boolean: %v", err)
 			}
@@ -507,16 +535,16 @@ func (c *checker) checkFuncBody(d *ast.DefineFunc) {
 	}
 }
 
-func (c *checker) checkBody(body []ast.Expr, scope *env) *Type {
+func (c *checker) checkBody(body []ast.Expr) *Type {
 	t := Unit
 	for _, e := range body {
-		t = c.checkExpr(e, scope)
+		t = c.checkExpr(e)
 	}
 	return t
 }
 
 // checkExpr infers the type of e, recording it in Info.
-func (c *checker) checkExpr(e ast.Expr, scope *env) *Type {
+func (c *checker) checkExpr(e ast.Expr) *Type {
 	switch e := e.(type) {
 	case *ast.IntLit:
 		c.lits = append(c.lits, e)
@@ -532,109 +560,112 @@ func (c *checker) checkExpr(e ast.Expr, scope *env) *Type {
 	case *ast.UnitLit:
 		return c.record(e, Unit)
 	case *ast.VarRef:
-		return c.record(e, c.checkVarRef(e, scope))
+		return c.record(e, c.checkVarRef(e))
 	case *ast.Call:
-		return c.record(e, c.checkCall(e, scope))
+		return c.record(e, c.checkCall(e))
 	case *ast.If:
-		condT := c.checkExpr(e.Cond, scope)
+		condT := c.checkExpr(e.Cond)
 		if err := c.u.Unify(condT, Bool); err != nil {
-			c.errf(e.Cond.Span(), "if condition must be bool, got %s", Prune(condT))
+			c.errf(e.Cond.Span(), "if condition must be bool, got %s", c.u.find(condT))
 		}
-		thenT := c.checkExpr(e.Then, scope)
+		thenT := c.checkExpr(e.Then)
 		if e.Else == nil {
 			if err := c.u.Unify(thenT, Unit); err != nil {
-				c.errf(e.Then.Span(), "one-armed if must have unit type, got %s", Prune(thenT))
+				c.errf(e.Then.Span(), "one-armed if must have unit type, got %s", c.u.find(thenT))
 			}
 			return c.record(e, Unit)
 		}
-		elseT := c.checkExpr(e.Else, scope)
+		elseT := c.checkExpr(e.Else)
 		if err := c.u.Unify(thenT, elseT); err != nil {
-			c.errf(e.Span(), "if branches disagree: %s vs %s", Prune(thenT), Prune(elseT))
+			c.errf(e.Span(), "if branches disagree: %s vs %s", c.u.find(thenT), c.u.find(elseT))
 		}
 		return c.record(e, thenT)
 	case *ast.Let:
-		return c.record(e, c.checkLet(e, scope))
+		return c.record(e, c.checkLet(e))
 	case *ast.Lambda:
-		return c.record(e, c.checkLambda(e, scope))
+		return c.record(e, c.checkLambda(e))
 	case *ast.Begin:
-		return c.record(e, c.checkBody(e.Body, newEnv(scope)))
+		return c.record(e, c.checkBody(e.Body))
 	case *ast.Set:
-		sym := scope.lookup(e.Name)
+		sym := c.scope.lookup(e.Name)
 		switch {
 		case sym == nil:
 			c.errf(e.Span(), "set!: %s is not defined", e.Name)
 		case sym.Kind != SymLocal || !sym.Mutable:
 			c.errf(e.Span(), "set!: %s is not a mutable binding (declare it with (mutable %s ...))", e.Name, e.Name)
 		default:
-			vt := c.checkExpr(e.Value, scope)
+			vt := c.checkExpr(e.Value)
 			if err := c.u.Unify(vt, sym.Scheme.Type); err != nil {
 				c.errf(e.Span(), "set! %s: %v", e.Name, err)
 			}
 			return c.record(e, Unit)
 		}
-		c.checkExpr(e.Value, scope)
+		c.checkExpr(e.Value)
 		return c.record(e, Unit)
 	case *ast.While:
-		condT := c.checkExpr(e.Cond, scope)
+		condT := c.checkExpr(e.Cond)
 		if err := c.u.Unify(condT, Bool); err != nil {
-			c.errf(e.Cond.Span(), "while condition must be bool, got %s", Prune(condT))
+			c.errf(e.Cond.Span(), "while condition must be bool, got %s", c.u.find(condT))
 		}
 		for _, inv := range e.Invariants {
-			invT := c.checkExpr(inv, scope)
+			invT := c.checkExpr(inv)
 			if err := c.u.Unify(invT, Bool); err != nil {
-				c.errf(inv.Span(), ":invariant must be boolean, got %s", Prune(invT))
+				c.errf(inv.Span(), ":invariant must be boolean, got %s", c.u.find(invT))
 			}
 		}
-		c.checkBody(e.Body, newEnv(scope))
+		c.checkBody(e.Body)
 		return c.record(e, Unit)
 	case *ast.DoTimes:
-		countT := c.checkExpr(e.Count, scope)
+		countT := c.checkExpr(e.Count)
 		iv := c.u.fresh(c.level, CIntegral)
 		if err := c.u.Unify(countT, iv); err != nil {
-			c.errf(e.Count.Span(), "dotimes count must be an integer, got %s", Prune(countT))
+			c.errf(e.Count.Span(), "dotimes count must be an integer, got %s", c.u.find(countT))
 		}
-		inner := newEnv(scope)
-		inner.bind(&Symbol{Name: e.Var, Kind: SymLocal, Scheme: Mono(iv)})
-		c.checkBody(e.Body, inner)
+		m := c.scope.mark()
+		c.scope.bind(&Symbol{Name: e.Var, Kind: SymLocal, Scheme: Mono(iv)})
+		c.checkBody(e.Body)
+		c.scope.release(m)
 		return c.record(e, Unit)
 	case *ast.MakeStruct:
-		return c.record(e, c.checkMakeStruct(e, scope))
+		return c.record(e, c.checkMakeStruct(e))
 	case *ast.FieldRef:
-		return c.record(e, c.checkFieldRef(e, scope))
+		return c.record(e, c.checkFieldRef(e))
 	case *ast.FieldSet:
-		return c.record(e, c.checkFieldSet(e, scope))
+		return c.record(e, c.checkFieldSet(e))
 	case *ast.MakeUnion:
-		return c.record(e, c.checkMakeUnion(e, scope))
+		return c.record(e, c.checkMakeUnion(e))
 	case *ast.Case:
-		return c.record(e, c.checkCase(e, scope))
+		return c.record(e, c.checkCase(e))
 	case *ast.Assert:
-		condT := c.checkExpr(e.Cond, scope)
+		condT := c.checkExpr(e.Cond)
 		if err := c.u.Unify(condT, Bool); err != nil {
-			c.errf(e.Cond.Span(), "assert condition must be bool, got %s", Prune(condT))
+			c.errf(e.Cond.Span(), "assert condition must be bool, got %s", c.u.find(condT))
 		}
 		return c.record(e, Unit)
 	case *ast.Cast:
-		return c.record(e, c.checkCast(e, scope))
+		return c.record(e, c.checkCast(e))
 	case *ast.WithRegion:
-		inner := newEnv(scope)
-		inner.bind(&Symbol{Name: e.Name, Kind: SymRegion, Scheme: Mono(Unit)})
-		return c.record(e, c.checkBody(e.Body, inner))
+		m := c.scope.mark()
+		c.scope.bind(&Symbol{Name: e.Name, Kind: SymRegion, Scheme: Mono(Unit)})
+		t := c.checkBody(e.Body)
+		c.scope.release(m)
+		return c.record(e, t)
 	case *ast.AllocIn:
-		sym := scope.lookup(e.Region)
+		sym := c.scope.lookup(e.Region)
 		if sym == nil || sym.Kind != SymRegion {
 			c.errf(e.Span(), "alloc-in: %s is not a region in scope", e.Region)
 		}
 		if !isAllocExpr(e.Expr) {
 			c.errf(e.Expr.Span(), "alloc-in requires an allocating expression (make, constructor, make-vector, vector)")
 		}
-		return c.record(e, c.checkExpr(e.Expr, scope))
+		return c.record(e, c.checkExpr(e.Expr))
 	case *ast.Atomic:
-		return c.record(e, c.checkBody(e.Body, newEnv(scope)))
+		return c.record(e, c.checkBody(e.Body))
 	case *ast.Spawn:
-		c.checkExpr(e.Expr, scope)
+		c.checkExpr(e.Expr)
 		return c.record(e, Int64)
 	case *ast.WithLock:
-		return c.record(e, c.checkBody(e.Body, newEnv(scope)))
+		return c.record(e, c.checkBody(e.Body))
 	default:
 		c.errf(e.Span(), "internal: unhandled expression %T", e)
 		return c.record(e, c.fresh())
@@ -660,49 +691,49 @@ func isAllocExpr(e ast.Expr) bool {
 	return false
 }
 
-func (c *checker) checkVarRef(e *ast.VarRef, scope *env) *Type {
-	if sym := scope.lookup(e.Name); sym != nil {
+func (c *checker) checkVarRef(e *ast.VarRef) *Type {
+	if sym := c.scope.lookup(e.Name); sym != nil {
 		if sym.Kind == SymRegion {
 			c.errf(e.Span(), "region %s cannot be used as a value", e.Name)
 			return c.fresh()
 		}
-		c.info.Uses[e] = sym
+		c.use(e, sym)
 		return c.u.Instantiate(sym.Scheme, c.level)
 	}
 	if cu, ok := c.info.CtorOf[e.Name]; ok {
-		c.info.Uses[e] = &Symbol{Name: e.Name, Kind: SymCtor, Scheme: Mono(Union(cu.Union))}
+		c.use(e, &Symbol{Name: e.Name, Kind: SymCtor, Scheme: Mono(Union(cu.Union))})
 		if len(cu.Arm.Fields) != 0 {
 			c.errf(e.Span(), "constructor %s takes %d arguments; apply it", e.Name, len(cu.Arm.Fields))
 		}
 		return Union(cu.Union)
 	}
 	if s, ok := c.builtins[e.Name]; ok {
-		c.info.Uses[e] = &Symbol{Name: e.Name, Kind: SymBuiltin, Scheme: s}
+		c.use(e, &Symbol{Name: e.Name, Kind: SymBuiltin, Scheme: s})
 		return c.u.Instantiate(s, c.level)
 	}
 	c.errf(e.Span(), "%s is not defined", e.Name)
 	return c.fresh()
 }
 
-func (c *checker) checkCall(e *ast.Call, scope *env) *Type {
+func (c *checker) checkCall(e *ast.Call) *Type {
 	// Special variadic forms, unless locally shadowed.
-	if v, ok := e.Fn.(*ast.VarRef); ok && scope.lookup(v.Name) == nil {
+	if v, ok := e.Fn.(*ast.VarRef); ok && c.scope.lookup(v.Name) == nil {
 		switch v.Name {
 		case "and", "or":
 			if len(e.Args) < 2 {
 				c.errf(e.Span(), "%s needs at least two arguments", v.Name)
 			}
 			for _, a := range e.Args {
-				at := c.checkExpr(a, scope)
+				at := c.checkExpr(a)
 				if err := c.u.Unify(at, Bool); err != nil {
-					c.errf(a.Span(), "%s operand must be bool, got %s", v.Name, Prune(at))
+					c.errf(a.Span(), "%s operand must be bool, got %s", v.Name, c.u.find(at))
 				}
 			}
 			return Bool
 		case "vector":
 			elem := c.fresh()
 			for _, a := range e.Args {
-				at := c.checkExpr(a, scope)
+				at := c.checkExpr(a)
 				if err := c.u.Unify(at, elem); err != nil {
 					c.errf(a.Span(), "vector elements must share a type: %v", err)
 				}
@@ -711,13 +742,13 @@ func (c *checker) checkCall(e *ast.Call, scope *env) *Type {
 		}
 		// Constructor application.
 		if cu, ok := c.info.CtorOf[v.Name]; ok {
-			c.info.Uses[v] = &Symbol{Name: v.Name, Kind: SymCtor, Scheme: Mono(Union(cu.Union))}
+			c.use(v, &Symbol{Name: v.Name, Kind: SymCtor, Scheme: Mono(Union(cu.Union))})
 			if len(e.Args) != len(cu.Arm.Fields) {
 				c.errf(e.Span(), "constructor %s takes %d arguments, got %d",
 					v.Name, len(cu.Arm.Fields), len(e.Args))
 			}
 			for i, a := range e.Args {
-				at := c.checkExpr(a, scope)
+				at := c.checkExpr(a)
 				if i < len(cu.Arm.Fields) {
 					if err := c.u.Unify(at, cu.Arm.Fields[i].Type); err != nil {
 						c.errf(a.Span(), "constructor %s field %s: %v", v.Name, cu.Arm.Fields[i].Name, err)
@@ -727,10 +758,10 @@ func (c *checker) checkCall(e *ast.Call, scope *env) *Type {
 			return Union(cu.Union)
 		}
 	}
-	fnT := c.checkExpr(e.Fn, scope)
+	fnT := c.checkExpr(e.Fn)
 	args := make([]*Type, len(e.Args))
 	for i, a := range e.Args {
-		args[i] = c.checkExpr(a, scope)
+		args[i] = c.checkExpr(a)
 	}
 	result := c.fresh()
 	if err := c.u.Unify(fnT, Fn(args, result)); err != nil {
@@ -739,8 +770,8 @@ func (c *checker) checkCall(e *ast.Call, scope *env) *Type {
 	return result
 }
 
-func (c *checker) checkLet(e *ast.Let, scope *env) *Type {
-	inner := newEnv(scope)
+func (c *checker) checkLet(e *ast.Let) *Type {
+	m := c.scope.mark()
 	switch e.Kind {
 	case ast.LetRec:
 		// Bind all names first with fresh types, then check initialisers.
@@ -748,27 +779,30 @@ func (c *checker) checkLet(e *ast.Let, scope *env) *Type {
 		for i, b := range e.Bindings {
 			t := c.bindingDeclaredType(b)
 			syms[i] = &Symbol{Name: b.Name, Kind: SymLocal, Scheme: Mono(t), Mutable: b.Mutable}
-			inner.bind(syms[i])
+			c.scope.bind(syms[i])
 		}
 		for i, b := range e.Bindings {
-			it := c.checkExpr(b.Init, inner)
+			it := c.checkExpr(b.Init)
 			if err := c.u.Unify(it, syms[i].Scheme.Type); err != nil {
 				c.errf(b.Span(), "letrec %s: %v", b.Name, err)
 			}
 		}
 	case ast.LetSeq:
-		cur := inner
 		for _, b := range e.Bindings {
-			cur = newEnv(cur)
-			c.checkBinding(b, cur, cur)
-			inner = cur
+			c.scope.bind(c.checkBinding(b))
 		}
 	default: // LetPlain: initialisers see only the outer scope
-		for _, b := range e.Bindings {
-			c.checkBinding(b, scope, inner)
+		syms := make([]*Symbol, len(e.Bindings))
+		for i, b := range e.Bindings {
+			syms[i] = c.checkBinding(b)
+		}
+		for _, sym := range syms {
+			c.scope.bind(sym)
 		}
 	}
-	return c.checkBody(e.Body, inner)
+	t := c.checkBody(e.Body)
+	c.scope.release(m)
+	return t
 }
 
 func (c *checker) bindingDeclaredType(b *ast.Binding) *Type {
@@ -778,10 +812,11 @@ func (c *checker) bindingDeclaredType(b *ast.Binding) *Type {
 	return c.fresh()
 }
 
-// checkBinding checks one binding: init in initScope, name bound in bindScope.
-func (c *checker) checkBinding(b *ast.Binding, initScope, bindScope *env) {
+// checkBinding checks one binding's initialiser in the current scope and
+// returns the symbol the caller binds.
+func (c *checker) checkBinding(b *ast.Binding) *Symbol {
 	c.level++
-	it := c.checkExpr(b.Init, initScope)
+	it := c.checkExpr(b.Init)
 	c.level--
 	if b.Type != nil {
 		want := c.resolveType(b.Type, map[string]*Type{})
@@ -793,14 +828,14 @@ func (c *checker) checkBinding(b *ast.Binding, initScope, bindScope *env) {
 	sch := Mono(it)
 	// Value restriction: only generalise immutable lambda bindings.
 	if _, isLam := b.Init.(*ast.Lambda); isLam && !b.Mutable {
-		sch = generalize(it, c.level)
+		sch = c.u.generalize(it, c.level)
 	}
-	bindScope.bind(&Symbol{Name: b.Name, Kind: SymLocal, Scheme: sch, Mutable: b.Mutable})
+	return &Symbol{Name: b.Name, Kind: SymLocal, Scheme: sch, Mutable: b.Mutable}
 }
 
-func (c *checker) checkLambda(e *ast.Lambda, scope *env) *Type {
+func (c *checker) checkLambda(e *ast.Lambda) *Type {
 	vars := map[string]*Type{}
-	inner := newEnv(scope)
+	m := c.scope.mark()
 	pts := make([]*Type, len(e.Params))
 	for i, p := range e.Params {
 		if p.Type != nil {
@@ -808,9 +843,10 @@ func (c *checker) checkLambda(e *ast.Lambda, scope *env) *Type {
 		} else {
 			pts[i] = c.fresh()
 		}
-		inner.bind(&Symbol{Name: p.Name, Kind: SymParam, Scheme: Mono(pts[i])})
+		c.scope.bind(&Symbol{Name: p.Name, Kind: SymParam, Scheme: Mono(pts[i])})
 	}
-	bodyT := c.checkBody(e.Body, inner)
+	bodyT := c.checkBody(e.Body)
+	c.scope.release(m)
 	if e.RetType != nil {
 		want := c.resolveType(e.RetType, vars)
 		if err := c.u.Unify(bodyT, want); err != nil {
@@ -821,19 +857,19 @@ func (c *checker) checkLambda(e *ast.Lambda, scope *env) *Type {
 	return Fn(pts, bodyT)
 }
 
-func (c *checker) checkMakeStruct(e *ast.MakeStruct, scope *env) *Type {
+func (c *checker) checkMakeStruct(e *ast.MakeStruct) *Type {
 	si, ok := c.info.Structs[e.Name]
 	if !ok {
 		c.errf(e.Span(), "unknown struct %s", e.Name)
 		for _, f := range e.Fields {
-			c.checkExpr(f.Value, scope)
+			c.checkExpr(f.Value)
 		}
 		return c.fresh()
 	}
 	seen := map[string]bool{}
 	for _, f := range e.Fields {
 		idx := si.FieldIndex(f.Name)
-		vt := c.checkExpr(f.Value, scope)
+		vt := c.checkExpr(f.Value)
 		if idx < 0 {
 			c.errf(f.Value.Span(), "struct %s has no field %s", e.Name, f.Name)
 			continue
@@ -855,8 +891,8 @@ func (c *checker) checkMakeStruct(e *ast.MakeStruct, scope *env) *Type {
 	return Struct(si)
 }
 
-func (c *checker) structOf(e ast.Expr, scope *env, what string) *StructInfo {
-	t := Prune(c.checkExpr(e, scope))
+func (c *checker) structOf(e ast.Expr, what string) *StructInfo {
+	t := c.u.find(c.checkExpr(e))
 	if t.Kind != KStruct {
 		if t.Kind == KVar {
 			c.errf(e.Span(), "%s: cannot infer the struct type here; add an annotation", what)
@@ -868,8 +904,8 @@ func (c *checker) structOf(e ast.Expr, scope *env, what string) *StructInfo {
 	return t.SDecl
 }
 
-func (c *checker) checkFieldRef(e *ast.FieldRef, scope *env) *Type {
-	si := c.structOf(e.Expr, scope, "field")
+func (c *checker) checkFieldRef(e *ast.FieldRef) *Type {
+	si := c.structOf(e.Expr, "field")
 	if si == nil {
 		return c.fresh()
 	}
@@ -881,9 +917,9 @@ func (c *checker) checkFieldRef(e *ast.FieldRef, scope *env) *Type {
 	return si.Fields[idx].Type
 }
 
-func (c *checker) checkFieldSet(e *ast.FieldSet, scope *env) *Type {
-	si := c.structOf(e.Expr, scope, "set-field!")
-	vt := c.checkExpr(e.Value, scope)
+func (c *checker) checkFieldSet(e *ast.FieldSet) *Type {
+	si := c.structOf(e.Expr, "set-field!")
+	vt := c.checkExpr(e.Value)
 	if si == nil {
 		return Unit
 	}
@@ -898,12 +934,12 @@ func (c *checker) checkFieldSet(e *ast.FieldSet, scope *env) *Type {
 	return Unit
 }
 
-func (c *checker) checkMakeUnion(e *ast.MakeUnion, scope *env) *Type {
+func (c *checker) checkMakeUnion(e *ast.MakeUnion) *Type {
 	cu, ok := c.info.CtorOf[e.Ctor]
 	if !ok {
 		c.errf(e.Span(), "unknown constructor %s", e.Ctor)
 		for _, a := range e.Args {
-			c.checkExpr(a, scope)
+			c.checkExpr(a)
 		}
 		return c.fresh()
 	}
@@ -911,7 +947,7 @@ func (c *checker) checkMakeUnion(e *ast.MakeUnion, scope *env) *Type {
 		c.errf(e.Span(), "constructor %s takes %d arguments, got %d", e.Ctor, len(cu.Arm.Fields), len(e.Args))
 	}
 	for i, a := range e.Args {
-		at := c.checkExpr(a, scope)
+		at := c.checkExpr(a)
 		if i < len(cu.Arm.Fields) {
 			if err := c.u.Unify(at, cu.Arm.Fields[i].Type); err != nil {
 				c.errf(a.Span(), "constructor %s field %s: %v", e.Ctor, cu.Arm.Fields[i].Name, err)
@@ -921,21 +957,22 @@ func (c *checker) checkMakeUnion(e *ast.MakeUnion, scope *env) *Type {
 	return Union(cu.Union)
 }
 
-func (c *checker) checkCase(e *ast.Case, scope *env) *Type {
-	scrutT := c.checkExpr(e.Scrut, scope)
+func (c *checker) checkCase(e *ast.Case) *Type {
+	scrutT := c.checkExpr(e.Scrut)
 	resultT := c.fresh()
 	covered := map[string]bool{}
 	hasDefault := false
 	for _, cl := range e.Clauses {
-		inner := newEnv(scope)
-		c.checkPattern(cl.Pattern, scrutT, inner, covered, &hasDefault)
-		bt := c.checkBody(cl.Body, inner)
+		m := c.scope.mark()
+		c.checkPattern(cl.Pattern, scrutT, covered, &hasDefault)
+		bt := c.checkBody(cl.Body)
+		c.scope.release(m)
 		if err := c.u.Unify(bt, resultT); err != nil {
 			c.errf(cl.Span(), "case arms disagree: %v", err)
 		}
 	}
 	// Exhaustiveness.
-	st := Prune(scrutT)
+	st := c.u.find(scrutT)
 	if st.Kind == KUnion && !hasDefault {
 		var missing []string
 		for _, a := range st.UDecl.Arms {
@@ -952,15 +989,15 @@ func (c *checker) checkCase(e *ast.Case, scope *env) *Type {
 	return resultT
 }
 
-func (c *checker) checkPattern(p ast.Pattern, scrutT *Type, scope *env, covered map[string]bool, hasDefault *bool) {
+func (c *checker) checkPattern(p ast.Pattern, scrutT *Type, covered map[string]bool, hasDefault *bool) {
 	switch p := p.(type) {
 	case *ast.PatWildcard:
 		*hasDefault = true
 	case *ast.PatVar:
 		*hasDefault = true
-		scope.bind(&Symbol{Name: p.Name, Kind: SymLocal, Scheme: Mono(scrutT)})
+		c.scope.bind(&Symbol{Name: p.Name, Kind: SymLocal, Scheme: Mono(scrutT)})
 	case *ast.PatLit:
-		lt := c.checkExpr(p.Lit, scope)
+		lt := c.checkExpr(p.Lit)
 		if err := c.u.Unify(lt, scrutT); err != nil {
 			c.errf(p.Span(), "pattern literal: %v", err)
 		}
@@ -986,20 +1023,20 @@ func (c *checker) checkPattern(p ast.Pattern, scrutT *Type, scope *env, covered 
 		for i, sub := range p.Args {
 			// Nested defaults don't make the whole case exhaustive.
 			nestedDefault := false
-			c.checkPattern(sub, cu.Arm.Fields[i].Type, scope, map[string]bool{}, &nestedDefault)
+			c.checkPattern(sub, cu.Arm.Fields[i].Type, map[string]bool{}, &nestedDefault)
 		}
 	}
 }
 
-func (c *checker) checkCast(e *ast.Cast, scope *env) *Type {
+func (c *checker) checkCast(e *ast.Cast) *Type {
 	target := c.resolveType(e.Type, map[string]*Type{})
-	src := c.checkExpr(e.Expr, scope)
+	src := c.checkExpr(e.Expr)
 	if _, ok := e.Expr.(*ast.IntLit); ok {
 		// The cast wraps its operand at run time (`(cast uint8 300)` is
 		// 44): drop the literal checkExpr just queued for the range check.
 		c.lits = c.lits[:len(c.lits)-1]
 	}
-	ts, tt := Prune(src), Prune(target)
+	ts, tt := c.u.find(src), c.u.find(target)
 	if ts.Kind == KVar {
 		// Let the cast pin down an unconstrained source (e.g. a literal).
 		if err := c.u.Unify(ts, tt); err == nil {

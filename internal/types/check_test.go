@@ -457,7 +457,7 @@ func TestUsesRecorded(t *testing.T) {
 	for _, fn := range info.FuncDecls {
 		ast.WalkDef(fn, func(e ast.Expr) bool {
 			if v, ok := e.(*ast.VarRef); ok {
-				if info.Uses[v] == nil {
+				if info.Use(v) == nil {
 					t.Errorf("no use recorded for %s", v.Name)
 				}
 				found++
@@ -475,11 +475,13 @@ func TestTypesAllConcreteAfterCheck(t *testing.T) {
 	  (defstruct p (x int32))
 	  (define (f (v (vector int64)) (b bool)) int64
 	    (if b (vector-ref v 0) (+ 1 2)))`)
-	for e, ty := range info.Types {
-		pt := types.Prune(ty)
-		if pt.Kind == types.KVar {
-			t.Errorf("expression %T still has variable type %s", e, pt)
-		}
+	for _, fn := range info.FuncDecls {
+		ast.WalkDef(fn, func(e ast.Expr) bool {
+			if pt := info.TypeOf(e); pt.Kind == types.KVar {
+				t.Errorf("expression %T still has variable type %s", e, pt)
+			}
+			return true
+		})
 	}
 }
 

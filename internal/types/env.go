@@ -46,25 +46,48 @@ type Symbol struct {
 	Mutable bool
 }
 
-// env is a lexical scope chain.
-type env struct {
-	parent *env
+// scopes is the checker's one name table. names maps each name to its
+// innermost binding; undo logs, for every bind, the entry it shadowed.
+// Entering a scope takes a mark (the log's length) and leaving it unwinds
+// the log back to the mark, so a lookup is one probe at any nesting depth
+// and entering a scope allocates nothing. Globals are bound at mark 0 and
+// never unwound.
+type scopes struct {
 	names  map[string]*Symbol
+	undo   []shadowed
+	probes int // lookups made; the linear-cost test reads it
 }
 
-func newEnv(parent *env) *env {
-	return &env{parent: parent, names: map[string]*Symbol{}}
+// shadowed is one undo-log entry: the binding name had before a bind.
+type shadowed struct {
+	name string
+	prev *Symbol // nil when the name was unbound
 }
 
-func (e *env) bind(s *Symbol) { e.names[s.Name] = s }
+// mark opens a scope; pass the result to release to close it.
+func (s *scopes) mark() int { return len(s.undo) }
 
-func (e *env) lookup(name string) *Symbol {
-	for sc := e; sc != nil; sc = sc.parent {
-		if s, ok := sc.names[name]; ok {
-			return s
+func (s *scopes) bind(sym *Symbol) {
+	s.undo = append(s.undo, shadowed{sym.Name, s.names[sym.Name]})
+	s.names[sym.Name] = sym
+}
+
+// release closes every scope opened since mark m, restoring what their
+// bindings shadowed.
+func (s *scopes) release(m int) {
+	for i := len(s.undo) - 1; i >= m; i-- {
+		if u := s.undo[i]; u.prev != nil {
+			s.names[u.name] = u.prev
+		} else {
+			delete(s.names, u.name)
 		}
 	}
-	return nil
+	s.undo = s.undo[:m]
+}
+
+func (s *scopes) lookup(name string) *Symbol {
+	s.probes++
+	return s.names[name]
 }
 
 // builtinSchemes describes the polymorphic builtin operations. Quantified
@@ -177,37 +200,4 @@ func builtinSchemes() map[string]*Scheme {
 	m["thread-id"] = scheme(Fn(nil, Int64))
 
 	return m
-}
-
-// BuiltinNames returns the sorted list of builtin operation names, which the
-// compiler and VM use to agree on the builtin table.
-func BuiltinNames() []string {
-	m := builtinSchemes()
-	names := make([]string, 0, len(m)+3)
-	for n := range m {
-		names = append(names, n)
-	}
-	// Variadic special forms typed directly by the checker.
-	names = append(names, "and", "or", "vector")
-	sortStrings(names)
-	return names
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// IsBuiltin reports whether name is a builtin operation (including the
-// variadic special forms and/or/vector).
-func IsBuiltin(name string) bool {
-	switch name {
-	case "and", "or", "vector":
-		return true
-	}
-	_, ok := builtinSchemes()[name]
-	return ok
 }

@@ -52,7 +52,7 @@ func (c *checker) checkPurity(d *ast.DefineFunc) {
 				// Calls to user functions must target :pure functions;
 				// calls through values (params, locals) and externals
 				// cannot be proven pure.
-				switch sym := c.info.Uses[v]; {
+				switch sym := c.info.Use(v); {
 				case sym == nil:
 					// Builtin or unresolved (already reported elsewhere).
 				case sym.Kind == SymFunc:

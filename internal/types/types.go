@@ -193,7 +193,10 @@ func Struct(s *StructInfo) *Type { return &Type{Kind: KStruct, SDecl: s} }
 // Union wraps a UnionInfo as a type.
 func Union(u *UnionInfo) *Type { return &Type{Kind: KUnion, UDecl: u} }
 
-// Prune follows variable links to the representative type.
+// Prune follows variable links to the representative type. It never
+// writes, so analyses may call it concurrently on types they share; the
+// checker itself uses unifier.find, which also shortens the chains. After
+// Check every type Info records is already its own representative.
 func Prune(t *Type) *Type {
 	for t.Kind == KVar && t.Link != nil {
 		t = t.Link
@@ -279,9 +282,28 @@ func writeType(b *strings.Builder, t *Type, names map[int]string) {
 	}
 }
 
-// unifier carries fresh-variable state; one per checking session.
+// unifier carries fresh-variable state; one per checking session. It is
+// the only writer of Link, and only the single-threaded checker owns one.
 type unifier struct {
 	nextID int
+	hops   int // Link hops find has walked; the linear-cost test reads it
+}
+
+// find is Prune for the checker: it returns t's representative and points
+// every variable on the way straight at it, so no chain is walked twice and
+// inference stays linear however long a variable's chain of unifications.
+func (u *unifier) find(t *Type) *Type {
+	root := t
+	for root.Kind == KVar && root.Link != nil {
+		root = root.Link
+		u.hops++
+	}
+	for t != root {
+		next := t.Link
+		t.Link = root
+		t = next
+	}
+	return root
 }
 
 func (u *unifier) fresh(level int, c Constraint) *Type {
@@ -289,9 +311,9 @@ func (u *unifier) fresh(level int, c Constraint) *Type {
 	return &Type{Kind: KVar, ID: u.nextID, Level: level, Constraint: c}
 }
 
-// satisfies reports whether concrete type t satisfies constraint c.
+// satisfies reports whether concrete type t, a representative, satisfies
+// constraint c.
 func satisfies(t *Type, c Constraint) bool {
-	t = Prune(t)
 	switch c {
 	case CNone:
 		return true
@@ -318,8 +340,8 @@ func maxConstraint(a, b Constraint) Constraint {
 
 // occurs reports whether variable v occurs in t (after pruning), adjusting
 // levels so generalisation stays sound.
-func occurs(v, t *Type) bool {
-	t = Prune(t)
+func (u *unifier) occurs(v, t *Type) bool {
+	t = u.find(t)
 	if t == v {
 		return true
 	}
@@ -330,14 +352,14 @@ func occurs(v, t *Type) bool {
 		return false
 	}
 	for _, p := range t.Params {
-		if occurs(v, p) {
+		if u.occurs(v, p) {
 			return true
 		}
 	}
-	if t.Result != nil && occurs(v, t.Result) {
+	if t.Result != nil && u.occurs(v, t.Result) {
 		return true
 	}
-	if t.Elem != nil && occurs(v, t.Elem) {
+	if t.Elem != nil && u.occurs(v, t.Elem) {
 		return true
 	}
 	return false
@@ -346,7 +368,7 @@ func occurs(v, t *Type) bool {
 // Unify makes a and b equal, binding variables as needed. It returns an error
 // describing the mismatch, phrased in surface syntax.
 func (u *unifier) Unify(a, b *Type) error {
-	a, b = Prune(a), Prune(b)
+	a, b = u.find(a), u.find(b)
 	if a == b {
 		return nil
 	}
@@ -409,7 +431,7 @@ func (u *unifier) bindVar(v, t *Type) error {
 		v.Link = t
 		return nil
 	}
-	if occurs(v, t) {
+	if u.occurs(v, t) {
 		return fmt.Errorf("infinite type: variable occurs in %s", t)
 	}
 	if !satisfies(t, v.Constraint) {
@@ -449,11 +471,11 @@ func (u *unifier) Instantiate(s *Scheme, level int) *Type {
 	for _, v := range s.Vars {
 		subst[v.ID] = u.fresh(level, v.Constraint)
 	}
-	return applySubst(s.Type, subst)
+	return u.applySubst(s.Type, subst)
 }
 
-func applySubst(t *Type, subst map[int]*Type) *Type {
-	t = Prune(t)
+func (u *unifier) applySubst(t *Type, subst map[int]*Type) *Type {
+	t = u.find(t)
 	switch t.Kind {
 	case KVar:
 		if r, ok := subst[t.ID]; ok {
@@ -464,28 +486,28 @@ func applySubst(t *Type, subst map[int]*Type) *Type {
 		params := make([]*Type, len(t.Params))
 		changed := false
 		for i, p := range t.Params {
-			params[i] = applySubst(p, subst)
+			params[i] = u.applySubst(p, subst)
 			changed = changed || params[i] != p
 		}
-		result := applySubst(t.Result, subst)
+		result := u.applySubst(t.Result, subst)
 		if !changed && result == t.Result {
 			return t
 		}
 		return Fn(params, result)
 	case KVector:
-		e := applySubst(t.Elem, subst)
+		e := u.applySubst(t.Elem, subst)
 		if e == t.Elem {
 			return t
 		}
 		return Vector(e)
 	case KArray:
-		e := applySubst(t.Elem, subst)
+		e := u.applySubst(t.Elem, subst)
 		if e == t.Elem {
 			return t
 		}
 		return Array(e, t.Len)
 	case KChan:
-		e := applySubst(t.Elem, subst)
+		e := u.applySubst(t.Elem, subst)
 		if e == t.Elem {
 			return t
 		}
@@ -496,12 +518,12 @@ func applySubst(t *Type, subst map[int]*Type) *Type {
 }
 
 // generalize quantifies variables bound deeper than level.
-func generalize(t *Type, level int) *Scheme {
+func (u *unifier) generalize(t *Type, level int) *Scheme {
 	var vars []SchemeVar
 	seen := map[int]bool{}
 	var walk func(*Type)
 	walk = func(t *Type) {
-		t = Prune(t)
+		t = u.find(t)
 		switch t.Kind {
 		case KVar:
 			if t.Level > level && !seen[t.ID] {
@@ -534,13 +556,15 @@ func generalize(t *Type, level int) *Scheme {
 // and numeric variables become int64, everything else becomes unit. This runs
 // after inference so the compiler always sees concrete types.
 func DefaultType(t *Type) *Type {
-	return defaultTypeExcept(t, nil)
+	return new(unifier).settle(t, nil)
 }
 
-// defaultTypeExcept is DefaultType but leaves variables whose ID is in keep
-// unbound (they are quantified by some scheme and must stay polymorphic).
-func defaultTypeExcept(t *Type, keep map[int]bool) *Type {
-	t = Prune(t)
+// settle is DefaultType but leaves variables whose ID is in keep unbound
+// (they are quantified by some scheme and must stay polymorphic). It
+// returns t's representative, and leaves every variable it passes linked
+// straight to its own.
+func (u *unifier) settle(t *Type, keep map[int]bool) *Type {
+	t = u.find(t)
 	switch t.Kind {
 	case KVar:
 		if keep[t.ID] {
@@ -556,11 +580,11 @@ func defaultTypeExcept(t *Type, keep map[int]bool) *Type {
 		}
 	case KFn:
 		for _, p := range t.Params {
-			defaultTypeExcept(p, keep)
+			u.settle(p, keep)
 		}
-		defaultTypeExcept(t.Result, keep)
+		u.settle(t.Result, keep)
 	case KVector, KArray, KChan:
-		defaultTypeExcept(t.Elem, keep)
+		u.settle(t.Elem, keep)
 	}
-	return Prune(t)
+	return t
 }
