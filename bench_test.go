@@ -232,8 +232,13 @@ func BenchmarkAnalysisDriver(b *testing.B) {
 // synthetic corpus (internal/corpus) at a moderate scale: a cold run that
 // populates the fact store, a warm no-op re-run (pure probe cost), and a
 // warm re-analysis after a one-function edit — the latency a `bitc analyze
-// -watch` daemon pays per keystroke. The full-scale (~100k functions, >=20x)
-// claim is enforced by TestIncrementalGate via scripts/check.sh.
+// -watch` daemon pays per keystroke. The watch-edit rows time a whole edit
+// on the 1000-function corpus, from the edited text to the report:
+// core.LoadAnalysis (served from its memo) plus AnalyzeWithStore. Their
+// two edits are a same-length constant edit and a statement inserted into
+// function 500, which moves every later definition. The full-scale (~100k
+// functions, >=20x) claim is enforced by TestIncrementalGate via
+// scripts/check.sh.
 func BenchmarkAnalysisIncremental(b *testing.B) {
 	const nfuncs, cluster = 2000, 25
 	src := corpus.Text(nfuncs, cluster)
@@ -285,6 +290,27 @@ func BenchmarkAnalysisIncremental(b *testing.B) {
 			}
 		}
 	})
+	base := corpus.Text(1000, cluster)
+	for _, edit := range []struct{ name, text string }{
+		{"same-length", corpus.EditOne(base, 500)},
+		{"insert", corpus.InsertStatement(base, 500)},
+	} {
+		b.Run("watch-edit/"+edit.name, func(b *testing.B) {
+			// Alternate between the two texts, so every load is an edit of
+			// the one before.
+			texts := [2]string{base, edit.text}
+			store := factstore.New()
+			if _, err := load(base).AnalyzeWithStore(opts, store); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := load(texts[(i+1)%2]).AnalyzeWithStore(opts, store); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkAnalysisAtomicity prices the transaction-safety pass family

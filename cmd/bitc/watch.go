@@ -1,7 +1,7 @@
 // bitc analyze's incremental modes: the polling -watch daemon and the
 // -verify-cache correctness gate. Both stand on core.LoadAnalysis (parse +
-// type-check only; the analyzers never need compiled code) and
-// core.AnalyzeWithStore, the incremental driver.
+// type-check only, memoised across edits; the analyzers never need
+// compiled code) and core.AnalyzeWithStore, the incremental driver.
 package main
 
 import (
@@ -17,7 +17,9 @@ import (
 	"bitc/internal/core"
 	"bitc/internal/factstore"
 	"bitc/internal/obs"
+	"bitc/internal/parser"
 	"bitc/internal/source"
+	"bitc/internal/types"
 )
 
 // analyzeConfig carries the parsed analyze-mode flags from main.
@@ -79,22 +81,32 @@ func writeReport(w io.Writer, rep *analysis.Report, format string) error {
 	}
 }
 
-// verifyCache is the cache-correctness gate behind -verify-cache: analyze
-// cold, then prime a fact store and re-analyze a fresh parse warm; the two
-// reports must render byte-identically (pretty and JSON both). CI sweeps
-// this over every shipped example, so a key-scheme bug that let a stale
-// fact survive cannot land silently.
+// verifyCache is the cache-correctness gate behind -verify-cache. It loads
+// and analyzes the file cold, with parser.Parse and types.Check and an
+// analysis without a store. It then primes LoadAnalysis's memo and a fact
+// store with the file behind one extra leading comment line, and loads and
+// analyzes the file itself warm: the memo serves every definition as a
+// copy moved back by that line, and the store serves every fact it can.
+// The warm program must render as the cold one does (core.RenderFrontEnd)
+// and the two reports byte-identically (pretty and JSON both). CI sweeps
+// this over every shipped example, so a memo or key-scheme bug that let a
+// stale node or fact survive cannot land silently.
 func verifyCache(path, src string, cfg analyzeConfig) error {
-	cold, err := core.LoadAnalysis(path, src)
-	if err != nil {
-		return err
+	prog, diags := parser.Parse(path, src)
+	if err := diags.ErrOrNil(); err != nil {
+		return fmt.Errorf("parse: %w", err)
 	}
+	info, cdiags := types.Check(prog)
+	if err := cdiags.ErrOrNil(); err != nil {
+		return fmt.Errorf("typecheck: %w", err)
+	}
+	cold := &core.Program{Name: path, AST: prog, Info: info}
 	coldRep, err := cold.Analyze(cfg.opts)
 	if err != nil {
 		return err
 	}
 	store := factstore.New()
-	prime, err := core.LoadAnalysis(path, src)
+	prime, err := core.LoadAnalysis(path, "; primes the memo and the fact store\n"+src)
 	if err != nil {
 		return err
 	}
@@ -104,6 +116,9 @@ func verifyCache(path, src string, cfg analyzeConfig) error {
 	warm, err := core.LoadAnalysis(path, src)
 	if err != nil {
 		return err
+	}
+	if core.RenderFrontEnd(warm, nil) != core.RenderFrontEnd(cold, nil) {
+		return fmt.Errorf("verify-cache %s: the memoised front end's program differs from a cold parse and check", path)
 	}
 	warmRep, err := warm.AnalyzeWithStore(cfg.opts, store)
 	if err != nil {

@@ -102,14 +102,27 @@ func Load(name, src string, cfg Config) (*Program, error) {
 // the front half of Load, for tools that only run the static analyzers
 // (bitc analyze, the watch daemon). Module and Opt are nil on the result;
 // only Analyze/AnalyzeWithStore, Verify, Races, and LayoutOf are usable.
+//
+// LoadAnalysis remembers the last program it loaded without error, and
+// loads an edit of it (the same name, other text) by redoing only the
+// definitions the edit touched: it parses the bytes between the prefix and
+// the suffix the two texts share, and when the edit changed only function
+// bodies in a program whose signatures, globals and fields all had
+// concrete types before any body was checked, it re-checks only those
+// bodies. Anything else takes a full type check or a
+// cold load. The result, and any error text, is what a cold load of the
+// same text gives, but for the numbering of the expressions
+// (ast.Expr.ExprID), which need not follow pre-order. The same text again
+// gives a new Program over the same AST and Info. Programs returned
+// earlier stay valid and unchanged: no AST node or Info is written after
+// its load. See docs/incremental.md, "The front end". Load never uses the
+// memo.
 func LoadAnalysis(name, src string) (*Program, error) {
-	prog, diags := parser.Parse(name, src)
-	if err := diags.ErrOrNil(); err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
-	}
-	info, cdiags := types.Check(prog)
-	if err := cdiags.ErrOrNil(); err != nil {
-		return nil, fmt.Errorf("typecheck: %w", err)
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	prog, info, err := memo.load(name, src)
+	if err != nil {
+		return nil, err
 	}
 	return &Program{Name: name, AST: prog, Info: info, cfg: DefaultConfig}, nil
 }

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -46,6 +48,45 @@ func FuzzLoad(f *testing.F) {
 		prog, err := core.Load("fuzz.bitc", src, core.DefaultConfig)
 		if err == nil && prog == nil {
 			t.Fatal("nil program with nil error")
+		}
+	})
+}
+
+// FuzzLoadMemo is the memoised front end's differential fuzzer. Each input
+// is a base text and a splice: del bytes at offset at are replaced by ins.
+// LoadAnalysis loads the base, then the spliced text; the second load,
+// served from the memo where it can be, must render exactly as a cold
+// parse and check of the spliced text does, or fail with the same error.
+// The seeds are the repository's .bitc files with small edits.
+func FuzzLoadMemo(f *testing.F) {
+	for _, root := range []string{"../../examples", "testdata", "../../benchmark/testdata"} {
+		err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+			if err != nil || info.IsDir() || !strings.HasSuffix(path, ".bitc") {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			n := uint16(len(b) / 2)
+			f.Add(string(b), n, uint8(0), " ")
+			f.Add(string(b), n, uint8(3), "(+ 1 2)")
+			f.Add(string(b), uint16(0), uint8(0), "; bitc:ignore BITC-DEAD001\n")
+			return nil
+		})
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, base string, at uint16, del uint8, ins string) {
+		core.ResetMemo()
+		a := min(int(at), len(base))
+		b := min(a+int(del), len(base))
+		edited := base[:a] + ins + base[b:]
+		core.LoadAnalysis("fuzz.bitc", base)
+		got, want := memoRender("fuzz.bitc", edited), coldRender("fuzz.bitc", edited)
+		if got != want {
+			t.Fatalf("memoised load differs from cold:\n%s", firstDiff(got, want))
 		}
 	})
 }

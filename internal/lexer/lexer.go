@@ -95,6 +95,12 @@ func New(file *source.File, diags *source.Diagnostics) *Lexer {
 	return &Lexer{file: file, diags: diags}
 }
 
+// NewAt is New for a lexer that starts at byte offset pos of file, which
+// must lie between tokens: outside any token, string or comment.
+func NewAt(file *source.File, diags *source.Diagnostics, pos int) *Lexer {
+	return &Lexer{file: file, diags: diags, pos: pos}
+}
+
 // Tokenize lexes text in one call, returning the token stream (always
 // terminated by an EOF token) and any diagnostics.
 func Tokenize(name, text string) ([]Token, *source.Diagnostics) {

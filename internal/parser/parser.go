@@ -28,7 +28,33 @@ func Parse(name, text string) (*ast.Program, *source.Diagnostics) {
 		}
 	}
 	prog.ExprCount = p.exprs
-	prog.Suppressions = append(p.suppressions, scanIgnoreComments(file)...)
+	prog.Suppressions = append(p.suppressions, CommentSuppressions(file)...)
+	return prog, diags
+}
+
+// ParseRange parses the definitions of file that start in the byte range
+// [from, to), with positions absolute in file, numbering their expressions
+// from base upwards in pre-order. from must lie between tokens, as the end
+// of a definition does. The range must hold whole forms: the forms read
+// must end by to and the next token must start at to, or an error says
+// they do not. The result holds the definitions, ExprCount (the last
+// number used, base-1 if none) and the (suppress ...) form suppressions;
+// comment directives are CommentSuppressions' business, since a comment
+// line mutes the line below it, which may lie outside the range. The names
+// in the result are copies, not substrings of file.Text, so definitions
+// parsed from many versions of a text do not keep every version alive.
+func ParseRange(file *source.File, from, to int, base int32) (*ast.Program, *source.Diagnostics) {
+	diags := source.NewDiagnostics(file)
+	sexps := readRange(file, diags, from, to)
+	p := &former{diags: diags, exprs: base - 1}
+	prog := &ast.Program{File: file}
+	for _, s := range sexps {
+		if d := p.formDef(s); d != nil {
+			prog.Defs = append(prog.Defs, d)
+		}
+	}
+	prog.ExprCount = p.exprs
+	prog.Suppressions = p.suppressions
 	return prog, diags
 }
 

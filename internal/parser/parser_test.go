@@ -1,13 +1,16 @@
 package parser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bitc/internal/ast"
 	"bitc/internal/corpus"
 	"bitc/internal/lexer"
+	"bitc/internal/source"
 )
 
 func parseOK(t *testing.T, text string) *ast.Program {
@@ -409,5 +412,50 @@ func TestExprIDsNumberEveryExpression(t *testing.T) {
 	// Only the pattern literal 7 is an expression WalkDef does not reach.
 	if len(seen) != int(prog.ExprCount)-1 {
 		t.Errorf("walked %d distinct IDs, the parser numbered %d", len(seen), prog.ExprCount)
+	}
+}
+
+func TestParseRange(t *testing.T) {
+	text := "(define (f) int64 1)\n(define (g) int64 (+ 2 3))\n(define (h) int64 4)\n"
+	file := source.NewFile("range.bitc", text)
+	from := strings.Index(text, "\n(define (g)")
+	to := strings.Index(text, "(define (h)")
+	prog, diags := ParseRange(file, from, to, 100)
+	if diags.Len() != 0 {
+		t.Fatalf("range parse: %v", diags)
+	}
+	if len(prog.Defs) != 1 || prog.Defs[0].DefName() != "g" {
+		t.Fatalf("range parse read %d definitions, want g alone", len(prog.Defs))
+	}
+	if got, want := prog.Defs[0].Span(), (source.Span{Start: source.Pos(from + 1), End: source.Pos(to - 1)}); got != want {
+		t.Errorf("g spans %v, want %v", got, want)
+	}
+	// (+ 2 3) is four expressions, numbered from 100 in pre-order.
+	var ids []int32
+	ast.WalkDef(prog.Defs[0], func(e ast.Expr) bool {
+		ids = append(ids, e.ExprID())
+		return true
+	})
+	if fmt.Sprint(ids) != "[100 101 102 103]" || prog.ExprCount != 103 {
+		t.Errorf("IDs %v, ExprCount %d; want [100 101 102 103] and 103", ids, prog.ExprCount)
+	}
+	// A name must not point into the text, or a definition kept across
+	// many edits would keep every version of the text alive.
+	name := prog.Defs[0].(*ast.DefineFunc).Name
+	start := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	if p := uintptr(unsafe.Pointer(unsafe.StringData(name))); p >= start && p < start+uintptr(len(text)) {
+		t.Error("a name in the range parse is a substring of the text")
+	}
+
+	// Ranges that are not a run of whole forms: a comment opened in the
+	// range runs past its end, and a form opened in it is closed after.
+	for _, c := range []struct{ text, end string }{
+		{"(define (f) int64 1)\n; (define (g) int64 2)\n", "(define (g)"},
+		{"(define (f) int64 (+ 1\n(define (g) int64 2))\n", "(define (g)"},
+	} {
+		file := source.NewFile("range.bitc", c.text)
+		if _, diags := ParseRange(file, 0, strings.Index(c.text, c.end), 1); !diags.HasErrors() {
+			t.Errorf("%q: range ending at %q parsed without error", c.text, c.end)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package parser
 
 import (
+	"strings"
+
 	"bitc/internal/lexer"
 	"bitc/internal/source"
 )
@@ -43,8 +45,32 @@ func (s *sexp) head() string {
 // readSexps reads every top-level S-expression in file. Tokens are pulled
 // from the lexer one at a time; no token slice is built.
 func readSexps(file *source.File, diags *source.Diagnostics) []*sexp {
-	r := newReader(file, diags)
-	for r.tok.Kind != lexer.EOF {
+	r := newReader(file, diags, 0, len(file.Text))
+	return r.readForms(len(file.Text))
+}
+
+// readRange reads the top-level S-expressions of file that start in the
+// byte range [from, to); from must lie between tokens. The last form read
+// must end by to and the next token must start exactly at to (the end of
+// file token, if to is the end of the text). Otherwise [from, to) is not a
+// run of whole forms, as when a comment or string opened inside the range
+// runs past it, and readRange reports that as an error. The atoms' text is
+// copied out of the file: a definition parsed this way may outlive many
+// later versions of the text, and should keep none of them alive.
+func readRange(file *source.File, diags *source.Diagnostics, from, to int) []*sexp {
+	r := newReader(file, diags, from, to-from)
+	r.own = true
+	forms := r.readForms(to)
+	if int(r.tok.Span.Start) != to {
+		diags.Errorf(r.tok.Span, "the forms read from offset %d do not end at offset %d", from, to)
+	}
+	return forms
+}
+
+// readForms reads top-level S-expressions until the lookahead token is the
+// end of file or starts at or past to.
+func (r *reader) readForms(to int) []*sexp {
+	for r.tok.Kind != lexer.EOF && int(r.tok.Span.Start) < to {
 		if s := r.read(); s != nil {
 			r.stack = append(r.stack, s)
 		}
@@ -67,17 +93,21 @@ type reader struct {
 	// stack holds the children read so far of every list still open,
 	// innermost last; closeList moves a list's children off it.
 	stack []*sexp
+	// own makes each atom's text a copy instead of a substring of the file,
+	// so the names in the AST do not keep the whole text alive.
+	own bool
 }
 
-func newReader(file *source.File, diags *source.Diagnostics) *reader {
+// newReader starts a reader at byte offset from of file, which must lie
+// between tokens, sizing its slabs for n bytes of text.
+func newReader(file *source.File, diags *source.Diagnostics, from, n int) *reader {
 	// Dense source runs at about one sexp and one child-list slot per 3.7
 	// bytes and one atom per 5.6 (the generated corpus; hand-written
 	// programs with comments are sparser). First chunks sized from the text
 	// at about that rate keep a small program's parse small and hold most of
 	// a large one.
-	n := len(file.Text)
 	r := &reader{
-		lx:    lexer.New(file, diags),
+		lx:    lexer.NewAt(file, diags, from),
 		diags: diags,
 		nodes: slab[sexp]{size: n/4 + 16},
 		atoms: slab[lexer.Token]{size: n/6 + 16},
@@ -110,6 +140,9 @@ func (r *reader) closeList(base int) []*sexp {
 func (r *reader) atom(tok lexer.Token) *sexp {
 	t := r.atoms.one()
 	*t = tok
+	if r.own {
+		t.Text = strings.Clone(tok.Text)
+	}
 	n := r.nodes.one()
 	*n = sexp{span: tok.Span, tok: t}
 	return n

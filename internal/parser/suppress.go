@@ -7,16 +7,26 @@ import (
 	"bitc/internal/source"
 )
 
-// scanIgnoreComments collects `; bitc:ignore BITC-XXXX [BITC-YYYY ...]`
-// directives. A directive on a line with code mutes findings on that line; a
-// standalone comment line mutes findings on the line below it. The scan is
-// textual (the lexer discards comments), so a literal "; bitc:ignore" inside
-// a string would also register — harmless, since it only ever mutes lints.
-func scanIgnoreComments(f *source.File) []ast.Suppression {
+// CommentSuppressions collects the `; bitc:ignore BITC-XXXX [BITC-YYYY ...]`
+// directives of a whole file. A directive on a line with code mutes
+// findings on that line; a standalone comment line mutes findings on the
+// line below it. The scan is textual (the lexer discards comments), so a
+// literal "; bitc:ignore" inside a string would also register — harmless,
+// since it only ever mutes lints. It walks the text a line at a time and
+// allocates only for the directives it finds.
+func CommentSuppressions(f *source.File) []ast.Suppression {
 	var out []ast.Suppression
-	lines := strings.Split(f.Text, "\n")
-	for i, line := range lines {
-		ci := strings.Index(line, ";")
+	text := f.Text
+	for i, start := 0, 0; start <= len(text); i++ {
+		end := strings.IndexByte(text[start:], '\n')
+		if end < 0 {
+			end = len(text)
+		} else {
+			end += start
+		}
+		line := text[start:end]
+		start = end + 1
+		ci := strings.IndexByte(line, ';')
 		if ci < 0 {
 			continue
 		}

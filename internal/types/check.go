@@ -59,9 +59,134 @@ func (in *Info) Use(v *ast.VarRef) *Symbol {
 // Check type-checks a parsed program. It always returns a non-nil Info;
 // consult diags for errors.
 func Check(prog *ast.Program) (*Info, *source.Diagnostics) {
+	info, _, diags := CheckEnv(prog)
+	return info, diags
+}
+
+// CheckEnv is Check that also returns the environment the function bodies
+// were checked in, for Recheck.
+func CheckEnv(prog *ast.Program) (*Info, *Env, *source.Diagnostics) {
 	c := newChecker(prog)
 	c.run(prog)
-	return c.info, c.diags
+	env := &Env{names: c.scope.names, builtins: c.builtins, nextID: c.u.nextID, closed: c.closed}
+	return c.info, env, c.diags
+}
+
+// Env is what a check leaves behind for re-checking edited function bodies
+// later: the top-level scope (every function, external and global symbol),
+// the builtin schemes and the unifier's variable counter. Only Recheck uses
+// it, and only one Recheck may run on an Env at a time.
+type Env struct {
+	names    map[string]*Symbol
+	builtins map[string]*Scheme
+	nextID   int
+	closed   bool
+}
+
+// Closed reports whether the environment the bodies were checked in had no
+// unbound type variable: every function and external signature, every
+// global's type and every struct and union field type was concrete before
+// the first body was checked. Only then is each body's check independent
+// of every other body, which Recheck relies on. A signature is concrete
+// when it is written out in full without 'a variables; a global's type
+// when its annotation or initialiser fixes it (an unannotated integer
+// literal does not: a body may still pick its width).
+func (env *Env) Closed() bool { return env.closed }
+
+// Recheck checks prog, a program that differs from the one env and prev
+// were checked from only in the bodies and contracts of the functions at
+// the indices edited of prog.Defs. Each of them must have the same header
+// (ast.SameHeader) as the function it replaced, at the same index; env
+// must be Closed and prev's check must have reported no error. Every other
+// definition is either the node prev was checked from or a copy of it that
+// kept its ExprIDs (ast.ShiftDef), and the edited functions' expressions
+// are numbered above the ones prev covers. gone lists the definitions prog
+// no longer holds, whose table slots are cleared.
+//
+// Under those conditions each body's check depends on the environment
+// alone, so Recheck checks only the edited bodies, in definition order,
+// and settles and range-checks only their entries; the rest of Info is
+// prev's, shared or copied. The result equals Check(prog) but for the
+// numbering of type variables, which nothing outside the checker sees.
+// prev is not changed. If the diagnostics are not empty, Check(prog) is
+// the authority: a caller must use its Info and its diagnostics instead.
+func (env *Env) Recheck(prog *ast.Program, prev *Info, gone []ast.Def, edited []int) (*Info, *source.Diagnostics) {
+	n := int(prog.ExprCount) + 1
+	info := &Info{
+		Types:   make([]*Type, n),
+		Uses:    make([]*Symbol, n),
+		Structs: prev.Structs,
+		Unions:  prev.Unions,
+		CtorOf:  prev.CtorOf,
+		Funcs:   prev.Funcs,
+		Globals: prev.Globals,
+	}
+	copy(info.Types, prev.Types)
+	copy(info.Uses, prev.Uses)
+	for _, d := range gone {
+		ast.EachExpr(d, func(e ast.Expr) {
+			info.Types[e.ExprID()] = nil
+			info.Uses[e.ExprID()] = nil
+		})
+	}
+	// The pointer-keyed parts name this program's nodes. In a program
+	// checked without error every constructor pattern resolves to its
+	// constructor's entry, so PatCtors is rebuilt from CtorOf.
+	info.PatCtors = make(map[*ast.PatCtor]*CtorUse, len(prev.PatCtors))
+	for _, d := range prog.Defs {
+		switch d := d.(type) {
+		case *ast.DefineFunc:
+			info.FuncDecls = append(info.FuncDecls, d)
+		case *ast.DefineVar:
+			info.GlobalDecls = append(info.GlobalDecls, d)
+		case *ast.External:
+			info.Externals = append(info.Externals, d)
+		}
+		if len(prev.PatCtors) > 0 {
+			ast.WalkDef(d, func(e ast.Expr) bool {
+				if c, ok := e.(*ast.Case); ok {
+					for _, cl := range c.Clauses {
+						patCtors(cl.Pattern, info)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	c := &checker{
+		u:        &unifier{nextID: env.nextID},
+		diags:    source.NewDiagnostics(prog.File),
+		info:     info,
+		builtins: env.builtins,
+		scope:    scopes{names: env.names},
+	}
+	for _, i := range edited {
+		c.checkFuncBody(prog.Defs[i].(*ast.DefineFunc))
+	}
+	for _, i := range edited {
+		if d := prog.Defs[i].(*ast.DefineFunc); d.Pure {
+			c.checkPurity(d)
+		}
+	}
+	for i := len(prev.Types); i < n; i++ {
+		if t := info.Types[i]; t != nil {
+			info.Types[i] = c.u.settle(t, nil)
+		}
+	}
+	c.checkLiteralRanges()
+	env.nextID = c.u.nextID
+	return info, c.diags
+}
+
+// patCtors records the constructor of every constructor pattern in p.
+func patCtors(p ast.Pattern, info *Info) {
+	if pc, ok := p.(*ast.PatCtor); ok {
+		info.PatCtors[pc] = info.CtorOf[pc.Ctor]
+		for _, a := range pc.Args {
+			patCtors(a, info)
+		}
+	}
 }
 
 func newChecker(prog *ast.Program) *checker {
@@ -92,8 +217,9 @@ type checker struct {
 	scope    scopes // globals at mark 0, then the locals in scope
 	level    int
 
-	curFn *funcCtx      // function being checked, for %result and returns
-	lits  []*ast.IntLit // integer literals, range-checked once types settle
+	curFn  *funcCtx      // function being checked, for %result and returns
+	lits   []*ast.IntLit // integer literals, range-checked once types settle
+	closed bool          // see Env.Closed
 }
 
 type funcCtx struct {
@@ -233,6 +359,7 @@ func (c *checker) run(prog *ast.Program) {
 			c.info.Globals[d.Name] = t
 		}
 	}
+	c.closed = c.envClosed()
 	for _, d := range prog.Defs {
 		if d, ok := d.(*ast.DefineFunc); ok {
 			c.checkFuncBody(d)
@@ -281,6 +408,52 @@ func (c *checker) run(prog *ast.Program) {
 		c.u.settle(s.Type, keep)
 	}
 	c.checkLiteralRanges()
+}
+
+// envClosed reports whether every top-level symbol and every struct and
+// union field has a type without unbound variables (see Env.Closed).
+func (c *checker) envClosed() bool {
+	for _, sym := range c.scope.names {
+		if !c.concrete(sym.Scheme.Type) {
+			return false
+		}
+	}
+	for _, si := range c.info.Structs {
+		for _, f := range si.Fields {
+			if !c.concrete(f.Type) {
+				return false
+			}
+		}
+	}
+	for _, ui := range c.info.Unions {
+		for _, a := range ui.Arms {
+			for _, f := range a.Fields {
+				if !c.concrete(f.Type) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// concrete reports whether t contains no unbound type variable.
+func (c *checker) concrete(t *Type) bool {
+	t = c.u.find(t)
+	switch t.Kind {
+	case KVar:
+		return false
+	case KFn:
+		for _, p := range t.Params {
+			if !c.concrete(p) {
+				return false
+			}
+		}
+		return c.concrete(t.Result)
+	case KVector, KArray, KChan:
+		return c.concrete(t.Elem)
+	}
+	return true
 }
 
 // checkLiteralRanges rejects an integer literal its settled type cannot

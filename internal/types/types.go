@@ -292,6 +292,9 @@ type unifier struct {
 // find is Prune for the checker: it returns t's representative and points
 // every variable on the way straight at it, so no chain is walked twice and
 // inference stays linear however long a variable's chain of unifications.
+// A variable that already points at its representative is not written, so
+// finds over types a finished check left behind write nothing, and a
+// Recheck may walk the types it shares with an Info that others read.
 func (u *unifier) find(t *Type) *Type {
 	root := t
 	for root.Kind == KVar && root.Link != nil {
@@ -300,7 +303,9 @@ func (u *unifier) find(t *Type) *Type {
 	}
 	for t != root {
 		next := t.Link
-		t.Link = root
+		if next != root {
+			t.Link = root
+		}
 		t = next
 	}
 	return root

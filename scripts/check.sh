@@ -26,6 +26,16 @@ go test ./...
 # internal/core/testdata/fuzz/FuzzLoad, where plain `go test` replays it.
 go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/core
 
+# Memo fuzz gate (~10s): FuzzLoadMemo loads a base text, splices bytes into
+# it and loads the result through core.LoadAnalysis's memo; the memoised
+# program must render exactly as a cold parse and check of the spliced text
+# does (core.RenderFrontEnd), or fail with the same error. Crashers land in
+# internal/core/testdata/fuzz/FuzzLoadMemo. Its seeds are whole example
+# files, and shrinking one that reached new code takes the default
+# minimisation budget (60 s) far past the fuzzing budget, so minimisation
+# is capped at 200 runs per input.
+go test -run '^$' -fuzz '^FuzzLoadMemo$' -fuzztime 10s -fuzzminimizetime 200x ./internal/core
+
 # Self-lint: every example program must analyze with zero error-severity
 # findings. `bitc analyze` exits 1 on errors; the JSON is also checked so a
 # regression in the exit-code contract cannot mask findings.
@@ -42,9 +52,11 @@ for f in examples/progs/*.bitc; do
 done
 
 # Cache correctness: for every shipped example, a warm run out of a primed
-# fact store must render byte-identically (pretty and JSON) to a cold run.
-# -strict is on so directive-suppression accounting is held to the same
-# standard as the findings themselves.
+# fact store must render byte-identically (pretty and JSON) to a cold run,
+# and the memoised front end's program, whose definitions all come from a
+# text one line longer and are moved back, must render as a cold parse and
+# check does. -strict is on so directive-suppression accounting is held to
+# the same standard as the findings themselves.
 for f in examples/progs/*.bitc internal/core/testdata/analyze/*.bitc; do
     /tmp/bitc-check analyze -strict -verify-cache "$f" || {
         echo "$f: incremental cache is not transparent"; exit 1; }
