@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"bitc/internal/analysis"
+	"bitc/internal/ast"
 	"bitc/internal/bench"
+	"bitc/internal/compiler"
 	"bitc/internal/core"
 	"bitc/internal/corpus"
 	"bitc/internal/factstore"
@@ -417,9 +419,11 @@ func BenchmarkAnalysisBounds(b *testing.B) {
 
 // BenchmarkFrontEnd measures each front-end layer on the 1000-function
 // corpus with allocations reported: lex tokenizes, parse builds the AST,
-// types type-checks a parsed program, and load runs core.Load end to end
-// (front end plus compiler, optimiser and bounds prover). It lets a
-// front-end change be measured layer by layer without the benchmark module.
+// types type-checks a parsed program, compile lowers a checked program to
+// IR, opt runs the O2 passes over a freshly compiled module (compiled with
+// the timer stopped), and load runs core.Load end to end (front end plus
+// compiler, optimiser and bounds prover). It lets a front-end change be
+// measured layer by layer without the benchmark module.
 func BenchmarkFrontEnd(b *testing.B) {
 	const name = "corpus.bitc"
 	src := corpus.Text(1000, 25)
@@ -452,6 +456,30 @@ func BenchmarkFrontEnd(b *testing.B) {
 			}
 		}
 	})
+	b.Run("compile", func(b *testing.B) {
+		prog, info := parseCheck(b, name, src)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, diags := compiler.Compile(prog, info, compiler.Options{}); diags.HasErrors() {
+				b.Fatal(diags)
+			}
+		}
+	})
+	b.Run("opt", func(b *testing.B) {
+		prog, info := parseCheck(b, name, src)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			mod, diags := compiler.Compile(prog, info, compiler.Options{})
+			if diags.HasErrors() {
+				b.Fatal(diags)
+			}
+			b.StartTimer()
+			opt.Optimize(mod, opt.O2)
+		}
+	})
 	b.Run("load", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -460,4 +488,18 @@ func BenchmarkFrontEnd(b *testing.B) {
 			}
 		}
 	})
+}
+
+// parseCheck parses and type-checks src for a benchmark's set-up.
+func parseCheck(b *testing.B, name, src string) (*ast.Program, *types.Info) {
+	b.Helper()
+	prog, diags := parser.Parse(name, src)
+	if diags.HasErrors() {
+		b.Fatal(diags)
+	}
+	info, cdiags := types.Check(prog)
+	if cdiags.HasErrors() {
+		b.Fatal(cdiags)
+	}
+	return prog, info
 }

@@ -22,22 +22,29 @@ type Options struct {
 // Compile lowers a checked program to an IR module. The diagnostics carry
 // compile-stage errors (e.g. capturing a mutable binding).
 func Compile(prog *ast.Program, info *types.Info, opts Options) (*ir.Module, *source.Diagnostics) {
+	c := compile(prog, info, opts)
+	return c.mod, c.diags
+}
+
+func compile(prog *ast.Program, info *types.Info, opts Options) *moduleCompiler {
 	diags := source.NewDiagnostics(prog.File)
+	nfuncs := len(info.FuncDecls) + len(info.GlobalDecls)
 	c := &moduleCompiler{
 		info:  info,
 		opts:  opts,
 		diags: diags,
 		mod: &ir.Module{
-			FuncIdx: map[string]int{},
+			Funcs:   make([]*ir.Func, 0, nfuncs),
+			FuncIdx: make(map[string]int, nfuncs),
 			Structs: info.Structs,
 			Unions:  info.Unions,
 			Entry:   -1,
 		},
-		globalIdx: map[string]int{},
+		globalIdx: make(map[string]int, len(info.GlobalDecls)),
 		externIdx: map[string]int{},
 	}
 	c.run(prog)
-	return c.mod, diags
+	return c
 }
 
 type moduleCompiler struct {
@@ -47,6 +54,21 @@ type moduleCompiler struct {
 	mod       *ir.Module
 	globalIdx map[string]int
 	externIdx map[string]int
+
+	// frames holds one scratch frame per lambda nesting depth: a function
+	// compiler at depth d lives in frames[d] and leaves its name table
+	// empty when it finishes, so the next function at that depth reuses
+	// the compiler, the table and the instruction chunk. A lambda's
+	// compiler runs to completion inside its parent's, so no two live
+	// compilers share a frame.
+	frames []*frame
+	// Operand lists, blocks and functions' block lists are carved from
+	// these chunks.
+	args      chunk[ir.Reg]
+	blocks    chunk[ir.Block]
+	blockPtrs chunk[*ir.Block]
+	// probes counts name-table lookups; the linear-cost test reads it.
+	probes int
 }
 
 func (m *moduleCompiler) run(prog *ast.Program) {
@@ -60,14 +82,16 @@ func (m *moduleCompiler) run(prog *ast.Program) {
 		})
 	}
 	// Reserve function indices so calls can be emitted in any order.
-	for _, d := range m.info.FuncDecls {
+	funcs := make([]ir.Func, len(m.info.FuncDecls))
+	for i, d := range m.info.FuncDecls {
 		m.mod.FuncIdx[d.Name] = len(m.mod.Funcs)
 		sch := m.info.Funcs[d.Name]
 		ft := types.Prune(sch.Type)
-		m.mod.Funcs = append(m.mod.Funcs, &ir.Func{
+		funcs[i] = ir.Func{
 			Name: d.Name, NumParams: len(d.Params),
 			Params: ft.Params, Result: ft.Result,
-		})
+		}
+		m.mod.Funcs = append(m.mod.Funcs, &funcs[i])
 	}
 	// Globals: each gets an initialiser function.
 	for _, g := range m.info.GlobalDecls {
@@ -140,30 +164,84 @@ type binding struct {
 	cell bool
 }
 
-type scope struct {
-	parent *scope
-	names  map[string]binding
+// scopes is a function compiler's one name table. names maps each local
+// name to its innermost binding; undo logs, for every bind, the binding it
+// shadowed. Entering a scope takes a mark (the log's length) and leaving
+// it unwinds the log back to the mark, so a lookup is one probe at any
+// nesting depth and entering a scope allocates nothing.
+type scopes struct {
+	names map[string]binding
+	undo  []shadowed
 }
 
-func (s *scope) lookup(name string) (binding, bool) {
-	for sc := s; sc != nil; sc = sc.parent {
-		if b, ok := sc.names[name]; ok {
-			return b, true
+// shadowed is one undo-log entry: the binding name had before a bind.
+type shadowed struct {
+	name  string
+	prev  binding
+	bound bool // false when the name was unbound
+}
+
+func (s *scopes) bind(name string, b binding) {
+	prev, bound := s.names[name]
+	s.undo = append(s.undo, shadowed{name, prev, bound})
+	s.names[name] = b
+}
+
+// release closes every scope opened since mark m, restoring what their
+// bindings shadowed.
+func (s *scopes) release(m int) {
+	for i := len(s.undo) - 1; i >= m; i-- {
+		if u := s.undo[i]; u.bound {
+			s.names[u.name] = u.prev
+		} else {
+			delete(s.names, u.name)
 		}
 	}
-	return binding{}, false
+	s.undo = s.undo[:m]
+}
+
+// frame is the scratch state of one function compiler. Its instructions
+// go into code, a chunk shared by every function compiled at the frame's
+// depth: each block's instructions are one contiguous run of the chunk, so
+// a block is one slice of it rather than a slice grown an append at a time.
+// That needs the compiler to fill one block at a time and never return to
+// a block it has left, which it does: a block becomes current once, right
+// after the code that branches or jumps to it.
+type frame struct {
+	fc     funcCompiler
+	sc     scopes
+	code   []ir.Instr
+	open   *ir.Block   // the block whose run ends code, or nil
+	start  int         // where open's run begins in code
+	blocks []*ir.Block // the function's blocks so far
+	vals   []ir.Reg    // a plain let's init values, until they are bound
+}
+
+// chunkInstrs is the size a frame's instruction chunk grows to; a block
+// that outgrows one gets a chunk twice its size.
+const chunkInstrs = 1024
+
+// seal hands the open block its run of the chunk. The run's capacity ends
+// where it does, so an append to the block copies it out.
+func (fr *frame) seal() {
+	if fr.open != nil && len(fr.code) > fr.start {
+		fr.open.Instrs = fr.code[fr.start:len(fr.code):len(fr.code)]
+	}
+	fr.open = nil
 }
 
 type funcCompiler struct {
 	m       *moduleCompiler
 	f       *ir.Func
 	cur     *ir.Block
-	sc      *scope
+	fr      *frame
+	depth   int
 	nextReg int
 
 	// Closure-conversion state: parent is the lexically enclosing function
 	// compiler; captures records outer names this function pulls in, in
-	// order. Capture i arrives in the register f.CaptureRegs[i].
+	// order. Capture i arrives in the register f.CaptureRegs[i]. capBinds
+	// is nil until the first capture.
 	parent   *funcCompiler
 	captures []string
 	capBinds map[string]binding
@@ -172,26 +250,58 @@ type funcCompiler struct {
 }
 
 func (m *moduleCompiler) newFuncCompiler(f *ir.Func, parent *funcCompiler) *funcCompiler {
-	fc := &funcCompiler{
-		m: m, f: f, parent: parent,
-		sc:       &scope{names: map[string]binding{}},
-		capBinds: map[string]binding{},
-		region:   ir.NoReg,
+	depth := 0
+	if parent != nil {
+		depth = parent.depth + 1
 	}
-	fc.cur = f.NewBlock()
+	if depth == len(m.frames) {
+		m.frames = append(m.frames, &frame{sc: scopes{names: map[string]binding{}}})
+	}
+	fr := m.frames[depth]
+	fc := &fr.fc
+	*fc = funcCompiler{m: m, f: f, parent: parent, fr: fr, depth: depth, region: ir.NoReg}
+	fc.cur = fc.newBlock()
 	return fc
 }
 
+// newBlock appends a fresh block to the function, carved from the module's
+// block chunk.
+func (fc *funcCompiler) newBlock() *ir.Block {
+	fr := fc.fr
+	b := &fc.m.blocks.take(1)[0]
+	b.ID = len(fr.blocks)
+	fr.blocks = append(fr.blocks, b)
+	return b
+}
+
+// finish records the register count, hands the last block its
+// instructions and empties the name table for the next function at this
+// depth.
 func (fc *funcCompiler) finish() {
+	fr := fc.fr
 	fc.f.NumRegs = fc.nextReg
+	fr.seal()
+	fr.sc.release(0)
+	fc.f.Blocks = fc.m.blockPtrs.take(len(fr.blocks))
+	copy(fc.f.Blocks, fr.blocks)
+	clear(fr.blocks)
+	fr.blocks = fr.blocks[:0]
+}
+
+// lookup resolves name among this function's locals.
+func (fc *funcCompiler) lookup(name string) (binding, bool) {
+	fc.m.probes++
+	b, ok := fc.fr.sc.names[name]
+	return b, ok
 }
 
 func (fc *funcCompiler) bind(name string, r ir.Reg, mutable bool) {
-	fc.sc.names[name] = binding{reg: r, mutable: mutable}
+	fc.fr.sc.bind(name, binding{reg: r, mutable: mutable})
 }
 
-func (fc *funcCompiler) pushScope() { fc.sc = &scope{parent: fc.sc, names: map[string]binding{}} }
-func (fc *funcCompiler) popScope()  { fc.sc = fc.sc.parent }
+// mark opens a scope; pass the result to release to close it.
+func (fc *funcCompiler) mark() int     { return len(fc.fr.sc.undo) }
+func (fc *funcCompiler) release(m int) { fc.fr.sc.release(m) }
 
 func (fc *funcCompiler) newReg() ir.Reg {
 	r := ir.Reg(fc.nextReg)
@@ -199,10 +309,55 @@ func (fc *funcCompiler) newReg() ir.Reg {
 	return r
 }
 
+// chunk hands out slices of a larger allocation. Each new allocation is
+// twice the last, up to chunkMax elements, so a small program allocates
+// little and a large one allocates rarely.
+type chunk[T any] struct {
+	free []T
+	size int
+}
+
+const chunkMax = 512
+
+// take returns n fresh elements, or nil for n = 0. The slice's capacity
+// is n, so an append copies it out instead of writing into a neighbour.
+func (c *chunk[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(c.free) < n {
+		c.size = min(max(2*c.size, 8), chunkMax)
+		c.free = make([]T, max(n, c.size))
+	}
+	s := c.free[:n:n]
+	c.free = c.free[n:]
+	return s
+}
+
+// regs1 returns a one-register operand list holding r.
+func (fc *funcCompiler) regs1(r ir.Reg) []ir.Reg {
+	rs := fc.m.args.take(1)
+	rs[0] = r
+	return rs
+}
+
 // emit appends an instruction. Allocating opcodes must set Region explicitly
 // (fc.region or ir.NoReg); non-allocating opcodes never consult it.
 func (fc *funcCompiler) emit(in ir.Instr) {
-	fc.cur.Instrs = append(fc.cur.Instrs, in)
+	fr := fc.fr
+	if fc.cur != fr.open {
+		fr.seal()
+		fr.open, fr.start = fc.cur, len(fr.code)
+	}
+	if len(fr.code) == cap(fr.code) {
+		// Move the open block's run to a fresh chunk; the runs already
+		// handed out stay where they are.
+		n := len(fr.code) - fr.start
+		c := make([]ir.Instr, n, max(2*n, min(2*cap(fr.code), chunkInstrs), 16))
+		copy(c, fr.code[fr.start:])
+		fr.code, fr.start = c, 0
+	}
+	fr.code = append(fr.code, in)
 }
 
 func (fc *funcCompiler) errf(span source.Span, format string, args ...any) {
@@ -287,12 +442,12 @@ func (fc *funcCompiler) expr(e ast.Expr) ir.Reg {
 	case *ast.Lambda:
 		return fc.lambda(e, nil)
 	case *ast.Begin:
-		fc.pushScope()
+		mk := fc.mark()
 		r := fc.body(e.Body)
-		fc.popScope()
+		fc.release(mk)
 		return r
 	case *ast.Set:
-		b, ok := fc.sc.lookup(e.Name)
+		b, ok := fc.lookup(e.Name)
 		if !ok && fc.parent != nil {
 			// Assignment to a captured letrec cell is fine; a plain mutable
 			// capture was already rejected by capture().
@@ -304,7 +459,7 @@ func (fc *funcCompiler) expr(e ast.Expr) ir.Reg {
 		v := fc.expr(e.Value)
 		if b.cell {
 			zero := fc.constInt(0)
-			fc.emit(ir.Instr{Op: ir.OpVecSet, A: b.reg, B: zero, Args: []ir.Reg{v}})
+			fc.emit(ir.Instr{Op: ir.OpVecSet, A: b.reg, B: zero, Args: fc.regs1(v)})
 		} else {
 			fc.emit(ir.Instr{Op: ir.OpMov, Dst: b.reg, A: v})
 		}
@@ -352,7 +507,7 @@ func (fc *funcCompiler) expr(e ast.Expr) ir.Reg {
 	case *ast.WithRegion:
 		return fc.withRegion(e)
 	case *ast.AllocIn:
-		b, ok := fc.sc.lookup("region " + e.Region)
+		b, ok := fc.lookup("region " + e.Region)
 		saved := fc.region
 		if ok {
 			fc.region = b.reg
@@ -362,9 +517,9 @@ func (fc *funcCompiler) expr(e ast.Expr) ir.Reg {
 		return r
 	case *ast.Atomic:
 		fc.emit(ir.Instr{Op: ir.OpAtomicBegin})
-		fc.pushScope()
+		mk := fc.mark()
 		r := fc.body(e.Body)
-		fc.popScope()
+		fc.release(mk)
 		fc.emit(ir.Instr{Op: ir.OpAtomicEnd})
 		return r
 	case *ast.Spawn:
@@ -374,9 +529,9 @@ func (fc *funcCompiler) expr(e ast.Expr) ir.Reg {
 		return r
 	case *ast.WithLock:
 		fc.emit(ir.Instr{Op: ir.OpLockAcquire, Str: e.Lock})
-		fc.pushScope()
+		mk := fc.mark()
 		r := fc.body(e.Body)
-		fc.popScope()
+		fc.release(mk)
 		fc.emit(ir.Instr{Op: ir.OpLockRelease, Str: e.Lock})
 		return r
 	default:
@@ -420,7 +575,7 @@ func (fc *funcCompiler) loadBinding(b binding) ir.Reg {
 // varRef resolves a name: local scope, enclosing function (capture), global,
 // function, nullary constructor.
 func (fc *funcCompiler) varRef(e *ast.VarRef) ir.Reg {
-	if b, ok := fc.sc.lookup(e.Name); ok {
+	if b, ok := fc.lookup(e.Name); ok {
 		return fc.loadBinding(b)
 	}
 	// Capture from an enclosing function?
@@ -463,7 +618,7 @@ func (fc *funcCompiler) capture(e *ast.VarRef) (binding, bool) {
 	if p == nil {
 		return binding{}, false
 	}
-	b, ok := p.sc.lookup(e.Name)
+	b, ok := p.lookup(e.Name)
 	if !ok {
 		// Maybe the parent itself needs to capture it from further out.
 		if p.parent != nil {
@@ -485,6 +640,9 @@ func (fc *funcCompiler) addCapture(name string, cell bool) binding {
 	fc.captures = append(fc.captures, name)
 	r := fc.newReg()
 	b := binding{reg: r, cell: cell}
+	if fc.capBinds == nil {
+		fc.capBinds = map[string]binding{}
+	}
 	fc.capBinds[name] = b
 	fc.f.CaptureRegs = append(fc.f.CaptureRegs, r)
 	return b
@@ -514,17 +672,17 @@ func (fc *funcCompiler) lambda(e *ast.Lambda, nameHint *string) ir.Reg {
 	// Captured values are passed at closure-creation time, in capture order.
 	// Cell bindings pass the cell itself, so mutation and late letrec
 	// initialisation stay visible.
-	args := make([]ir.Reg, 0, len(sub.captures))
-	for _, name := range sub.captures {
-		if b, ok := fc.sc.lookup(name); ok {
-			args = append(args, b.reg)
+	args := fc.m.args.take(len(sub.captures))
+	for i, name := range sub.captures {
+		if b, ok := fc.lookup(name); ok {
+			args[i] = b.reg
 		} else if b, ok := fc.capBinds[name]; ok {
-			args = append(args, b.reg)
+			args[i] = b.reg
 		} else if b, ok := fc.capture(&ast.VarRef{Name: name}); ok {
-			args = append(args, b.reg)
+			args[i] = b.reg
 		} else {
 			fc.errf(e.Span(), "internal: lost capture %s", name)
-			args = append(args, fc.constUnit())
+			args[i] = fc.constUnit()
 		}
 	}
 	dst := fc.newReg()
@@ -535,7 +693,7 @@ func (fc *funcCompiler) lambda(e *ast.Lambda, nameHint *string) ir.Reg {
 func (fc *funcCompiler) call(e *ast.Call) ir.Reg {
 	if v, ok := e.Fn.(*ast.VarRef); ok {
 		// Locally-bound name shadows specials.
-		if _, bound := fc.sc.lookup(v.Name); !bound {
+		if _, bound := fc.lookup(v.Name); !bound {
 			switch v.Name {
 			case "and":
 				return fc.shortCircuit(e.Args, true)
@@ -576,7 +734,7 @@ func (fc *funcCompiler) call(e *ast.Call) ir.Reg {
 				return r
 			case "vector-set!":
 				vec, idx, val := fc.expr(e.Args[0]), fc.expr(e.Args[1]), fc.expr(e.Args[2])
-				fc.emit(ir.Instr{Op: ir.OpVecSet, A: vec, B: idx, Args: []ir.Reg{val}, Pos: int(e.Span().Start) + 1})
+				fc.emit(ir.Instr{Op: ir.OpVecSet, A: vec, B: idx, Args: fc.regs1(val), Pos: int(e.Span().Start) + 1})
 				return fc.constUnit()
 			case "vector-length":
 				vec := fc.expr(e.Args[0])
@@ -634,7 +792,7 @@ func (fc *funcCompiler) call(e *ast.Call) ir.Reg {
 }
 
 func (fc *funcCompiler) evalArgs(args []ast.Expr) []ir.Reg {
-	regs := make([]ir.Reg, len(args))
+	regs := fc.m.args.take(len(args))
 	for i, a := range args {
 		regs[i] = fc.expr(a)
 	}
@@ -654,7 +812,7 @@ func (fc *funcCompiler) newUnion(cu *types.CtorUse, args []ast.Expr) ir.Reg {
 // shortCircuit lowers and/or chains to branches.
 func (fc *funcCompiler) shortCircuit(args []ast.Expr, isAnd bool) ir.Reg {
 	result := fc.newReg()
-	done := fc.f.NewBlock()
+	done := fc.newBlock()
 	for i, a := range args {
 		v := fc.expr(a)
 		fc.emit(ir.Instr{Op: ir.OpMov, Dst: result, A: v})
@@ -662,7 +820,7 @@ func (fc *funcCompiler) shortCircuit(args []ast.Expr, isAnd bool) ir.Reg {
 			fc.cur.Term = ir.Terminator{Kind: ir.TermJump, To: done.ID}
 			break
 		}
-		next := fc.f.NewBlock()
+		next := fc.newBlock()
 		if isAnd {
 			// false -> done (result already false), true -> continue
 			fc.cur.Term = ir.Terminator{Kind: ir.TermBranch, Cond: v, To: next.ID, Else: done.ID}
@@ -677,9 +835,9 @@ func (fc *funcCompiler) shortCircuit(args []ast.Expr, isAnd bool) ir.Reg {
 
 func (fc *funcCompiler) ifExpr(e *ast.If) ir.Reg {
 	cond := fc.expr(e.Cond)
-	thenBlk := fc.f.NewBlock()
-	elseBlk := fc.f.NewBlock()
-	joinBlk := fc.f.NewBlock()
+	thenBlk := fc.newBlock()
+	elseBlk := fc.newBlock()
+	joinBlk := fc.newBlock()
 	result := fc.newReg()
 
 	fc.cur.Term = ir.Terminator{Kind: ir.TermBranch, Cond: cond, To: thenBlk.ID, Else: elseBlk.ID}
@@ -704,7 +862,7 @@ func (fc *funcCompiler) ifExpr(e *ast.If) ir.Reg {
 }
 
 func (fc *funcCompiler) letExpr(e *ast.Let) ir.Reg {
-	fc.pushScope()
+	mk := fc.mark()
 	switch e.Kind {
 	case ast.LetRec:
 		// Each binding gets an indirection cell so that closures created by
@@ -713,13 +871,13 @@ func (fc *funcCompiler) letExpr(e *ast.Let) ir.Reg {
 		for i, b := range e.Bindings {
 			u := fc.constUnit()
 			cells[i] = fc.newReg()
-			fc.emit(ir.Instr{Op: ir.OpVectorLit, Dst: cells[i], Args: []ir.Reg{u}, Region: ir.NoReg})
-			fc.sc.names[b.Name] = binding{reg: cells[i], mutable: b.Mutable, cell: true}
+			fc.emit(ir.Instr{Op: ir.OpVectorLit, Dst: cells[i], Args: fc.regs1(u), Region: ir.NoReg})
+			fc.fr.sc.bind(b.Name, binding{reg: cells[i], mutable: b.Mutable, cell: true})
 		}
 		for i, b := range e.Bindings {
 			v := fc.expr(b.Init)
 			zero := fc.constInt(0)
-			fc.emit(ir.Instr{Op: ir.OpVecSet, A: cells[i], B: zero, Args: []ir.Reg{v}})
+			fc.emit(ir.Instr{Op: ir.OpVecSet, A: cells[i], B: zero, Args: fc.regs1(v)})
 		}
 	default: // plain let and let* both evaluate inits in order; plain-let
 		// shadowing subtleties were already validated by the checker's
@@ -733,26 +891,30 @@ func (fc *funcCompiler) letExpr(e *ast.Let) ir.Reg {
 				fc.bind(b.Name, r, b.Mutable)
 			}
 		} else {
-			vals := make([]ir.Reg, len(e.Bindings))
-			for i, b := range e.Bindings {
-				vals[i] = fc.expr(b.Init)
+			// The init values wait on the frame's stack: an init's own
+			// lets push above them and pop before the next one lands.
+			base := len(fc.fr.vals)
+			for _, b := range e.Bindings {
+				v := fc.expr(b.Init)
+				fc.fr.vals = append(fc.fr.vals, v)
 			}
 			for i, b := range e.Bindings {
 				r := fc.newReg()
-				fc.emit(ir.Instr{Op: ir.OpMov, Dst: r, A: vals[i]})
+				fc.emit(ir.Instr{Op: ir.OpMov, Dst: r, A: fc.fr.vals[base+i]})
 				fc.bind(b.Name, r, b.Mutable)
 			}
+			fc.fr.vals = fc.fr.vals[:base]
 		}
 	}
 	r := fc.body(e.Body)
-	fc.popScope()
+	fc.release(mk)
 	return r
 }
 
 func (fc *funcCompiler) whileExpr(e *ast.While) ir.Reg {
-	condBlk := fc.f.NewBlock()
-	bodyBlk := fc.f.NewBlock()
-	doneBlk := fc.f.NewBlock()
+	condBlk := fc.newBlock()
+	bodyBlk := fc.newBlock()
+	doneBlk := fc.newBlock()
 
 	fc.cur.Term = ir.Terminator{Kind: ir.TermJump, To: condBlk.ID}
 	fc.cur = condBlk
@@ -767,9 +929,9 @@ func (fc *funcCompiler) whileExpr(e *ast.While) ir.Reg {
 	fc.cur.Term = ir.Terminator{Kind: ir.TermBranch, Cond: c, To: bodyBlk.ID, Else: doneBlk.ID}
 
 	fc.cur = bodyBlk
-	fc.pushScope()
+	mk := fc.mark()
 	fc.body(e.Body)
-	fc.popScope()
+	fc.release(mk)
 	fc.cur.Term = ir.Terminator{Kind: ir.TermJump, To: condBlk.ID}
 
 	fc.cur = doneBlk
@@ -781,9 +943,9 @@ func (fc *funcCompiler) doTimes(e *ast.DoTimes) ir.Reg {
 	i := fc.newReg()
 	fc.emit(ir.Instr{Op: ir.OpConst, Dst: i, CKind: ir.ConstInt, Imm: 0})
 
-	condBlk := fc.f.NewBlock()
-	bodyBlk := fc.f.NewBlock()
-	doneBlk := fc.f.NewBlock()
+	condBlk := fc.newBlock()
+	bodyBlk := fc.newBlock()
+	doneBlk := fc.newBlock()
 
 	bits, signed, _ := numInfo(fc.m.info.TypeOf(e.Count))
 
@@ -794,10 +956,10 @@ func (fc *funcCompiler) doTimes(e *ast.DoTimes) ir.Reg {
 	fc.cur.Term = ir.Terminator{Kind: ir.TermBranch, Cond: c, To: bodyBlk.ID, Else: doneBlk.ID}
 
 	fc.cur = bodyBlk
-	fc.pushScope()
+	mk := fc.mark()
 	fc.bind(e.Var, i, false)
 	fc.body(e.Body)
-	fc.popScope()
+	fc.release(mk)
 	one := fc.constInt(1)
 	fc.emit(ir.Instr{Op: ir.OpAdd, Dst: i, A: i, B: one, NumBits: bits, Signed: signed})
 	fc.cur.Term = ir.Terminator{Kind: ir.TermJump, To: condBlk.ID}
@@ -809,30 +971,37 @@ func (fc *funcCompiler) doTimes(e *ast.DoTimes) ir.Reg {
 func (fc *funcCompiler) makeStruct(e *ast.MakeStruct) ir.Reg {
 	si := fc.m.info.Structs[e.Name]
 	// Evaluate field initialisers in declaration order.
-	regs := make([]ir.Reg, len(si.Fields))
-	byName := map[string]ast.Expr{}
-	for _, f := range e.Fields {
-		byName[f.Name] = f.Value
-	}
+	regs := fc.m.args.take(len(si.Fields))
 	for i, f := range si.Fields {
-		if init, ok := byName[f.Name]; ok {
+		if init := fieldInit(e, f.Name); init != nil {
 			regs[i] = fc.expr(init)
 		} else {
 			regs[i] = fc.constUnit() // checker already reported the omission
 		}
 	}
 	r := fc.newReg()
-	fc.emit(ir.Instr{Op: ir.OpNewStruct, Dst: r, Str: e.Name, Args: regs, Type: types.Struct(si), Region: fc.region})
+	fc.emit(ir.Instr{Op: ir.OpNewStruct, Dst: r, Str: e.Name, Args: regs, Type: fc.m.info.TypeOf(e), Region: fc.region})
 	return r
+}
+
+// fieldInit returns the initialiser e gives field name, the last one when
+// it names the field twice, or nil.
+func fieldInit(e *ast.MakeStruct, name string) ast.Expr {
+	for i := len(e.Fields) - 1; i >= 0; i-- {
+		if e.Fields[i].Name == name {
+			return e.Fields[i].Value
+		}
+	}
+	return nil
 }
 
 func (fc *funcCompiler) withRegion(e *ast.WithRegion) ir.Reg {
 	rreg := fc.newReg()
 	fc.emit(ir.Instr{Op: ir.OpRegionEnter, Dst: rreg})
-	fc.pushScope()
+	mk := fc.mark()
 	fc.bind("region "+e.Name, rreg, false)
 	r := fc.body(e.Body)
-	fc.popScope()
+	fc.release(mk)
 	// Preserve the result outside the region before exiting it: copy to a
 	// fresh register (the VM checks region liveness on access, not on copy).
 	out := fc.newReg()
@@ -845,7 +1014,7 @@ func (fc *funcCompiler) caseExpr(e *ast.Case) ir.Reg {
 	scrut := fc.expr(e.Scrut)
 	scrutT := types.Prune(fc.m.info.TypeOf(e.Scrut))
 	result := fc.newReg()
-	joinBlk := fc.f.NewBlock()
+	joinBlk := fc.newBlock()
 
 	var tag ir.Reg = ir.NoReg
 	if scrutT.Kind == types.KUnion {
@@ -855,10 +1024,10 @@ func (fc *funcCompiler) caseExpr(e *ast.Case) ir.Reg {
 
 	for ci, cl := range e.Clauses {
 		last := ci == len(e.Clauses)-1
-		bodyBlk := fc.f.NewBlock()
+		bodyBlk := fc.newBlock()
 		var nextBlk *ir.Block
 		if !last {
-			nextBlk = fc.f.NewBlock()
+			nextBlk = fc.newBlock()
 		}
 		fail := joinBlk.ID // exhaustive per checker; failing last test falls to join
 		if nextBlk != nil {
@@ -871,10 +1040,10 @@ func (fc *funcCompiler) caseExpr(e *ast.Case) ir.Reg {
 		case *ast.PatVar:
 			fc.cur.Term = ir.Terminator{Kind: ir.TermJump, To: bodyBlk.ID}
 			fc.cur = bodyBlk
-			fc.pushScope()
+			mk := fc.mark()
 			fc.bind(p.Name, scrut, false)
 			r := fc.body(cl.Body)
-			fc.popScope()
+			fc.release(mk)
 			fc.emit(ir.Instr{Op: ir.OpMov, Dst: result, A: r})
 			fc.cur.Term = ir.Terminator{Kind: ir.TermJump, To: joinBlk.ID}
 			if nextBlk != nil {
@@ -903,7 +1072,7 @@ func (fc *funcCompiler) caseExpr(e *ast.Case) ir.Reg {
 		}
 
 		fc.cur = bodyBlk
-		fc.pushScope()
+		mk := fc.mark()
 		// Bind constructor sub-patterns.
 		if p, ok := cl.Pattern.(*ast.PatCtor); ok {
 			if cu := fc.m.info.PatCtors[p]; cu != nil {
@@ -913,7 +1082,7 @@ func (fc *funcCompiler) caseExpr(e *ast.Case) ir.Reg {
 			}
 		}
 		r := fc.body(cl.Body)
-		fc.popScope()
+		fc.release(mk)
 		fc.emit(ir.Instr{Op: ir.OpMov, Dst: result, A: r})
 		fc.cur.Term = ir.Terminator{Kind: ir.TermJump, To: joinBlk.ID}
 

@@ -5,15 +5,23 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"bitc/internal/core"
 )
 
+// loadBudget is the wall time one FuzzLoad input's core.Load may take. Every
+// seed and every input the fuzzer has kept loads in a few milliseconds, and
+// under the race detector in well under a tenth of the budget, so only a
+// stage whose cost grows faster than its input comes near it.
+const loadBudget = 2 * time.Second
+
 // FuzzLoad drives the entire front end (lexer, parser, type checker,
 // compiler, optimiser) with arbitrary inputs. The invariant is total
-// robustness: any input may be rejected with diagnostics, none may panic.
-// `go test` runs the seed corpus; `go test -fuzz=FuzzLoad ./internal/core`
-// explores further.
+// robustness: any input may be rejected with diagnostics, none may panic,
+// and none may take longer than loadBudget to load, so a super-linear
+// blow-up fails like a panic does. `go test` runs the seed corpus;
+// `go test -fuzz=FuzzLoad ./internal/core` explores further.
 func FuzzLoad(f *testing.F) {
 	seeds := []string{
 		`(define (main) int64 42)`,
@@ -45,7 +53,11 @@ func FuzzLoad(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		start := time.Now()
 		prog, err := core.Load("fuzz.bitc", src, core.DefaultConfig)
+		if d := time.Since(start); d > loadBudget {
+			t.Fatalf("core.Load took %v on a %d-byte input, past the %v per-input budget", d.Round(time.Millisecond), len(src), loadBudget)
+		}
 		if err == nil && prog == nil {
 			t.Fatal("nil program with nil error")
 		}

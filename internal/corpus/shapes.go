@@ -1,0 +1,55 @@
+package corpus
+
+import (
+	"fmt"
+	"strings"
+)
+
+// The scaling shapes are generated programs that stress one dimension of a
+// stage each: a long body that reuses one mutable variable, a deep
+// expression nest, a deep chain of nested scopes and a deep chain of
+// branches. The linear-cost tests of the type checker, the compiler and the
+// optimiser run them at growing sizes; the Info and IR pins cover small
+// instances.
+
+// SetBodyShape is a function of n (set! acc (+ acc i)) statements inside
+// one dotimes loop, all adding to the same mutable local.
+func SetBodyShape(n int) string {
+	var b strings.Builder
+	b.WriteString("(define (main) int64\n  (let ((mutable acc 0))\n    (dotimes (i 3)\n")
+	for k := 0; k < n; k++ {
+		b.WriteString("      (set! acc (+ acc i))\n")
+	}
+	b.WriteString("      ())\n    acc))\n")
+	return b.String()
+}
+
+// NestShape is a (+ 1 (+ 1 … 1)) nest n deep.
+func NestShape(n int) string {
+	return "(define (main) int64\n  " + strings.Repeat("(+ 1 ", n) + "1" + strings.Repeat(")", n) + ")\n"
+}
+
+// LetShape is n nested lets, each binding x{k} to x{k-1} plus one.
+func LetShape(n int) string {
+	var b strings.Builder
+	b.WriteString("(define (main) int64\n")
+	b.WriteString("(let ((x0 1))\n")
+	for k := 1; k < n; k++ {
+		fmt.Fprintf(&b, "(let ((x%d (+ x%d 1)))\n", k, k-1)
+	}
+	fmt.Fprintf(&b, "x%d%s)\n", n-1, strings.Repeat(")", n))
+	return b.String()
+}
+
+// IfShape is n ifs nested in each other's else arm, each testing the
+// parameter against its depth: (if (< x 0) 0 (if (< x 1) 1 … n)).
+func IfShape(n int) string {
+	var b strings.Builder
+	b.WriteString("(define (pick (x int64)) int64\n")
+	for k := 0; k < n; k++ {
+		fmt.Fprintf(&b, "(if (< x %d) %d\n", k, k)
+	}
+	fmt.Fprintf(&b, "%d%s)\n", n, strings.Repeat(")", n))
+	b.WriteString("(define (main) int64 (pick 7))\n")
+	return b.String()
+}

@@ -1,10 +1,21 @@
-// Package opt implements bitc's optimiser: three block-local clean-up
-// passes (constant folding, copy propagation, dead-code elimination) and
-// the escape-based unboxing analysis that experiment E2 interrogates: under
-// a uniform (boxed) representation, which values can a compiler
-// legitimately keep out of heap boxes, and which are pinned by stores,
-// calls, and returns? The paper's fallacy 2 is the claim that this residue
-// is negligible.
+// Package opt implements bitc's optimiser: three clean-up passes
+// (block-local constant folding and copy propagation, function-wide
+// dead-code elimination) and the escape-based unboxing analysis that
+// experiment E2 interrogates: under a uniform (boxed) representation, which
+// values can a compiler legitimately keep out of heap boxes, and which are
+// pinned by stores, calls, and returns? The paper's fallacy 2 is the claim
+// that this residue is negligible.
+//
+// Every pass costs time linear in the function it rewrites. The passes keep
+// their facts in register-indexed tables that one Optimize call allocates
+// and reuses for every function (see tables); a block-local table is
+// emptied by starting a new generation, not by clearing it. Copy
+// propagation drops an alias whose source was redefined by comparing the
+// source's definition count, not by scanning the aliases. Dead-code
+// elimination counts each register's uses and removes definitions from a
+// worklist of registers whose count fell to zero, and the unboxing
+// analysis pushes escapes backwards through moves from a worklist; both
+// reach the fixed point that sweeping until nothing changes would.
 package opt
 
 import (
@@ -46,19 +57,128 @@ type Result struct {
 
 // Optimize runs the passes at the given level over every function.
 func Optimize(mod *ir.Module, level Level) *Result {
+	return optimize(mod, level, &tables{})
+}
+
+func optimize(mod *ir.Module, level Level, t *tables) *Result {
 	res := &Result{}
 	if level == O0 {
 		return res
 	}
 	for _, f := range mod.Funcs {
-		res.ConstFolded += constFold(f)
-		res.CopiesRemoved += copyProp(f)
-		res.DeadRemoved += deadCode(f)
+		t.fit(f)
+		res.ConstFolded += constFold(f, t)
+		res.CopiesRemoved += copyProp(f, t)
+		res.DeadRemoved += deadCode(f, t)
 		if level >= O2 {
-			res.Boxing.add(AnnotateUnboxed(f))
+			res.Boxing.add(annotateUnboxed(f, t))
 		}
 	}
 	return res
+}
+
+// ---------------------------------------------------------------------------
+// Register-indexed tables
+// ---------------------------------------------------------------------------
+
+// tables is the scratch state the passes share within one Optimize call.
+// Every table is indexed by register plus one, so NoReg has a slot of its
+// own; fit sizes them for each function. Every register a function's code
+// names is below its NumRegs, as the VM, which allocates that many, needs.
+type tables struct {
+	nregs int // slots in f's register tables
+
+	known regTable[constVal]   // constFold: the block's known constants
+	alias regTable[aliasEntry] // copyProp: the block's live copies
+	defs  []uint32             // copyProp: definitions of each register so far
+
+	uses []int32      // deadCode: reads of each register by live code
+	head []int32      // deadCode and the unboxing analysis: chain heads
+	next []int32      // the chain link of each chained instruction
+	at   []*ir.Instr  // the chained instructions, by chain position
+	dead []bool       // deadCode: the position's instruction was removed
+	work []ir.Reg     // deadCode and the unboxing analysis: the worklist
+	esc  []escapeBits // unboxing analysis: how each register escapes
+
+	// Deterministic work counters; the linear-cost test reads them.
+	aliasOps, dcePops, escSteps int
+}
+
+// fit sizes the tables for f.
+func (t *tables) fit(f *ir.Func) {
+	t.nregs = f.NumRegs + 1
+	t.known.fit(t.nregs)
+	t.alias.fit(t.nregs)
+	if len(t.defs) < t.nregs {
+		t.defs = make([]uint32, max(t.nregs, 2*len(t.defs)))
+	}
+	n := 0
+	for _, blk := range f.Blocks {
+		n += len(blk.Instrs)
+	}
+	if cap(t.at) < n {
+		t.at = make([]*ir.Instr, 0, max(n, 2*cap(t.at)))
+		t.next = make([]int32, 0, cap(t.at))
+	}
+}
+
+// resetChains empties head, next and at for a pass that chains
+// instructions by register.
+func (t *tables) resetChains() {
+	t.head = zeroed(t.head, t.nregs)
+	for i := range t.head {
+		t.head[i] = -1
+	}
+	t.at, t.next = t.at[:0], t.next[:0]
+}
+
+// regTable maps registers to values. Its entries belong to a generation:
+// reset starts a new one, which empties the table without touching it, and
+// a pass resets the table before it first uses it in a block.
+type regTable[T any] struct {
+	val   []T
+	stamp []uint32 // the generation an entry was set in; 0 is never live
+	gen   uint32
+}
+
+// fit makes room for n slots. It may drop every entry, so a pass calls it
+// only before a reset.
+func (rt *regTable[T]) fit(n int) {
+	if len(rt.stamp) < n {
+		n = max(n, 2*len(rt.stamp))
+		rt.val, rt.stamp = make([]T, n), make([]uint32, n)
+	}
+}
+
+func (rt *regTable[T]) reset() {
+	if rt.gen++; rt.gen == 0 {
+		clear(rt.stamp)
+		rt.gen = 1
+	}
+}
+
+func (rt *regTable[T]) get(r ir.Reg) (T, bool) {
+	if i := r + 1; rt.stamp[i] == rt.gen {
+		return rt.val[i], true
+	}
+	var zero T
+	return zero, false
+}
+
+func (rt *regTable[T]) set(r ir.Reg, v T) {
+	rt.val[r+1], rt.stamp[r+1] = v, rt.gen
+}
+
+func (rt *regTable[T]) del(r ir.Reg) { rt.stamp[r+1] = 0 }
+
+// zeroed returns s holding n zero values, reusing its storage.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // ---------------------------------------------------------------------------
@@ -73,28 +193,29 @@ type constVal struct {
 
 // constFold folds arithmetic and comparisons whose operands are known
 // constants within a block. Returns the number of instructions folded.
-func constFold(f *ir.Func) int {
+func constFold(f *ir.Func, t *tables) int {
 	folded := 0
+	known := &t.known
 	for _, blk := range f.Blocks {
-		known := map[ir.Reg]constVal{}
+		known.reset()
 		for idx := range blk.Instrs {
 			in := &blk.Instrs[idx]
 			switch in.Op {
 			case ir.OpConst:
 				switch in.CKind {
 				case ir.ConstInt, ir.ConstBool, ir.ConstChar:
-					known[in.Dst] = constVal{kind: in.CKind, i: in.Imm}
+					known.set(in.Dst, constVal{kind: in.CKind, i: in.Imm})
 				case ir.ConstFloat:
-					known[in.Dst] = constVal{kind: ir.ConstFloat, f: in.FImm}
+					known.set(in.Dst, constVal{kind: ir.ConstFloat, f: in.FImm})
 				default:
-					delete(known, in.Dst)
+					known.del(in.Dst)
 				}
 				continue
 			case ir.OpMov:
-				if c, ok := known[in.A]; ok {
-					known[in.Dst] = c
+				if c, ok := known.get(in.A); ok {
+					known.set(in.Dst, c)
 				} else {
-					delete(known, in.Dst)
+					known.del(in.Dst)
 				}
 				continue
 			}
@@ -103,26 +224,26 @@ func constFold(f *ir.Func) int {
 				folded++
 				// The folded instruction is now OpConst; record it.
 				if in.CKind == ir.ConstFloat {
-					known[in.Dst] = constVal{kind: ir.ConstFloat, f: in.FImm}
+					known.set(in.Dst, constVal{kind: ir.ConstFloat, f: in.FImm})
 				} else {
-					known[in.Dst] = constVal{kind: in.CKind, i: in.Imm}
+					known.set(in.Dst, constVal{kind: in.CKind, i: in.Imm})
 				}
 				continue
 			}
 			if in.Dst != ir.NoReg {
-				delete(known, in.Dst)
+				known.del(in.Dst)
 			}
 		}
 	}
 	return folded
 }
 
-func tryFold(in *ir.Instr, known map[ir.Reg]constVal) bool {
+func tryFold(in *ir.Instr, known *regTable[constVal]) bool {
 	isIntish := func(c constVal) bool {
 		return c.kind == ir.ConstInt || c.kind == ir.ConstBool || c.kind == ir.ConstChar
 	}
-	a, aok := known[in.A]
-	b, bok := known[in.B]
+	a, aok := known.get(in.A)
+	b, bok := known.get(in.B)
 	switch in.Op {
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpBitAnd, ir.OpBitOr, ir.OpBitXor, ir.OpShl, ir.OpShr:
 		if !aok || !bok || in.Float || !isIntish(a) || !isIntish(b) {
@@ -236,67 +357,73 @@ func wrapConst(x int64, bits int, signed bool) int64 {
 // Copy propagation (block-local)
 // ---------------------------------------------------------------------------
 
+// aliasEntry records that a register holds a copy of src, made when src
+// had been defined defs times.
+type aliasEntry struct {
+	src  ir.Reg
+	defs uint32
+}
+
 // copyProp replaces uses of registers defined by a Mov with the source, when
-// neither register is redefined in between (within one block).
-func copyProp(f *ir.Func) int {
+// neither register is redefined in between (within one block). A copy of a
+// register that has been redefined since is stale: its recorded definition
+// count no longer matches the source's.
+func copyProp(f *ir.Func, t *tables) int {
 	replaced := 0
+	resolve := func(r ir.Reg) ir.Reg {
+		t.aliasOps++
+		if a, ok := t.alias.get(r); ok && a.defs == t.defs[a.src+1] {
+			replaced++
+			return a.src
+		}
+		return r
+	}
+	define := func(r ir.Reg) {
+		t.aliasOps++
+		t.defs[r+1]++
+		t.alias.del(r)
+	}
+	rewrite := func(r *ir.Reg) { *r = resolve(*r) }
 	for _, blk := range f.Blocks {
-		alias := map[ir.Reg]ir.Reg{} // dst -> src
-		invalidate := func(r ir.Reg) {
-			delete(alias, r)
-			for d, s := range alias {
-				if s == r {
-					delete(alias, d)
-				}
-			}
-		}
-		resolve := func(r ir.Reg) ir.Reg {
-			if s, ok := alias[r]; ok {
-				replaced++
-				return s
-			}
-			return r
-		}
+		t.alias.reset()
 		for idx := range blk.Instrs {
 			in := &blk.Instrs[idx]
-			// Rewrite operands first.
-			if usesA(in.Op) {
-				in.A = resolve(in.A)
-			}
-			if usesB(in.Op) {
-				in.B = resolve(in.B)
-			}
-			for i := range in.Args {
-				in.Args[i] = resolve(in.Args[i])
-			}
-			if in.Region != ir.NoReg {
-				in.Region = resolve(in.Region)
-			}
+			operands(in, rewrite) // rewrite operands first
 			if in.Op == ir.OpMov {
-				invalidate(in.Dst)
+				define(in.Dst)
 				if in.A != in.Dst {
-					alias[in.Dst] = in.A
+					t.alias.set(in.Dst, aliasEntry{in.A, t.defs[in.A+1]})
 				}
 				continue
 			}
 			if in.Dst != ir.NoReg {
-				invalidate(in.Dst)
+				define(in.Dst)
 			}
 		}
 		if blk.Term.Kind == ir.TermBranch {
-			if s, ok := alias[blk.Term.Cond]; ok {
-				blk.Term.Cond = s
-				replaced++
-			}
+			blk.Term.Cond = resolve(blk.Term.Cond)
 		}
 		if blk.Term.Kind == ir.TermReturn && blk.Term.Val != ir.NoReg {
-			if s, ok := alias[blk.Term.Val]; ok {
-				blk.Term.Val = s
-				replaced++
-			}
+			blk.Term.Val = resolve(blk.Term.Val)
 		}
 	}
 	return replaced
+}
+
+// operands calls visit on every register operand in reads, once per read.
+func operands(in *ir.Instr, visit func(*ir.Reg)) {
+	if usesA(in.Op) {
+		visit(&in.A)
+	}
+	if usesB(in.Op) {
+		visit(&in.B)
+	}
+	for i := range in.Args {
+		visit(&in.Args[i])
+	}
+	if in.Region != ir.NoReg {
+		visit(&in.Region)
+	}
 }
 
 func usesA(op ir.Op) bool {
@@ -339,54 +466,77 @@ func pureOp(op ir.Op) bool {
 	return false
 }
 
-// deadCode removes pure instructions whose destination is never read.
-// Iterates to a fixed point.
-func deadCode(f *ir.Func) int {
-	removed := 0
-	for {
-		used := map[ir.Reg]bool{}
-		for _, blk := range f.Blocks {
-			for i := range blk.Instrs {
-				in := &blk.Instrs[i]
-				if usesA(in.Op) {
-					used[in.A] = true
-				}
-				if usesB(in.Op) {
-					used[in.B] = true
-				}
-				for _, a := range in.Args {
-					used[a] = true
-				}
-				if in.Region != ir.NoReg {
-					used[in.Region] = true
-				}
+// deadCode removes pure instructions whose destination is never read, and
+// then those whose destination only removed instructions read, until none
+// is left: the fixed point repeated sweeps would reach. Each register
+// counts its reads; a register whose count reaches zero goes on a
+// worklist, and popping it removes its pure definitions, which lowers the
+// counts of what they read.
+func deadCode(f *ir.Func, t *tables) int {
+	t.uses = zeroed(t.uses, t.nregs)
+	t.resetChains()
+	count := func(r *ir.Reg) { t.uses[*r+1]++ }
+	for _, blk := range f.Blocks {
+		for i := range blk.Instrs {
+			in := &blk.Instrs[i]
+			operands(in, count)
+			next := int32(-1)
+			if pureOp(in.Op) && in.Dst != ir.NoReg {
+				next = t.head[in.Dst+1]
+				t.head[in.Dst+1] = int32(len(t.at))
 			}
-			switch blk.Term.Kind {
-			case ir.TermBranch:
-				used[blk.Term.Cond] = true
-			case ir.TermReturn:
-				if blk.Term.Val != ir.NoReg {
-					used[blk.Term.Val] = true
-				}
-			}
+			t.at = append(t.at, in)
+			t.next = append(t.next, next)
 		}
-		changed := false
-		for _, blk := range f.Blocks {
-			out := blk.Instrs[:0]
-			for _, in := range blk.Instrs {
-				if pureOp(in.Op) && in.Dst != ir.NoReg && !used[in.Dst] {
-					removed++
-					changed = true
-					continue
-				}
-				out = append(out, in)
+		switch blk.Term.Kind {
+		case ir.TermBranch:
+			count(&blk.Term.Cond)
+		case ir.TermReturn:
+			if blk.Term.Val != ir.NoReg {
+				count(&blk.Term.Val)
 			}
-			blk.Instrs = out
-		}
-		if !changed {
-			return removed
 		}
 	}
+	t.dead = zeroed(t.dead, len(t.at))
+	work := t.work[:0]
+	for i, h := range t.head {
+		if h >= 0 && t.uses[i] == 0 {
+			work = append(work, ir.Reg(i-1))
+		}
+	}
+	removed := 0
+	release := func(r *ir.Reg) {
+		if t.uses[*r+1]--; t.uses[*r+1] == 0 && t.head[*r+1] >= 0 {
+			work = append(work, *r)
+		}
+	}
+	for len(work) > 0 {
+		r := work[len(work)-1]
+		work = work[:len(work)-1]
+		t.dcePops++
+		for p := t.head[r+1]; p >= 0; p = t.next[p] {
+			t.dead[p] = true
+			removed++
+			operands(t.at[p], release)
+		}
+		t.head[r+1] = -1
+	}
+	t.work = work
+	if removed == 0 {
+		return 0
+	}
+	p := 0
+	for _, blk := range f.Blocks {
+		out := blk.Instrs[:0]
+		for _, in := range blk.Instrs {
+			if !t.dead[p] {
+				out = append(out, in)
+			}
+			p++
+		}
+		blk.Instrs = out
+	}
+	return removed
 }
 
 // ---------------------------------------------------------------------------
@@ -444,70 +594,94 @@ func producesScalar(in *ir.Instr) bool {
 	return false
 }
 
+// escapeBits records how a register escapes.
+type escapeBits uint8
+
+const (
+	escHeap escapeBits = 1 << iota // stored into a heap object
+	escCall                        // passed across a call boundary
+	escRet                         // returned or captured
+)
+
 // AnnotateUnboxed marks NoBox on every scalar-producing instruction whose
 // register never escapes to the heap, a call boundary, or a return — the
 // values a realistic unboxing optimisation can rescue. Everything else stays
 // boxed; the split is returned for E2's table.
 func AnnotateUnboxed(f *ir.Func) BoxingStats {
+	t := &tables{}
+	t.fit(f)
+	return annotateUnboxed(f, t)
+}
+
+func annotateUnboxed(f *ir.Func, t *tables) BoxingStats {
 	// Classify the *registers* that escape, function-wide (registers are
-	// reused across blocks, so this is conservative).
-	escHeap := map[ir.Reg]bool{}
-	escCall := map[ir.Reg]bool{}
-	escRet := map[ir.Reg]bool{}
+	// reused across blocks, so this is conservative). A move's source
+	// escapes wherever its destination does; the moves are chained by
+	// destination in head and next, as deadCode chains definitions.
+	esc := zeroed(t.esc, t.nregs)
+	t.esc = esc
+	t.resetChains()
+	mark := func(r ir.Reg, how escapeBits) { esc[r+1] |= how }
 	for _, blk := range f.Blocks {
 		for i := range blk.Instrs {
 			in := &blk.Instrs[i]
 			switch in.Op {
 			case ir.OpNewStruct, ir.OpNewUnion, ir.OpVectorLit, ir.OpNewVector:
 				for _, a := range in.Args {
-					escHeap[a] = true
+					mark(a, escHeap)
 				}
 				if in.Op == ir.OpNewVector {
-					escHeap[in.B] = true // the fill value is stored
+					mark(in.B, escHeap) // the fill value is stored
 				}
 			case ir.OpSetField:
-				escHeap[in.B] = true
+				mark(in.B, escHeap)
 			case ir.OpVecSet:
 				for _, a := range in.Args {
-					escHeap[a] = true
+					mark(a, escHeap)
 				}
 			case ir.OpCall, ir.OpCallClosure, ir.OpCallExtern, ir.OpBuiltin:
 				for _, a := range in.Args {
-					escCall[a] = true
+					mark(a, escCall)
 				}
 			case ir.OpMakeClosure:
 				for _, a := range in.Args {
-					escRet[a] = true // captured: lives beyond this frame
+					mark(a, escRet) // captured: lives beyond this frame
 				}
 			case ir.OpSpawn:
-				escCall[in.A] = true
+				mark(in.A, escCall)
 			case ir.OpMov:
-				// A copy into an escaping register escapes as well — handled
-				// by treating Mov destinations below.
+				t.next = append(t.next, t.head[in.Dst+1])
+				t.head[in.Dst+1] = int32(len(t.at))
+				t.at = append(t.at, in)
 			}
 		}
 		if blk.Term.Kind == ir.TermReturn && blk.Term.Val != ir.NoReg {
-			escRet[blk.Term.Val] = true
+			mark(blk.Term.Val, escRet)
 		}
 	}
-	// Propagate escape through Mov: if dst escapes, src escapes.
-	for changed := true; changed; {
-		changed = false
-		for _, blk := range f.Blocks {
-			for i := range blk.Instrs {
-				in := &blk.Instrs[i]
-				if in.Op != ir.OpMov {
-					continue
-				}
-				for _, m := range []map[ir.Reg]bool{escHeap, escCall, escRet} {
-					if m[in.Dst] && !m[in.A] {
-						m[in.A] = true
-						changed = true
-					}
+	// Propagate escape through Mov: if dst escapes, src escapes. A register
+	// is pushed when its bits grow, so at most once per bit plus once.
+	work := t.work[:0]
+	for i, how := range esc {
+		if how != 0 && t.head[i] >= 0 {
+			work = append(work, ir.Reg(i-1))
+		}
+	}
+	for len(work) > 0 {
+		d := work[len(work)-1]
+		work = work[:len(work)-1]
+		for p := t.head[d+1]; p >= 0; p = t.next[p] {
+			t.escSteps++
+			src := t.at[p].A
+			if grown := esc[src+1] | esc[d+1]; grown != esc[src+1] {
+				esc[src+1] = grown
+				if t.head[src+1] >= 0 {
+					work = append(work, src)
 				}
 			}
 		}
 	}
+	t.work = work
 
 	var bs BoxingStats
 	for _, blk := range f.Blocks {
@@ -517,12 +691,12 @@ func AnnotateUnboxed(f *ir.Func) BoxingStats {
 				continue
 			}
 			bs.ScalarResults++
-			switch {
-			case escHeap[in.Dst]:
+			switch how := esc[in.Dst+1]; {
+			case how&escHeap != 0:
 				bs.EscapeHeap++
-			case escCall[in.Dst]:
+			case how&escCall != 0:
 				bs.EscapeCall++
-			case escRet[in.Dst]:
+			case how&escRet != 0:
 				bs.EscapeReturn++
 			default:
 				bs.Unboxable++

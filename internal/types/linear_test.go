@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	bitcast "bitc/internal/ast"
+	"bitc/internal/corpus"
 	"bitc/internal/parser"
 	"bitc/internal/types"
 )
@@ -21,7 +22,7 @@ const (
 	maxProbesPerVRef = 3.0 // scope-table lookups per variable reference
 )
 
-// TestCheckLinearCost checks the three scaling shapes at growing sizes and
+// TestCheckLinearCost checks the four scaling shapes at growing sizes and
 // bounds the checker's deterministic work counters, not its wall time.
 //
 // What the counters cannot see: hops counts only the Link hops walked inside
@@ -37,9 +38,10 @@ func TestCheckLinearCost(t *testing.T) {
 		gen   func(int) string
 		sizes []int
 	}{
-		{"set-body", setBodyShape, []int{1000, 4000, 16000}},
-		{"nest", nestShape, []int{5000, 20000}},
-		{"let", letShape, []int{1000, 4000}},
+		{"set-body", corpus.SetBodyShape, []int{1000, 4000, 16000}},
+		{"nest", corpus.NestShape, []int{5000, 20000}},
+		{"let", corpus.LetShape, []int{1000, 4000}},
+		{"if", corpus.IfShape, []int{1000, 4000}},
 	}
 	for _, sh := range shapes {
 		for _, n := range sh.sizes {

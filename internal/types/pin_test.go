@@ -62,9 +62,9 @@ func pinInputs(t *testing.T) []pinInput {
 	}
 	ins = append(ins,
 		pinInput{"corpus/1000x25", corpus.Text(1000, 25)},
-		pinInput{"shape/set-body-200", setBodyShape(200)},
-		pinInput{"shape/nest-300", nestShape(300)},
-		pinInput{"shape/let-100", letShape(100)},
+		pinInput{"shape/set-body-200", corpus.SetBodyShape(200)},
+		pinInput{"shape/nest-300", corpus.NestShape(300)},
+		pinInput{"shape/let-100", corpus.LetShape(100)},
 	)
 	return ins
 }

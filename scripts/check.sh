@@ -124,6 +124,20 @@ rm -f /tmp/bitc-serve-shard.bitc /tmp/bitc-serve-twopc.bitc
 # string must never pass a reference operand check.
 go test -count=1 -run 'TestDispatchDifferential|TestDisasmGolden|TestValueLayout|TestCallsAllocateNothing|TestStringIsNotRef' ./internal/vm
 
+# Linear-cost and IR pin gate (~3s): on the scaling shapes
+# (internal/corpus/shapes.go) at growing sizes, the type checker, the
+# compiler and the optimiser must each do work linear in their input,
+# counted in deterministic steps (Link hops and scope probes, name-table
+# probes, alias-table operations, worklist pops, escape steps), not wall
+# time. And the compiler and optimiser must produce exactly the pinned IR
+# and optimiser counts on every tracked program, the kernels, the corpus,
+# the shapes and the service's programs, at O0, O1 and O2 with and without
+# contracts (internal/compiler/testdata/ir-pin.txt; regenerate deliberately
+# with -update and review which inputs moved).
+go test -count=1 -run 'TestIRPin|TestCheckLinearCost|TestCompileLinearCost|TestOptLinearCost' \
+    ./internal/types ./internal/compiler ./internal/opt
+echo "linear-cost and IR pin gate: green"
+
 # Bounds, provenance & truncation gate: one relational range engine
 # (internal/analysis/bounds.go) answers bounds elision, BITC-PROV001 and
 # BITC-TRUNC001, so all three are held here. The engine must (1) hold the
@@ -216,6 +230,12 @@ go test -race -count=1 ./internal/serve/...
 # chains while it runs and leaves every Info type at its root, so a Prune
 # after Check never writes; types and core are here to keep it that way.
 go test -race -count=1 ./internal/types/ ./internal/analysis/ ./internal/cfg/ ./internal/core/
+
+# The compiler and the optimiser keep their scratch tables in the call,
+# never at package level, because core.Load runs concurrently (serve's
+# shards, the memo tests); TestCompileConcurrently compiles one program
+# from several goroutines under the race detector (~12s).
+go test -race -count=1 ./internal/compiler/ ./internal/opt/
 
 rm -f "$current" /tmp/bitc-check
 
