@@ -692,8 +692,9 @@ func (fc *funcCompiler) lambda(e *ast.Lambda, nameHint *string) ir.Reg {
 
 func (fc *funcCompiler) call(e *ast.Call) ir.Reg {
 	if v, ok := e.Fn.(*ast.VarRef); ok {
-		// Locally-bound name shadows specials.
-		if _, bound := fc.lookup(v.Name); !bound {
+		// A local shadows specials, whether this function binds it or
+		// captures it from an enclosing one.
+		if _, bound := fc.lookup(v.Name); !bound && !isLocal(fc.m.info.Use(v)) {
 			switch v.Name {
 			case "and":
 				return fc.shortCircuit(e.Args, true)
@@ -789,6 +790,11 @@ func (fc *funcCompiler) call(e *ast.Call) ir.Reg {
 	r := fc.newReg()
 	fc.emit(ir.Instr{Op: ir.OpCallClosure, Dst: r, A: fn, Args: args, Type: fc.m.info.TypeOf(e)})
 	return r
+}
+
+// isLocal reports whether sym is a let-bound value or a parameter.
+func isLocal(sym *types.Symbol) bool {
+	return sym != nil && (sym.Kind == types.SymLocal || sym.Kind == types.SymParam)
 }
 
 func (fc *funcCompiler) evalArgs(args []ast.Expr) []ir.Reg {

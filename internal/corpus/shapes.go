@@ -7,10 +7,11 @@ import (
 
 // The scaling shapes are generated programs that stress one dimension of a
 // stage each: a long body that reuses one mutable variable, a deep
-// expression nest, a deep chain of nested scopes and a deep chain of
-// branches. The linear-cost tests of the type checker, the compiler and the
-// optimiser run them at growing sizes; the Info and IR pins cover small
-// instances.
+// expression nest, a deep chain of nested scopes, a deep chain of branches
+// and a chain of copies written against block order. The linear-cost tests
+// of the type checker, the compiler and the optimiser run them at growing
+// sizes (the copy chain only the optimiser's); the Info and IR pins cover
+// small instances of the others.
 
 // SetBodyShape is a function of n (set! acc (+ acc i)) statements inside
 // one dotimes loop, all adding to the same mutable local.
@@ -51,5 +52,25 @@ func IfShape(n int) string {
 	}
 	fmt.Fprintf(&b, "%d%s)\n", n, strings.Repeat(")", n))
 	b.WriteString("(define (main) int64 (pick 7))\n")
+	return b.String()
+}
+
+// MovChainShape is n+1 mutable locals and n guarded copies between them,
+// each in its own branch, written last link first: x{n-1} takes x{n}, then
+// x{n-2} takes x{n-1}, and so on down to x0, which is returned. Escape flows
+// from a copy's destination to its source, so it flows from x0 up the
+// chain against block order, and a pass that sweeps the copies in block
+// order until nothing changes takes n sweeps.
+func MovChainShape(n int) string {
+	var b strings.Builder
+	b.WriteString("(define (chain (c int64)) int64\n  (let (")
+	for k := 0; k <= n; k++ {
+		fmt.Fprintf(&b, "(mutable x%d c)", k)
+	}
+	b.WriteString(")\n")
+	for k := n - 1; k >= 0; k-- {
+		fmt.Fprintf(&b, "    (if (< c %d) (set! x%d x%d) ())\n", k, k, k+1)
+	}
+	b.WriteString("    x0))\n(define (main) int64 (chain 7))\n")
 	return b.String()
 }

@@ -41,6 +41,7 @@ func TestOptLinearCost(t *testing.T) {
 		{"nest", corpus.NestShape, []int{5000, 20000}},
 		{"let", corpus.LetShape, []int{1000, 4000}},
 		{"if", corpus.IfShape, []int{1000, 4000}},
+		{"mov-chain", corpus.MovChainShape, []int{1000, 4000}},
 	}
 	for _, sh := range shapes {
 		for _, n := range sh.sizes {

@@ -4,8 +4,9 @@
 // a form recogniser (this file) that maps list heads like define, let, case
 // onto AST nodes, reporting malformed forms with precise spans. The reader
 // pulls tokens from the lexer one at a time, with one token of lookahead,
-// and carves its S-expressions from per-parse slabs that die with the parse;
-// no token slice is ever built.
+// and hands each top-level form to the recogniser as soon as it closes; the
+// form's S-expressions are carved from scratch that is rewound per form, so
+// no token slice and no whole-file tree is ever built.
 package parser
 
 import (
@@ -19,42 +20,32 @@ import (
 func Parse(name, text string) (*ast.Program, *source.Diagnostics) {
 	file := source.NewFile(name, text)
 	diags := source.NewDiagnostics(file)
-	sexps := readSexps(file, diags)
-	p := &former{diags: diags}
-	prog := &ast.Program{File: file}
-	for _, s := range sexps {
-		if d := p.formDef(s); d != nil {
-			prog.Defs = append(prog.Defs, d)
-		}
-	}
-	prog.ExprCount = p.exprs
-	prog.Suppressions = append(p.suppressions, CommentSuppressions(file)...)
+	prog := (&former{diags: diags}).program(newReader(file, diags, 0, len(text)), file, len(text))
+	prog.Suppressions = append(prog.Suppressions, CommentSuppressions(file)...)
 	return prog, diags
 }
 
 // ParseRange parses the definitions of file that start in the byte range
 // [from, to), with positions absolute in file, numbering their expressions
 // from base upwards in pre-order. from must lie between tokens, as the end
-// of a definition does. The range must hold whole forms: the forms read
-// must end by to and the next token must start at to, or an error says
-// they do not. The result holds the definitions, ExprCount (the last
-// number used, base-1 if none) and the (suppress ...) form suppressions;
-// comment directives are CommentSuppressions' business, since a comment
-// line mutes the line below it, which may lie outside the range. The names
-// in the result are copies, not substrings of file.Text, so definitions
-// parsed from many versions of a text do not keep every version alive.
+// of a definition does. The range must hold whole forms: the last form read
+// must end by to and the next token must start at to (the end of file
+// token, if to is the end of the text). Otherwise, as when a comment or
+// string opened inside the range runs past it, an error says they do not.
+// The result holds the definitions, ExprCount (the last number used, base-1
+// if none) and the (suppress ...) form suppressions; comment directives are
+// CommentSuppressions' business, since a comment line mutes the line below
+// it, which may lie outside the range. The names in the result are copies,
+// not substrings of file.Text: a definition parsed this way may outlive
+// many later versions of the text, and should keep none of them alive.
 func ParseRange(file *source.File, from, to int, base int32) (*ast.Program, *source.Diagnostics) {
 	diags := source.NewDiagnostics(file)
-	sexps := readRange(file, diags, from, to)
-	p := &former{diags: diags, exprs: base - 1}
-	prog := &ast.Program{File: file}
-	for _, s := range sexps {
-		if d := p.formDef(s); d != nil {
-			prog.Defs = append(prog.Defs, d)
-		}
+	r := newReader(file, diags, from, to-from)
+	r.own = true
+	prog := (&former{diags: diags, exprs: base - 1}).program(r, file, to)
+	if int(r.tok.Span.Start) != to {
+		diags.Errorf(r.tok.Span, "the forms read from offset %d do not end at offset %d", from, to)
 	}
-	prog.ExprCount = p.exprs
-	prog.Suppressions = p.suppressions
 	return prog, diags
 }
 
@@ -62,13 +53,18 @@ func ParseRange(file *source.File, from, to int, base int32) (*ast.Program, *sou
 func ParseExpr(text string) (ast.Expr, *source.Diagnostics) {
 	file := source.NewFile("<expr>", text)
 	diags := source.NewDiagnostics(file)
-	sexps := readSexps(file, diags)
 	p := &former{diags: diags}
-	if len(sexps) == 0 {
+	var e ast.Expr
+	newReader(file, diags, 0, len(text)).forms(len(text), func(s *sexp) {
+		if e == nil {
+			e = p.formExpr(s)
+		}
+	})
+	if e == nil {
 		diags.Errorf(source.Span{}, "empty input")
 		return &ast.UnitLit{ID: p.id()}, diags
 	}
-	return p.formExpr(sexps[0]), diags
+	return e, diags
 }
 
 type former struct {
@@ -86,6 +82,20 @@ func (p *former) id() int32 {
 
 func (p *former) errf(s source.Span, format string, args ...any) {
 	p.diags.Errorf(s, format, args...)
+}
+
+// program forms the definitions r reads before offset to, one top-level
+// form at a time.
+func (p *former) program(r *reader, file *source.File, to int) *ast.Program {
+	prog := &ast.Program{File: file}
+	r.forms(to, func(s *sexp) {
+		if d := p.formDef(s); d != nil {
+			prog.Defs = append(prog.Defs, d)
+		}
+	})
+	prog.ExprCount = p.exprs
+	prog.Suppressions = p.suppressions
+	return prog
 }
 
 // ---------------------------------------------------------------------------

@@ -371,9 +371,10 @@ func TestNestedExprSpansNest(t *testing.T) {
 
 // TestParseAllocsPerToken holds the reader to allocating in proportion to
 // the AST, not the token stream: sexp nodes, atom tokens and child lists
-// come from per-parse slabs, so on the 1000-function corpus a parse makes
-// about 0.6 heap objects per token, nearly all of them AST nodes. A reader
-// that builds a token slice or heap-copies each atom makes about 2.5.
+// come from scratch rewound per form, so on the 1000-function corpus a
+// parse makes about 0.6 heap objects per token, nearly all of them AST
+// nodes. A reader that builds a token slice or heap-copies each atom makes
+// about 2.5.
 func TestParseAllocsPerToken(t *testing.T) {
 	text := corpus.Text(1000, 25)
 	toks, diags := lexer.Tokenize("corpus.bitc", text)

@@ -42,6 +42,19 @@ var malformedInputs = []pinInput{
 	{"overflow-hex", "(define (f) int64 0x1FFFFFFFFFFFFFFFF)"},
 	{"overflow-negative", "(define (f) int64 (+ -18446744073709551615 -9223372036854775809))"},
 	{"non-ascii-symbol", "(define (é (ünï int64)) int64 (+ ünï 1))\n(define (g) int64 (x\u200by \xff 1))"},
+	{"after-many-good", corpus.Text(60, 5) + "(define (g) int64 (+ 1 2]\n42\n'x\n(define (h) int64 (let ((a 1)) a))"},
+}
+
+// streamInputs exercise a reader that forms one top-level form at a time:
+// a form far larger than the first scratch chunk followed by small forms,
+// and (suppress ...) forms spread over consecutive definitions.
+var streamInputs = []pinInput{
+	{"let2000-then-corpus", corpus.LetShape(2000) + corpus.Text(40, 5)},
+	{"suppress-consecutive", `(define (f (x int64)) int64 (suppress "BITC-TRUNC001" (+ x 1)))
+(define (g (x int64)) int64 (let ((y (suppress "BITC-DEAD001" 1))) (suppress "BITC-TRUNC001" x)))
+(define (h) int64 (suppress "BITC-X" 1 2))
+(define (k) int64 (+ (suppress "BITC-A" 1) (suppress "BITC-B" 2)))
+`},
 }
 
 // pinInputs lists every input the parse pin covers, in a fixed order.
@@ -77,6 +90,9 @@ func pinInputs(t *testing.T) []pinInput {
 		ins = append(ins, pinInput{"kernel/" + k, src})
 	}
 	ins = append(ins, pinInput{"corpus/200x24", corpus.Text(200, 24)})
+	for _, s := range streamInputs {
+		ins = append(ins, pinInput{"stream/" + s.name, s.text})
+	}
 	for _, m := range malformedInputs {
 		ins = append(ins, pinInput{"malformed/" + m.name, m.text})
 	}

@@ -42,46 +42,12 @@ func (s *sexp) head() string {
 	return ""
 }
 
-// readSexps reads every top-level S-expression in file. Tokens are pulled
-// from the lexer one at a time; no token slice is built.
-func readSexps(file *source.File, diags *source.Diagnostics) []*sexp {
-	r := newReader(file, diags, 0, len(file.Text))
-	return r.readForms(len(file.Text))
-}
-
-// readRange reads the top-level S-expressions of file that start in the
-// byte range [from, to); from must lie between tokens. The last form read
-// must end by to and the next token must start exactly at to (the end of
-// file token, if to is the end of the text). Otherwise [from, to) is not a
-// run of whole forms, as when a comment or string opened inside the range
-// runs past it, and readRange reports that as an error. The atoms' text is
-// copied out of the file: a definition parsed this way may outlive many
-// later versions of the text, and should keep none of them alive.
-func readRange(file *source.File, diags *source.Diagnostics, from, to int) []*sexp {
-	r := newReader(file, diags, from, to-from)
-	r.own = true
-	forms := r.readForms(to)
-	if int(r.tok.Span.Start) != to {
-		diags.Errorf(r.tok.Span, "the forms read from offset %d do not end at offset %d", from, to)
-	}
-	return forms
-}
-
-// readForms reads top-level S-expressions until the lookahead token is the
-// end of file or starts at or past to.
-func (r *reader) readForms(to int) []*sexp {
-	for r.tok.Kind != lexer.EOF && int(r.tok.Span.Start) < to {
-		if s := r.read(); s != nil {
-			r.stack = append(r.stack, s)
-		}
-	}
-	return r.closeList(0)
-}
-
-// reader builds sexps from a token stream with one token of lookahead. Its
-// nodes, atom tokens and child lists are carved from per-parse slabs, so a
-// parse allocates a few chunks instead of one object per token. Nothing in
-// the AST points into the slabs, so they die with the parse.
+// reader builds sexps from a token stream with one token of lookahead, one
+// top-level form at a time. Its nodes, atom tokens and child lists are
+// carved from slabs of scratch that forms rewinds after each top-level
+// form, so the scratch is bounded by the largest form, not by the file.
+// Nothing in the AST points into the scratch: names are substrings of the
+// file (or copies, under own) and payloads are copied into the nodes.
 type reader struct {
 	lx    *lexer.Lexer
 	diags *source.Diagnostics
@@ -99,22 +65,32 @@ type reader struct {
 }
 
 // newReader starts a reader at byte offset from of file, which must lie
-// between tokens, sizing its slabs for n bytes of text.
+// between tokens, sizing its first chunks for n bytes of text but for no
+// more than about one large function.
 func newReader(file *source.File, diags *source.Diagnostics, from, n int) *reader {
-	// Dense source runs at about one sexp and one child-list slot per 3.7
-	// bytes and one atom per 5.6 (the generated corpus; hand-written
-	// programs with comments are sparser). First chunks sized from the text
-	// at about that rate keep a small program's parse small and hold most of
-	// a large one.
 	r := &reader{
 		lx:    lexer.NewAt(file, diags, from),
 		diags: diags,
-		nodes: slab[sexp]{size: n/4 + 16},
-		atoms: slab[lexer.Token]{size: n/6 + 16},
-		kids:  slab[*sexp]{size: n/4 + 16},
+		nodes: slab[sexp]{size: min(n/4+16, 1024)},
+		atoms: slab[lexer.Token]{size: min(n/6+16, 1024)},
+		kids:  slab[*sexp]{size: min(n/4+16, 1024)},
 	}
 	r.tok = r.lx.Next()
 	return r
+}
+
+// forms reads the top-level S-expressions until the lookahead token is the
+// end of file or starts at or past to, handing each to form as soon as it
+// closes and rewinding the scratch once form returns.
+func (r *reader) forms(to int, form func(*sexp)) {
+	for r.tok.Kind != lexer.EOF && int(r.tok.Span.Start) < to {
+		if s := r.read(); s != nil {
+			form(s)
+		}
+		r.nodes.reset()
+		r.atoms.reset()
+		r.kids.reset()
+	}
 }
 
 // next consumes the lookahead token and returns it. At end of file it keeps
@@ -205,26 +181,25 @@ func (r *reader) read() *sexp {
 	}
 }
 
-// slab hands out values of T carved from chunks, so that many small objects
-// cost one allocation per chunk. Chunks after the first are an eighth of its
-// size, which bounds the unused tail when the first was sized too small. A
-// chunk is never reallocated, so pointers into it stay valid for the slab's
-// lifetime.
+// slab hands out values of T carved from one chunk, so that many small
+// objects cost one allocation. A take that does not fit starts a chunk more
+// than twice as large, leaving the old one to the values already carved
+// from it; reset rewinds the chunk for reuse, zeroing only the prefix handed
+// out. Values stay valid until the next reset.
 type slab[T any] struct {
 	chunk []T
-	size  int // length of the next chunk
+	size  int // capacity of the first chunk
+	alloc int // values allocated in chunks, for the scratch-bound test
 }
 
 // take returns n zeroed values with capacity n, so appending to the result
 // cannot overwrite a neighbour.
 func (s *slab[T]) take(n int) []T {
-	if n > s.size {
-		return make([]T, n)
-	}
 	i := len(s.chunk)
 	if i+n > cap(s.chunk) {
-		s.chunk, i = make([]T, 0, s.size), 0
-		s.size = max(s.size/8, 16)
+		c := max(s.size, 2*cap(s.chunk)+n)
+		s.chunk, i = make([]T, 0, c), 0
+		s.alloc += c
 	}
 	s.chunk = s.chunk[:i+n]
 	return s.chunk[i : i+n : i+n]
@@ -232,3 +207,9 @@ func (s *slab[T]) take(n int) []T {
 
 // one returns a pointer to one zeroed T.
 func (s *slab[T]) one() *T { return &s.take(1)[0] }
+
+// reset zeroes the values handed out since the last reset and rewinds.
+func (s *slab[T]) reset() {
+	clear(s.chunk)
+	s.chunk = s.chunk[:0]
+}

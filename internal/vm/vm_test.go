@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"bitc/internal/compiler"
+	"bitc/internal/core"
+	"bitc/internal/opt"
 	"bitc/internal/parser"
 	"bitc/internal/types"
 	"bitc/internal/vm"
@@ -221,14 +223,54 @@ func TestClosuresAndHigherOrder(t *testing.T) {
 	}
 }
 
+// TestClosureCapture runs programs whose lambdas call captured locals under
+// both dispatch strategies at O0 and O2. A captured local that shadows a
+// top-level function, a builtin or a constructor is called as the closure
+// it holds, never as the global it shadows.
 func TestClosureCapture(t *testing.T) {
-	src := `
-	  (define (adder (n int64)) (-> (int64) int64)
-	    (lambda ((x int64)) int64 (+ x n)))
-	  (define (f) int64 ((adder 5) 37))`
-	val, _ := run(t, src, "f")
-	if val.I != 42 {
-		t.Fatalf("got %d", val.I)
+	cases := []struct {
+		name, src string
+		want      int64
+	}{
+		{"adder", `
+		  (define (adder (n int64)) (-> (int64) int64)
+		    (lambda ((x int64)) int64 (+ x n)))
+		  (define (main) int64 ((adder 5) 37))`, 42},
+		{"shadowed-function", `
+		  (define (f (x int64)) int64 x)
+		  (define (main) int64
+		    (let ((f (lambda ((y int64)) int64 (+ y 100))))
+		      (+ (f 1) ((lambda ((z int64)) int64 (f z)) 1))))`, 202},
+		{"shadowed-function-param", `
+		  (define (g (f (-> (int64) int64))) int64 ((lambda ((z int64)) int64 (f z)) 1))
+		  (define (f (x int64)) int64 x)
+		  (define (main) int64 (g (lambda ((y int64)) int64 (+ y 100))))`, 101},
+		{"shadowed-builtin", `
+		  (define (main) int64
+		    (let ((+ (lambda ((a int64) (b int64)) int64 (* a b))))
+		      ((lambda ((z int64)) int64 (+ z 3)) 5)))`, 15},
+		{"shadowed-constructor", `
+		  (defunion opt (None) (Some (v int64)))
+		  (define (main) int64
+		    (let ((Some (lambda ((x int64)) int64 (* x 10))))
+		      ((lambda ((z int64)) int64 (Some z)) 4)))`, 40},
+	}
+	for _, c := range cases {
+		for _, d := range dispatchModes {
+			for _, lvl := range []opt.Level{opt.O0, opt.O2} {
+				prog, err := core.Load("t.bitc", c.src, core.Config{Optimize: lvl, Dispatch: d})
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				val, _, err := prog.Run()
+				if err != nil {
+					t.Fatalf("%s/%v/O%d: %v", c.name, d, lvl, err)
+				}
+				if val.I != c.want {
+					t.Errorf("%s/%v/O%d: got %s, want %d", c.name, d, lvl, val.String(), c.want)
+				}
+			}
+		}
 	}
 }
 

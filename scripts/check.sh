@@ -129,13 +129,15 @@ go test -count=1 -run 'TestDispatchDifferential|TestDisasmGolden|TestValueLayout
 # compiler and the optimiser must each do work linear in their input,
 # counted in deterministic steps (Link hops and scope probes, name-table
 # probes, alias-table operations, worklist pops, escape steps), not wall
-# time. And the compiler and optimiser must produce exactly the pinned IR
-# and optimiser counts on every tracked program, the kernels, the corpus,
-# the shapes and the service's programs, at O0, O1 and O2 with and without
-# contracts (internal/compiler/testdata/ir-pin.txt; regenerate deliberately
-# with -update and review which inputs moved).
-go test -count=1 -run 'TestIRPin|TestCheckLinearCost|TestCompileLinearCost|TestOptLinearCost' \
-    ./internal/types ./internal/compiler ./internal/opt
+# time, and the parser's reader must take scratch bounded by the largest
+# top-level form, not the file (bytes of slab chunks allocated). And the
+# compiler and optimiser must produce exactly the pinned IR and optimiser
+# counts on every tracked program, the kernels, the corpus, the shapes and
+# the service's programs, at O0, O1 and O2 with and without contracts
+# (internal/compiler/testdata/ir-pin.txt; regenerate deliberately with
+# -update and review which inputs moved).
+go test -count=1 -run 'TestIRPin|TestCheckLinearCost|TestCompileLinearCost|TestOptLinearCost|TestParseScratchBound' \
+    ./internal/parser ./internal/types ./internal/compiler ./internal/opt
 echo "linear-cost and IR pin gate: green"
 
 # Bounds, provenance & truncation gate: one relational range engine
@@ -231,11 +233,12 @@ go test -race -count=1 ./internal/serve/...
 # after Check never writes; types and core are here to keep it that way.
 go test -race -count=1 ./internal/types/ ./internal/analysis/ ./internal/cfg/ ./internal/core/
 
-# The compiler and the optimiser keep their scratch tables in the call,
-# never at package level, because core.Load runs concurrently (serve's
-# shards, the memo tests); TestCompileConcurrently compiles one program
-# from several goroutines under the race detector (~12s).
-go test -race -count=1 ./internal/compiler/ ./internal/opt/
+# The parser, the compiler and the optimiser keep their scratch in the
+# call, never at package level, because core.Load runs concurrently (serve's
+# shards, the memo's concurrent-reader test); TestCompileConcurrently
+# compiles one program from several goroutines under the race detector
+# (~12s).
+go test -race -count=1 ./internal/parser/ ./internal/compiler/ ./internal/opt/
 
 rm -f "$current" /tmp/bitc-check
 
