@@ -238,7 +238,8 @@ func BenchmarkAnalysisDriver(b *testing.B) {
 // on the 1000-function corpus, from the edited text to the report:
 // core.LoadAnalysis (served from its memo) plus AnalyzeWithStore. Their
 // two edits are a same-length constant edit and a statement inserted into
-// function 500, which moves every later definition. The full-scale (~100k
+// function 500, which moves every later definition; the noop row
+// re-analyses the unchanged text, the floor under every edit. The full-scale (~100k
 // functions, >=20x) claim is enforced by TestIncrementalGate via
 // scripts/check.sh.
 func BenchmarkAnalysisIncremental(b *testing.B) {
@@ -296,10 +297,12 @@ func BenchmarkAnalysisIncremental(b *testing.B) {
 	for _, edit := range []struct{ name, text string }{
 		{"same-length", corpus.EditOne(base, 500)},
 		{"insert", corpus.InsertStatement(base, 500)},
+		// The floor every edit pays: the text does not change at all.
+		{"noop", base},
 	} {
 		b.Run("watch-edit/"+edit.name, func(b *testing.B) {
 			// Alternate between the two texts, so every load is an edit of
-			// the one before.
+			// the one before (or, for noop, the same text again).
 			texts := [2]string{base, edit.text}
 			store := factstore.New()
 			if _, err := load(base).AnalyzeWithStore(opts, store); err != nil {

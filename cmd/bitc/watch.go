@@ -88,9 +88,12 @@ func writeReport(w io.Writer, rep *analysis.Report, format string) error {
 // analyzes the file itself warm: the memo serves every definition as a
 // copy moved back by that line, and the store serves every fact it can.
 // The warm program must render as the cold one does (core.RenderFrontEnd)
-// and the two reports byte-identically (pretty and JSON both). CI sweeps
-// this over every shipped example, so a memo or key-scheme bug that let a
-// stale node or fact survive cannot land silently.
+// and the two reports byte-identically (pretty and JSON both). The keys
+// the warm run carried over from the primed run, where it found their
+// inputs unchanged, must equal those a run of the warm program into an
+// empty store derives (analysis.CompareCarriedKeys). CI sweeps this over
+// every shipped example, so a memo or key-scheme bug that let a stale
+// node, fact or key survive cannot land silently.
 func verifyCache(path, src string, cfg analyzeConfig) error {
 	prog, diags := parser.Parse(path, src)
 	if err := diags.ErrOrNil(); err != nil {
@@ -135,6 +138,15 @@ func verifyCache(path, src string, cfg analyzeConfig) error {
 	if !bytes.Equal(coldBytes, warmBytes) {
 		return fmt.Errorf("verify-cache %s: warm report differs from cold (%d vs %d findings)",
 			path, len(warmRep.Findings), len(coldRep.Findings))
+	}
+	// The warm run reused the primed run's keys wherever it found their
+	// inputs unchanged; a run into an empty store derives every key.
+	fresh := factstore.New()
+	if _, err := warm.AnalyzeWithStore(cfg.opts, fresh); err != nil {
+		return err
+	}
+	if err := analysis.CompareCarriedKeys(store, fresh, path); err != nil {
+		return fmt.Errorf("verify-cache: %w", err)
 	}
 	st := store.Stats()
 	fmt.Printf("verify-cache %s: OK (%d findings; %d cache entries, %d hits)\n",

@@ -670,8 +670,8 @@ func (eng *boundsEngine) refine(env boundsEnv, cond ast.Expr, truth bool) bounds
 		return env
 	}
 	fn, ok := call.Fn.(*ast.VarRef)
-	if !ok {
-		return env
+	if !ok || eng.info.Local(fn) {
+		return env // a closure call says nothing of its arguments
 	}
 	switch fn.Name {
 	case "not":
@@ -887,10 +887,11 @@ func (eng *boundsEngine) evalFact(env boundsEnv, e ast.Expr) *bFact {
 // +/- (shifting symbolic offsets through constant offsets, and wrapping
 // narrow results into their type), vector-length (projecting a length fact
 // back into the integer domain), and the masking/remainder/shift builtins
-// with literal operands.
+// with literal operands. A head bound to a local or parameter calls the
+// closure it holds, whatever its name.
 func (eng *boundsEngine) callFact(env boundsEnv, call *ast.Call) *bFact {
 	v, ok := call.Fn.(*ast.VarRef)
-	if !ok {
+	if !ok || eng.info.Local(v) {
 		return nil
 	}
 	switch v.Name {

@@ -112,6 +112,26 @@ func TestBoundsUnprovenOnlyUnderStrict(t *testing.T) {
 	}
 }
 
+// TestBoundsShadowedBuiltinUnproven: a local closure named + computes
+// 100*k, so the engine must not read (+ k 0) as the builtin: the access is
+// unproven, reported as BOUND002 under -strict, and not elidable.
+func TestBoundsShadowedBuiltinUnproven(t *testing.T) {
+	src := `
+	  (define (main) int64
+	    (let ((v (make-vector 10 7))
+	          (mutable acc 0)
+	          (+ (lambda ((a int64) (b int64)) int64 (* a 100))))
+	      (dotimes (k 3) (set! acc (vector-ref v (+ k 0))))
+	      acc))`
+	rep := runOpts(t, src, analysis.Options{Strict: true})
+	if !hasCode(rep, analysis.CodeBoundMaybe) {
+		t.Fatalf("BOUND002 missing under -strict: %v", codesOf(rep))
+	}
+	if ps := proofsOn(t, src); ps.Proved != 0 {
+		t.Fatalf("%d of %d sites proved through a shadowed +", ps.Proved, ps.Sites)
+	}
+}
+
 func TestBoundsWhileInduction(t *testing.T) {
 	// A hand-rolled counter loop: (set! i (+ i 1)) under (< i n) must keep
 	// the relational bound i <= n-1 and discharge both accesses.

@@ -3,6 +3,7 @@ package analysis
 import (
 	"bitc/internal/ast"
 	"bitc/internal/cfg"
+	"bitc/internal/factstore"
 	"bitc/internal/pointsto"
 	"bitc/internal/types"
 )
@@ -26,4 +27,13 @@ func BoundsProofsWholeProgram(prog *ast.Program, info *types.Info) *BoundsProofS
 		}
 	}
 	return ps
+}
+
+// KeyWork counts SHA-256 digests and type renderings of one key derivation.
+type KeyWork = keyWork
+
+// CarriedKeyWork returns what deriving the keys of the last run on file
+// into store cost.
+func CarriedKeyWork(store *factstore.Store, file string) KeyWork {
+	return store.Carry(file).(*progKeys).work
 }

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,6 +63,44 @@ import (
 // with \x00-separated tags; only leaf content (source slices, free-name
 // environments, component membership, SCC signatures) goes through SHA-256.
 //
+// Keys are carried across runs. When a run ends, the store keeps its keys
+// under the file's name (Store.SetCarry; the slot is no entry and is never
+// counted or pruned), and the next run on that file derives only the keys
+// whose inputs it finds changed, deciding each by comparison, never by
+// trust:
+//
+//   funcKey       the last hash of the same-named definition whose source
+//                 slice is byte-equal (factstore.NewIndex);
+//   typesSig      the last one while every non-function definition is;
+//   scheme class  the last rendering while the function has the very same
+//                 *types.Scheme (types.Env.Recheck hands unedited functions
+//                 the schemes it was given), and likewise for a global's
+//                 *types.Type;
+//   envSig(f)     the last one unless f's text or typesSig changed, or one of
+//                 f's free names changed class (a scheme, a global's type,
+//                 or a function added or removed);
+//   graphSig      the last one while typesSig, the definition order and
+//                 every traits hash are;
+//   compKey(c)    the last one under the same graph unless a member's
+//                 funcKey changed;
+//   sumKey(f)     the last one while f's SCC has the same members and
+//                 out-of-SCC callees, every member kept its funcKey, envSig
+//                 and compKey, and every callee its summary key; the levels
+//                 are taken bottom-up, so a changed key climbs to every SCC
+//                 above it and no further;
+//   bundleKey(f)  the last one while its inputs are;
+//   aggKey        the last one under the same graph while every summary
+//                 value hash is.
+//
+// A cold run is the same code with nothing carried: every comparison fails
+// and every key is derived. The store is still probed for every key, so
+// its hits, misses and recency are what they would be without the carry.
+// A carry holds keys, copies of names, the last run's definition index (and
+// with it that run's source text) and the schemes and types it rendered,
+// which the checked program holds anyway; never an AST node. It is not
+// written once published, so concurrent runs on one store may read it, and
+// a stale or foreign carry only makes comparisons fail.
+//
 // Cached facts never store absolute source offsets: spans are encoded
 // relative to the top-level definition that contains them
 // (factstore.RelSpan) and rebased against the current parse on every hit,
@@ -100,7 +140,12 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 	needCFG = needCFG || needPts || needSums
 	needPts = needPts || needSums
 
-	k := buildKeys(prog, info, store, funcs, needSums || needPts, opts.Parallelism)
+	file := ""
+	if prog.File != nil {
+		file = prog.File.Name
+	}
+	prev, _ := store.Carry(file).(*progKeys)
+	k := buildKeys(prog, info, store, funcs, needSums || needPts, opts.Parallelism, prev)
 
 	// Lay out result slots exactly as Run would (selection order; a
 	// per-function analyzer owns len(funcs) consecutive slots), then split
@@ -145,13 +190,7 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 	var bundleKeys []string
 	var bundleHits []any
 	if len(bundled) > 0 {
-		bundleKeys = make([]string, len(funcs))
-		for fi := range funcs {
-			bundleKeys[fi] = "fb\x00" + bundleSig + "\x00" + k.funcKey[fi] + k.envSig[fi]
-			if bundlePts {
-				bundleKeys[fi] += k.compKey[k.fnComp[fi]]
-			}
-		}
+		bundleKeys = k.bundleKeys(bundleSig, bundlePts)
 		bundleHits = store.GetMany(bundleKeys)
 	}
 	for fi, fn := range funcs {
@@ -290,17 +329,12 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 		// fold and the entry walk). Most edits recompute a summary to the
 		// same value, so the folded lock order and race set are reused
 		// wholesale instead of re-deduplicating every access in the program.
-		aggParts := make([]string, 1, 3*len(funcs)+1)
-		aggParts[0] = "agg"
-		for fi, fn := range funcs {
-			entry := "0"
-			if !k.cg.CalledByOther[fn.Name] || fn.Name == "main" {
-				entry = "1"
-			}
-			aggParts = append(aggParts, fn.Name, cached[fi].VHash, entry)
+		vh := make([]string, len(funcs))
+		for fi := range funcs {
+			vh[fi] = cached[fi].VHash
 		}
-		aggKey := factstore.Hash(aggParts...)
-		if v, ok := store.Get(aggKey); ok {
+		k.deriveAggKey(funcs, vh)
+		if v, ok := store.Get(k.aggKey); ok {
 			summaries = decodeAgg(k.ix, v.(*cachedAgg))
 		} else {
 			// A miss folds with aggregate, Run's own fold, so the warm
@@ -315,7 +349,7 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 				}
 			}
 			summaries = aggregate(prog, k.cg, effects)
-			store.Put(aggKey, encodeAgg(k.ix, summaries))
+			store.Put(k.aggKey, encodeAgg(k.ix, summaries))
 		}
 	}
 
@@ -331,6 +365,7 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 		}
 		store.Put(missKey[fi], cb)
 	}
+	store.SetCarry(file, k.carry())
 	return assembleReport(prog, opts, selected, results), nil
 }
 
@@ -365,51 +400,130 @@ func sortedCachedEdgeKeys(m map[string]map[string]cachedSite) []string {
 // definition order (fnIndex maps names back to positions): at monorepo
 // scale the key pipeline touches every function several times per run, and
 // slice indexing is what keeps that traffic off string-keyed maps.
+//
+// Once its run has finished, a progKeys is the carry: the store keeps it
+// under the file's name (Store.SetCarry), without the call graph and the
+// initialiser traits (both are keyed by the AST's names), and the next run
+// on that file reuses each key whose inputs it finds unchanged. Nothing
+// writes a progKeys after its run, so concurrent runs may read one.
 type progKeys struct {
 	ix       *factstore.Index
 	typesSig string
-	fnIndex  map[string]int32 // function name -> index into the slices below
+	fnIndex  map[string]int32 // function name (a copy, not the AST's) -> index
 	funcKey  []string         // content hash of the function's source slice
+	traitKey []string         // store key of the function's traits
 	// traits and initTraits are the cached syntactic skeletons of function
 	// definitions and global initialisers; traitsVH hashes each function's
-	// traits content (not its source), feeding the graph-layer signature.
+	// traits content (not its source), feeding the graph-layer signature,
+	// and varVH each global's, by position among the globals ("-" for a
+	// global without an initialiser).
 	traits     []*pointsto.Traits
 	traitsVH   []string
 	initTraits map[string]*pointsto.Traits
-	envSig     []string
-	comps      *pointsto.Components
-	compKey    []string // by component id
-	fnComp     []int    // flow component id, by function index
-	cg         *CallGraph
-	sccOrder   [][]string
-	sccs       []sccIndex // sccOrder by function index
-	sccLevels  [][]int32  // indices into sccs, grouped by dependency level
-	sumKey     []string
+	varVH      []string
+	// schemes holds the scheme each function's class was rendered from, and
+	// globalType each global's type, so an unchanged one is not rendered
+	// again.
+	schemes     []*types.Scheme
+	fnClass     []string
+	globalType  map[string]*types.Type
+	globalClass map[string]string
+	envSig      []string
+	graphSig    string
+	comps       *pointsto.Components
+	compKey     []string // by component id
+	fnComp      []int    // flow component id, by function index
+	cg          *CallGraph
+	sccOrder    [][]string
+	sccs        []sccIndex // sccOrder by function index
+	sccOf       []int32    // index into sccs, by function index
+	sccLevels   [][]int32  // indices into sccs, grouped by dependency level
+	sumKey      []string
+	bundleSig   string
+	bundleKey   []string
+	aggVH       []string // each function's summary value hash, as aggKey saw it
+	aggKey      string
+
+	work keyWork
+	// reuse relates this run to the last one while the keys are derived.
+	reuse *keyReuse
+}
+
+// keyWork counts what deriving one run's keys cost: SHA-256 digests
+// (source slices, the types signature and every derived key) and
+// renderings of a type scheme or a global's type.
+type keyWork struct {
+	Hashes, Renders int
+}
+
+// keyReuse is what a run knows of the last run on its file while it
+// derives its keys. A cold run has an empty last run: every index is -1 and
+// every comparison fails.
+type keyReuse struct {
+	prev *progKeys
+	// idx is the last run's index of each function of the same name, or -1.
+	idx []int32
+	// sameOrder: the definitions' kinds and names are the last run's, in
+	// the same order, so idx is the identity. sameGraph: so is graphSig,
+	// and with it the components, the SCCs and every index into them.
+	sameOrder, sameGraph bool
+	// By function: its funcKey, envSig and component key equal those of
+	// the last run's function of the same name.
+	fnSame, envSame, compSame []bool
 }
 
 // minKeyChunk is the fewest functions (or SCCs) worth a goroutine of key
 // building.
 const minKeyChunk = 256
 
+// buildKeys derives the keys of prog that do not depend on cached values:
+// every key but the bundle keys and aggKey. prev is the last run's keys
+// for the same file, or nil.
 func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
-	funcs []*ast.DefineFunc, needFlow bool, workers int) *progKeys {
+	funcs []*ast.DefineFunc, needFlow bool, workers int, prev *progKeys) *progKeys {
 
+	if prev == nil {
+		prev = &progKeys{}
+	}
 	n := len(funcs)
 	k := &progKeys{
-		ix:         factstore.NewIndex(prog),
-		fnIndex:    make(map[string]int32, n),
+		ix:         factstore.NewIndex(prog, prev.ix),
 		funcKey:    make([]string, n),
+		traitKey:   make([]string, n),
 		traits:     make([]*pointsto.Traits, n),
+		traitsVH:   make([]string, n),
 		initTraits: map[string]*pointsto.Traits{},
+		schemes:    make([]*types.Scheme, n),
+		fnClass:    make([]string, n),
 		envSig:     make([]string, n),
 	}
+	r := &keyReuse{prev: prev, idx: make([]int32, n), fnSame: make([]bool, n), envSame: make([]bool, n)}
+	k.reuse = r
+	k.work.Hashes = k.ix.Hashed()
 	k.typesSig = k.ix.TypesSig()
-	for i, fn := range funcs {
-		k.fnIndex[fn.Name] = int32(i)
+	typesSame := k.typesSig == prev.typesSig
+
+	r.sameOrder = prev.ix != nil && k.ix.SameKeys(prev.ix)
+	if r.sameOrder {
+		k.fnIndex = prev.fnIndex
+		for i := range r.idx {
+			r.idx[i] = int32(i)
+		}
+	} else {
+		k.fnIndex = make(map[string]int32, n)
+		for i, fn := range funcs {
+			k.fnIndex[strings.Clone(fn.Name)] = int32(i)
+			r.idx[i] = -1
+			if p, ok := prev.fnIndex[fn.Name]; ok {
+				r.idx[i] = p
+			}
+		}
 	}
 	for di, fi := 0, 0; di < len(prog.Defs); di++ {
 		if _, ok := prog.Defs[di].(*ast.DefineFunc); ok {
 			k.funcKey[fi] = k.ix.HashAt(di)
+			p := r.idx[fi]
+			r.fnSame[fi] = p >= 0 && k.funcKey[fi] == prev.funcKey[p]
 			fi++
 		}
 	}
@@ -418,13 +532,14 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 	// Each entry carries a hash of the traits *content* (VHash), so the
 	// graph layer below can tell "edited" apart from "edited in a way that
 	// changed the skeleton" — most edits do not.
-	k.traitsVH = make([]string, n)
-	initVH := map[string]string{}
-	tks := make([]string, n)
 	for i := range funcs {
-		tks[i] = "tr\x00" + k.funcKey[i]
+		if r.fnSame[i] {
+			k.traitKey[i] = prev.traitKey[r.idx[i]]
+		} else {
+			k.traitKey[i] = "tr\x00" + k.funcKey[i]
+		}
 	}
-	for i, v := range store.GetMany(tks) {
+	for i, v := range store.GetMany(k.traitKey) {
 		if v != nil {
 			ct := v.(*cachedTraits)
 			k.traits[i], k.traitsVH[i] = ct.T, ct.VHash
@@ -432,54 +547,81 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 			t := pointsto.ScanTraits(funcs[i])
 			k.traits[i] = t
 			k.traitsVH[i] = traitsVHash(t)
-			store.Put(tks[i], &cachedTraits{T: t, VHash: k.traitsVH[i]})
+			k.work.Hashes++
+			store.Put(k.traitKey[i], &cachedTraits{T: t, VHash: k.traitsVH[i]})
 		}
 	}
 	for _, d := range prog.Defs {
-		if d, ok := d.(*ast.DefineVar); ok && d.Init != nil {
+		d, ok := d.(*ast.DefineVar)
+		if !ok {
+			continue
+		}
+		vh := "-"
+		if d.Init != nil {
 			di, _ := k.ix.Def("v:" + d.Name)
 			tk := "vt\x00" + di.Hash
 			if v, ok := store.Get(tk); ok {
 				ct := v.(*cachedTraits)
-				k.initTraits[d.Name], initVH[d.Name] = ct.T, ct.VHash
+				k.initTraits[d.Name], vh = ct.T, ct.VHash
 			} else {
 				t := pointsto.ScanExprTraits(d.Init)
 				k.initTraits[d.Name] = t
-				initVH[d.Name] = traitsVHash(t)
-				store.Put(tk, &cachedTraits{T: t, VHash: initVH[d.Name]})
+				vh = traitsVHash(t)
+				k.work.Hashes++
+				store.Put(tk, &cachedTraits{T: t, VHash: vh})
 			}
 		}
+		k.varVH = append(k.varVH, vh)
 	}
 
 	// envSig: the classification of every free name, under typesSig. A
-	// function name classifies by its scheme; those are rendered once per
-	// function, and both passes fan out over the worker pool because they
-	// touch every function on every run, warm or cold.
-	fnClass := make([]string, n)
-	par.Chunks(n, workers, minKeyChunk, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if sch := info.Funcs[funcs[i].Name]; sch != nil {
-				fnClass[i] = "fn:" + schemeSig(sch)
-			} else {
-				fnClass[i] = "fn:?"
-			}
-		}
-	})
-	globalClass := make(map[string]string, len(info.Globals))
-	for name, t := range info.Globals {
-		if t != nil {
-			globalClass[name] = "g:" + t.String()
+	// function name classifies by its scheme and a global by its type;
+	// each is rendered only when it is not the scheme or type the last run
+	// rendered (types.Env.Recheck hands unedited functions the same
+	// schemes), and the names whose class changed re-derive the envSig of
+	// every function that mentions them.
+	var render []int32
+	for i, fn := range funcs {
+		sch := info.Funcs[fn.Name]
+		k.schemes[i] = sch
+		switch p := r.idx[i]; {
+		case sch == nil:
+			k.fnClass[i] = "fn:?"
+		case p >= 0 && sch == prev.schemes[p]:
+			k.fnClass[i] = prev.fnClass[p]
+		default:
+			render = append(render, int32(i))
 		}
 	}
+	par.Chunks(len(render), workers, minKeyChunk, func(lo, hi int) {
+		for _, i := range render[lo:hi] {
+			k.fnClass[i] = "fn:" + schemeSig(k.schemes[i])
+		}
+	})
+	k.work.Renders += len(render)
+	changed := map[string]bool{}
+	for i, fn := range funcs {
+		if p := r.idx[i]; p < 0 || k.fnClass[i] != prev.fnClass[p] {
+			changed[fn.Name] = true
+		}
+	}
+	if !r.sameOrder {
+		for name := range prev.fnIndex {
+			if _, ok := k.fnIndex[name]; !ok {
+				changed[name] = true
+			}
+		}
+	}
+	k.classifyGlobals(info, prev, changed)
 	external := map[string]bool{}
 	for _, ext := range info.Externals {
 		external[ext.Name] = true
 	}
 	classify := func(name string) string {
 		if i, ok := k.fnIndex[name]; ok {
-			return fnClass[i]
+			return k.fnClass[i]
 		}
-		if c, ok := globalClass[name]; ok {
+		if c, ok := k.globalClass[name]; ok {
 			return c
 		}
 		switch {
@@ -490,9 +632,17 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 		}
 		return "?" // local, builtin, or undefined
 	}
-	par.Chunks(n, workers, minKeyChunk, func(lo, hi int) {
+	var dirty []int32
+	for i := range funcs {
+		if typesSame && r.fnSame[i] && !mentionsAny(k.traits[i].Free, changed) {
+			k.envSig[i] = prev.envSig[r.idx[i]]
+		} else {
+			dirty = append(dirty, int32(i))
+		}
+	}
+	par.Chunks(len(dirty), workers, minKeyChunk, func(lo, hi int) {
 		parts := make([]string, 0, 64)
-		for i := lo; i < hi; i++ {
+		for _, i := range dirty[lo:hi] {
 			parts = append(parts[:0], "env", k.typesSig)
 			for _, name := range k.traits[i].Free {
 				parts = append(parts, name, classify(name))
@@ -500,84 +650,34 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 			k.envSig[i] = factstore.Hash(parts...)
 		}
 	})
+	k.work.Hashes += len(dirty)
+	for i, p := range r.idx {
+		r.envSame[i] = p >= 0 && k.envSig[i] == prev.envSig[p]
+	}
 
 	if !needFlow {
 		return k
 	}
-	parts := make([]string, 0, 64)
+	k.buildGraph(prog, info, store, funcs, r)
 
-	// The graph layer — call graph, SCC order, flow components — is a pure
-	// function of the traits skeletons, the definition order, and the type
-	// environment, all of which survive the typical edit unchanged. It is
-	// cached whole under a program-level signature over exactly those
-	// inputs (traits by content, not by source text, so editing a function
-	// body usually hits). The cached form holds only names and function
-	// indices; the Funcs map is rebuilt against the current AST on every
-	// hit, because summary recomputation walks bodies through it.
-	parts = append(parts[:0], "graph", k.typesSig)
-	fi := 0
-	for _, d := range prog.Defs {
-		switch d := d.(type) {
-		case *ast.DefineFunc:
-			parts = append(parts, "F", d.Name, k.traitsVH[fi])
-			fi++
-		case *ast.DefineVar:
-			vh, ok := initVH[d.Name]
-			if !ok {
-				vh = "-"
-			}
-			parts = append(parts, "V", d.Name, vh)
-		}
-	}
-	graphSig := factstore.Hash(parts...)
-	if v, ok := store.Get(graphSig); ok {
-		cgr := v.(*cachedGraph)
-		k.cg = &CallGraph{
-			Funcs:         make(map[string]*ast.DefineFunc, n),
-			Names:         cgr.Names,
-			Callees:       cgr.Callees,
-			CalledByOther: cgr.CalledByOther,
-		}
-		for _, fn := range funcs {
-			k.cg.Funcs[fn.Name] = fn
-		}
-		k.sccOrder = cgr.SCCOrder
-		k.sccs, k.sccLevels = cgr.SCCs, cgr.SCCLevels
-		k.comps = cgr.Comps
-		k.fnComp = cgr.FnComp
-	} else {
-		k.comps = pointsto.BuildComponents(prog, info, func(name string) *pointsto.Traits {
-			if i, ok := k.fnIndex[name]; ok {
-				return k.traits[i]
-			}
-			return nil
-		}, k.initTraits)
-		k.cg = NewCallGraphFromCallees(prog, func(name string) []string {
-			return k.traits[k.fnIndex[name]].Called
-		})
-		k.sccOrder = k.cg.SCCs()
-		k.sccs, k.sccLevels = indexSCCs(k.sccOrder, k.cg.Callees, k.fnIndex)
-		k.fnComp = make([]int, n)
-		for i, fn := range funcs {
-			k.fnComp[i] = k.comps.OfFunc(fn.Name)
-		}
-		store.Put(graphSig, &cachedGraph{
-			Names:         k.cg.Names,
-			Callees:       k.cg.Callees,
-			CalledByOther: k.cg.CalledByOther,
-			SCCOrder:      k.sccOrder,
-			SCCs:          k.sccs,
-			SCCLevels:     k.sccLevels,
-			Comps:         k.comps,
-			FnComp:        k.fnComp,
-		})
-	}
-
-	// Component and summary keys are rebuilt every run even on a graph hit:
-	// they embed source hashes (funcKey, envSig), which the graph signature
-	// deliberately does not.
+	// Component keys embed source hashes (funcKey), which the graph
+	// signature deliberately does not. Under the last run's graph the
+	// components and their ids are the last run's, and only a component
+	// with an edited member needs a new key.
 	k.compKey = make([]string, k.comps.Len())
-	for id := 0; id < k.comps.Len(); id++ {
+	if r.sameGraph {
+		copy(k.compKey, prev.compKey)
+		for i, c := range k.fnComp {
+			if !r.fnSame[i] && c >= 0 {
+				k.compKey[c] = ""
+			}
+		}
+	}
+	parts := make([]string, 0, 64)
+	for id := range k.compKey {
+		if k.compKey[id] != "" {
+			continue
+		}
 		parts = append(parts[:0], "comp", k.typesSig)
 		for _, m := range k.comps.FuncMembers(id) {
 			parts = append(parts, "f", m, k.funcKey[k.fnIndex[m]])
@@ -591,16 +691,36 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 			parts = append(parts, "g", g, di.Hash)
 		}
 		k.compKey[id] = factstore.Hash(parts...)
+		k.work.Hashes++
+	}
+	r.compSame = make([]bool, n)
+	if prev.compKey != nil {
+		for i, p := range r.idx {
+			r.compSame[i] = p >= 0 && k.compKey[k.fnComp[i]] == prev.compKey[prev.fnComp[p]]
+		}
 	}
 
 	// Summary keys bottom-up: each SCC's signature folds its members' keys
 	// with the finished summaryKeys of all out-of-SCC callees. SCCs of one
-	// level depend only on lower levels, so each level fans out.
+	// level depend only on lower levels, so each level first takes the
+	// last run's key of every SCC whose inputs are unchanged (dirtiness
+	// climbs through the levels as changed callee keys), then fans out
+	// over the rest.
 	k.sumKey = make([]string, n)
 	for _, level := range k.sccLevels {
-		par.Chunks(len(level), workers, minKeyChunk, func(lo, hi int) {
+		dirty = dirty[:0]
+		for _, si := range level {
+			if !(typesSame && k.sameSCC(k.sccs[si])) {
+				dirty = append(dirty, si)
+				continue
+			}
+			for _, mi := range k.sccs[si].Members {
+				k.sumKey[mi] = prev.sumKey[r.idx[mi]]
+			}
+		}
+		par.Chunks(len(dirty), workers, minKeyChunk, func(lo, hi int) {
 			var parts, calleeKeys []string
-			for _, si := range level[lo:hi] {
+			for _, si := range dirty[lo:hi] {
 				scc := k.sccs[si]
 				parts = append(parts[:0], "scc", k.typesSig)
 				for _, mi := range scc.Members {
@@ -616,8 +736,268 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 				}
 			}
 		})
+		k.work.Hashes += len(dirty)
 	}
 	return k
+}
+
+// classifyGlobals fills k's global classes, taking the last run's maps
+// whole while every global has the type it had, and adds to changed every
+// global whose class changed.
+func (k *progKeys) classifyGlobals(info *types.Info, prev *progKeys, changed map[string]bool) {
+	n := 0
+	same := true
+	for name, t := range info.Globals {
+		if t != nil {
+			n++
+			same = same && prev.globalType[name] == t
+		}
+	}
+	if same && n == len(prev.globalType) {
+		k.globalType, k.globalClass = prev.globalType, prev.globalClass
+		return
+	}
+	k.globalType = make(map[string]*types.Type, n)
+	k.globalClass = make(map[string]string, n)
+	for name, t := range info.Globals {
+		if t == nil {
+			continue
+		}
+		name = strings.Clone(name)
+		k.globalType[name] = t
+		if prev.globalType[name] == t {
+			k.globalClass[name] = prev.globalClass[name]
+			continue
+		}
+		k.globalClass[name] = "g:" + t.String()
+		k.work.Renders++
+		if k.globalClass[name] != prev.globalClass[name] {
+			changed[name] = true
+		}
+	}
+	for name := range prev.globalClass {
+		if _, ok := k.globalClass[name]; !ok {
+			changed[name] = true
+		}
+	}
+}
+
+// mentionsAny reports whether any of names is in set.
+func mentionsAny(names []string, set map[string]bool) bool {
+	if len(set) == 0 {
+		return false
+	}
+	for _, name := range names {
+		if set[name] {
+			return true
+		}
+	}
+	return false
+}
+
+// buildGraph fills k's graph layer — call graph, SCC order, flow
+// components — a pure function of the traits skeletons, the definition
+// order, and the type environment, all of which survive the typical edit
+// unchanged. It is cached whole under a program-level signature over
+// exactly those inputs (traits by content, not by source text, so editing a
+// function body usually hits), and the signature itself is the last run's
+// while those inputs are. The cached form holds only names and function
+// indices; the Funcs map is rebuilt against the current AST on every hit,
+// because summary recomputation walks bodies through it.
+func (k *progKeys) buildGraph(prog *ast.Program, info *types.Info, store *factstore.Store,
+	funcs []*ast.DefineFunc, r *keyReuse) {
+
+	prev := r.prev
+	n := len(funcs)
+	if r.sameOrder && k.typesSig == prev.typesSig && prev.graphSig != "" &&
+		slices.Equal(k.traitsVH, prev.traitsVH) && slices.Equal(k.varVH, prev.varVH) {
+		k.graphSig = prev.graphSig
+	} else {
+		parts := make([]string, 0, 3*len(prog.Defs)+2)
+		parts = append(parts, "graph", k.typesSig)
+		fi, vi := 0, 0
+		for _, d := range prog.Defs {
+			switch d := d.(type) {
+			case *ast.DefineFunc:
+				parts = append(parts, "F", d.Name, k.traitsVH[fi])
+				fi++
+			case *ast.DefineVar:
+				parts = append(parts, "V", d.Name, k.varVH[vi])
+				vi++
+			}
+		}
+		k.graphSig = factstore.Hash(parts...)
+		k.work.Hashes++
+	}
+	r.sameGraph = k.graphSig == prev.graphSig
+
+	if v, ok := store.Get(k.graphSig); ok {
+		cgr := v.(*cachedGraph)
+		k.cg = &CallGraph{
+			Funcs:         make(map[string]*ast.DefineFunc, n),
+			Names:         cgr.Names,
+			Callees:       cgr.Callees,
+			CalledByOther: cgr.CalledByOther,
+		}
+		for _, fn := range funcs {
+			k.cg.Funcs[fn.Name] = fn
+		}
+		k.sccOrder = cgr.SCCOrder
+		k.sccs, k.sccOf, k.sccLevels = cgr.SCCs, cgr.SCCOf, cgr.SCCLevels
+		k.comps = cgr.Comps
+		k.fnComp = cgr.FnComp
+		return
+	}
+	k.comps = pointsto.BuildComponents(prog, info, func(name string) *pointsto.Traits {
+		if i, ok := k.fnIndex[name]; ok {
+			return k.traits[i]
+		}
+		return nil
+	}, k.initTraits)
+	k.cg = NewCallGraphFromCallees(prog, func(name string) []string {
+		return k.traits[k.fnIndex[name]].Called
+	})
+	k.sccOrder = k.cg.SCCs()
+	k.sccs, k.sccOf, k.sccLevels = indexSCCs(k.sccOrder, k.cg.Callees, k.fnIndex)
+	k.fnComp = make([]int, n)
+	for i, fn := range funcs {
+		k.fnComp[i] = k.comps.OfFunc(fn.Name)
+	}
+	store.Put(k.graphSig, &cachedGraph{
+		Names:         k.cg.Names,
+		Callees:       k.cg.Callees,
+		CalledByOther: k.cg.CalledByOther,
+		SCCOrder:      k.sccOrder,
+		SCCs:          k.sccs,
+		SCCOf:         k.sccOf,
+		SCCLevels:     k.sccLevels,
+		Comps:         k.comps,
+		FnComp:        k.fnComp,
+	})
+}
+
+// sameSCC reports whether scc's summary key is the last run's: the SCC of
+// the last run's namesake of its first member has the same members and
+// out-of-SCC callees, in the same order, every member kept its funcKey,
+// envSig and component key, and every callee its (already final) summary
+// key. typesSig, which sccSig also embeds, the caller compares.
+func (k *progKeys) sameSCC(scc sccIndex) bool {
+	r := k.reuse
+	prev := r.prev
+	p0 := r.idx[scc.Members[0]]
+	if p0 < 0 || prev.sumKey == nil {
+		return false
+	}
+	ps := prev.sccs[prev.sccOf[p0]]
+	if len(ps.Members) != len(scc.Members) || len(ps.OutCallees) != len(scc.OutCallees) {
+		return false
+	}
+	for j, mi := range scc.Members {
+		if r.idx[mi] != ps.Members[j] || !(r.fnSame[mi] && r.envSame[mi] && r.compSame[mi]) {
+			return false
+		}
+	}
+	for j, ci := range scc.OutCallees {
+		if pc := ps.OutCallees[j]; r.idx[ci] != pc || k.sumKey[ci] != prev.sumKey[pc] {
+			return false
+		}
+	}
+	return true
+}
+
+// bundleKeys fills k's per-function bundle keys for the bundled analyzers
+// named by sig, taking the last run's key of each function whose inputs
+// are unchanged.
+func (k *progKeys) bundleKeys(sig string, withComp bool) []string {
+	r := k.reuse
+	prev := r.prev
+	reuse := prev.bundleSig == sig
+	k.bundleSig = sig
+	k.bundleKey = make([]string, len(k.funcKey))
+	for fi, p := range r.idx {
+		switch {
+		case reuse && r.fnSame[fi] && r.envSame[fi] && (!withComp || r.compSame[fi]):
+			k.bundleKey[fi] = prev.bundleKey[p]
+		case withComp:
+			k.bundleKey[fi] = "fb\x00" + sig + "\x00" + k.funcKey[fi] + k.envSig[fi] + k.compKey[k.fnComp[fi]]
+		default:
+			k.bundleKey[fi] = "fb\x00" + sig + "\x00" + k.funcKey[fi] + k.envSig[fi]
+		}
+	}
+	return k.bundleKey
+}
+
+// deriveAggKey sets k's aggregation key from every function's summary
+// value hash (vh, by function index): the last run's key while the graph,
+// and with it every name and entry bit, and every value hash are
+// unchanged.
+func (k *progKeys) deriveAggKey(funcs []*ast.DefineFunc, vh []string) {
+	prev := k.reuse.prev
+	k.aggVH = vh
+	if k.reuse.sameGraph && prev.aggKey != "" && slices.Equal(vh, prev.aggVH) {
+		k.aggKey = prev.aggKey
+		return
+	}
+	aggParts := make([]string, 1, 3*len(funcs)+1)
+	aggParts[0] = "agg"
+	for fi, fn := range funcs {
+		entry := "0"
+		if !k.cg.CalledByOther[fn.Name] || fn.Name == "main" {
+			entry = "1"
+		}
+		aggParts = append(aggParts, fn.Name, vh[fi], entry)
+	}
+	k.aggKey = factstore.Hash(aggParts...)
+	k.work.Hashes++
+}
+
+// carry returns k as the next run on its file will find it: without the
+// call graph and the initialiser traits, which are keyed by the AST's
+// names, and without the last run, so that carries never chain.
+func (k *progKeys) carry() *progKeys {
+	k.cg, k.initTraits, k.reuse = nil, nil, nil
+	return k
+}
+
+// CompareCarriedKeys checks the keys the last run on file left in warm
+// against those the last run on file left in cold, and returns an error
+// naming the first key that differs. A warm run reuses the keys of the run
+// before it wherever it finds their inputs unchanged; a run into a fresh
+// store derives every key, so the two must agree key for key whenever the
+// last runs saw the same program with the same options.
+func CompareCarriedKeys(warm, cold *factstore.Store, file string) error {
+	w, _ := warm.Carry(file).(*progKeys)
+	c, _ := cold.Carry(file).(*progKeys)
+	if w == nil || c == nil {
+		return fmt.Errorf("carried keys of %s: no run on the file in both stores", file)
+	}
+	for _, f := range []struct {
+		name       string
+		warm, cold any
+	}{
+		{"typesSig", w.typesSig, c.typesSig},
+		{"fnIndex", w.fnIndex, c.fnIndex},
+		{"funcKey", w.funcKey, c.funcKey},
+		{"traitKey", w.traitKey, c.traitKey},
+		{"traitsVH", w.traitsVH, c.traitsVH},
+		{"varVH", w.varVH, c.varVH},
+		{"fnClass", w.fnClass, c.fnClass},
+		{"globalClass", w.globalClass, c.globalClass},
+		{"envSig", w.envSig, c.envSig},
+		{"graphSig", w.graphSig, c.graphSig},
+		{"compKey", w.compKey, c.compKey},
+		{"fnComp", w.fnComp, c.fnComp},
+		{"sumKey", w.sumKey, c.sumKey},
+		{"bundleSig", w.bundleSig, c.bundleSig},
+		{"bundleKey", w.bundleKey, c.bundleKey},
+		{"aggVH", w.aggVH, c.aggVH},
+		{"aggKey", w.aggKey, c.aggKey},
+	} {
+		if !reflect.DeepEqual(f.warm, f.cold) {
+			return fmt.Errorf("carried keys of %s: %s differs from a derivation without carried keys", file, f.name)
+		}
+	}
+	return nil
 }
 
 // cachedTraits pairs one definition's traits with a hash of their content,
@@ -650,6 +1030,7 @@ type cachedGraph struct {
 	CalledByOther map[string]bool
 	SCCOrder      [][]string
 	SCCs          []sccIndex
+	SCCOf         []int32
 	SCCLevels     [][]int32
 	Comps         *pointsto.Components
 	FnComp        []int
@@ -662,12 +1043,13 @@ type sccIndex struct {
 	Members, OutCallees []int32
 }
 
-// indexSCCs restates order by function index and groups the SCCs into
-// levels: an SCC's level is one above the highest level among its
-// out-of-SCC callees, so every SCC depends only on lower levels.
-func indexSCCs(order [][]string, callees map[string][]string, fnIndex map[string]int32) (sccs []sccIndex, levels [][]int32) {
+// indexSCCs restates order by function index, records each function's
+// SCC, and groups the SCCs into levels: an SCC's level is one above the
+// highest level among its out-of-SCC callees, so every SCC depends only on
+// lower levels.
+func indexSCCs(order [][]string, callees map[string][]string, fnIndex map[string]int32) (sccs []sccIndex, sccOf []int32, levels [][]int32) {
 	sccs = make([]sccIndex, len(order))
-	sccOf := make([]int32, len(fnIndex))
+	sccOf = make([]int32, len(fnIndex))
 	level := make([]int, len(order))
 	for si, scc := range order { // bottom-up: callees' SCCs come first
 		var inSCC map[string]bool // most SCCs are singletons
@@ -693,7 +1075,7 @@ func indexSCCs(order [][]string, callees map[string][]string, fnIndex map[string
 		}
 		levels[level[si]] = append(levels[level[si]], int32(si))
 	}
-	return sccs, levels
+	return sccs, sccOf, levels
 }
 
 // schemeSig prints a type scheme canonically: constraints in quantifier

@@ -694,7 +694,7 @@ func (fc *funcCompiler) call(e *ast.Call) ir.Reg {
 	if v, ok := e.Fn.(*ast.VarRef); ok {
 		// A local shadows specials, whether this function binds it or
 		// captures it from an enclosing one.
-		if _, bound := fc.lookup(v.Name); !bound && !isLocal(fc.m.info.Use(v)) {
+		if _, bound := fc.lookup(v.Name); !bound && !fc.m.info.Local(v) {
 			switch v.Name {
 			case "and":
 				return fc.shortCircuit(e.Args, true)
@@ -793,10 +793,6 @@ func (fc *funcCompiler) call(e *ast.Call) ir.Reg {
 }
 
 // isLocal reports whether sym is a let-bound value or a parameter.
-func isLocal(sym *types.Symbol) bool {
-	return sym != nil && (sym.Kind == types.SymLocal || sym.Kind == types.SymParam)
-}
-
 func (fc *funcCompiler) evalArgs(args []ast.Expr) []ir.Reg {
 	regs := fc.m.args.take(len(args))
 	for i, a := range args {

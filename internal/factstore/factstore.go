@@ -14,10 +14,17 @@
 // definition that contains them (RelSpan), so a fact survives edits that
 // merely shift its definition within the file; the Index of the current
 // parse rebases them to absolute offsets on the way out.
+//
+// Besides its entries, a store keeps one carried value per file name
+// (Carry, SetCarry): the keys analysis.RunWithStore derived in its last
+// run on that file, so the next run derives only the keys whose inputs
+// changed. The
+// carry is not an entry and never shows in the store's accounting.
 package factstore
 
 import (
 	"crypto/sha256"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -76,6 +83,7 @@ type entry struct {
 type Store struct {
 	mu      sync.Mutex
 	entries map[string]*entry
+	carry   map[string]any
 	gen     uint64
 	hits    uint64
 	misses  uint64
@@ -85,7 +93,26 @@ type Store struct {
 
 // New creates an empty store.
 func New() *Store {
-	return &Store{entries: map[string]*entry{}}
+	return &Store{entries: map[string]*entry{}, carry: map[string]any{}}
+}
+
+// Carry returns what the last SetCarry for file left, or nil. The slot is
+// outside the entry map: it is not counted as a hit, a miss or an entry,
+// and Prune never drops it. The incremental analysis keeps there the keys
+// it derived for a file, so that the next run on that file can reuse every
+// key whose inputs it finds unchanged.
+func (s *Store) Carry(file string) any {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.carry[file]
+}
+
+// SetCarry replaces file's carried value. Like a fact, v must not be
+// written once it is handed over: concurrent runs read it.
+func (s *Store) SetCarry(file string, v any) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.carry[file] = v
 }
 
 // BeginRun opens a new analysis generation: hit/miss accounting and
@@ -196,18 +223,24 @@ type DefInfo struct {
 }
 
 // Index maps the current parse's top-level definitions to their spans and
-// content hashes, and rebases RelSpans against them.
+// content hashes, and rebases RelSpans against them. An Index is never
+// written after NewIndex returns, so a later NewIndex may read it while
+// other goroutines use it.
 type Index struct {
 	file *source.File
-	defs map[string]DefInfo
 
-	// hashes holds each definition's DefInfo.Hash by position in the
-	// program's Defs.
+	// keys, spans and hashes describe each definition by position in the
+	// program's Defs: its kind-qualified key, its span and its DefInfo.Hash.
+	keys   []string
+	spans  []source.Span
 	hashes []string
+	// pos maps a key to the position of the last definition with that key.
+	pos map[string]int
 	// ordered supports owner lookup by binary search over start offsets.
-	ordered []ownerSpan
-	// typesSig memoises TypesSig.
+	ordered  []ownerSpan
 	typesSig string
+	// hashed counts the SHA-256 digests NewIndex computed.
+	hashed int
 }
 
 type ownerSpan struct {
@@ -215,92 +248,218 @@ type ownerSpan struct {
 	owner      string
 }
 
-// DefKey qualifies a definition name by kind so a struct and a function
-// sharing a name cannot collide in the index.
-func DefKey(d ast.Def) string {
+// defKind is the prefix that qualifies a definition's name by kind in the
+// index's keys ("f:norm", "s:Pt"), so a struct and a function sharing a
+// name cannot collide.
+func defKind(d ast.Def) string {
 	switch d.(type) {
 	case *ast.DefineFunc:
-		return "f:" + d.DefName()
+		return "f:"
 	case *ast.DefineVar:
-		return "v:" + d.DefName()
+		return "v:"
 	case *ast.DefStruct:
-		return "s:" + d.DefName()
+		return "s:"
 	case *ast.DefUnion:
-		return "u:" + d.DefName()
+		return "u:"
 	case *ast.External:
-		return "x:" + d.DefName()
+		return "x:"
 	}
-	return "?:" + d.DefName()
+	return "?:"
 }
 
-// NewIndex builds the index for one parsed program.
-func NewIndex(prog *ast.Program) *Index {
+// NewIndex builds the index for one parsed program. prev, if not nil, is
+// the index of an earlier parse, of any text: a definition whose key and
+// source slice equal those of a definition in prev takes prev's hash
+// instead of hashing its slice again, and the key table, the owner order
+// and the types signature are prev's whenever what they are built from is
+// unchanged. Every reuse is decided by comparing content, so any prev
+// yields the same index as none.
+func NewIndex(prog *ast.Program, prev *Index) *Index {
+	if prev == nil {
+		prev = &Index{}
+	}
+	n := len(prog.Defs)
 	ix := &Index{
-		file:    prog.File,
-		defs:    make(map[string]DefInfo, len(prog.Defs)),
-		ordered: make([]ownerSpan, 0, len(prog.Defs)),
-		hashes:  make([]string, len(prog.Defs)),
+		file:   prog.File,
+		keys:   make([]string, n),
+		spans:  make([]source.Span, n),
+		hashes: make([]string, n),
 	}
-	// Hashing every definition's source is the one pass over the whole
-	// program text an incremental run makes, so it is spread over the cores.
-	par.Chunks(len(prog.Defs), 0, 1024, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ix.hashes[i] = ix.hashSlice(prog.Defs[i].Span())
-		}
-	})
+	sameKeys := n == len(prev.keys)
 	for i, d := range prog.Defs {
-		sp := d.Span()
-		key := DefKey(d)
-		ix.defs[key] = DefInfo{Span: sp, Hash: ix.hashes[i]}
-		if sp.IsValid() {
-			ix.ordered = append(ix.ordered, ownerSpan{int(sp.Start), int(sp.End), key})
+		ix.spans[i] = d.Span()
+		kind, name := defKind(d), d.DefName()
+		if pk := prev.keyAt(i); len(pk) == len(kind)+len(name) && pk[:len(kind)] == kind && pk[len(kind):] == name {
+			ix.keys[i] = pk
+		} else {
+			ix.keys[i] = kind + name
+			sameKeys = false
 		}
 	}
-	sort.Slice(ix.ordered, func(i, j int) bool { return ix.ordered[i].start < ix.ordered[j].start })
+	if sameKeys {
+		ix.pos = prev.pos
+	} else {
+		ix.pos = make(map[string]int, n)
+		for i, k := range ix.keys {
+			ix.pos[k] = i
+		}
+	}
+
+	// Hashing a definition's source is the one pass over the program text
+	// an incremental run makes; an unchanged definition skips it, and the
+	// rest is spread over the cores.
+	var hashed atomic.Int64
+	par.Chunks(n, 0, 1024, func(lo, hi int) {
+		h := 0
+		for i := lo; i < hi; i++ {
+			j, ok := i, sameKeys
+			if !ok {
+				j, ok = prev.pos[ix.keys[i]]
+			}
+			s, valid := ix.slice(i)
+			if ok {
+				if ps, pvalid := prev.slice(j); valid == pvalid && s == ps {
+					ix.hashes[i] = prev.hashes[j]
+					continue
+				}
+			}
+			if valid {
+				ix.hashes[i] = Hash(s)
+			} else {
+				ix.hashes[i] = Hash("nospan")
+			}
+			h++
+		}
+		hashed.Add(int64(h))
+	})
+	ix.hashed = int(hashed.Load())
+
+	if sameKeys && slices.Equal(ix.spans, prev.spans) {
+		ix.ordered = prev.ordered
+	} else {
+		ix.ordered = make([]ownerSpan, 0, n)
+		for i, sp := range ix.spans {
+			if sp.IsValid() {
+				ix.ordered = append(ix.ordered, ownerSpan{int(sp.Start), int(sp.End), ix.keys[i]})
+			}
+		}
+		less := func(i, j int) bool { return ix.ordered[i].start < ix.ordered[j].start }
+		if !sort.SliceIsSorted(ix.ordered, less) {
+			sort.Slice(ix.ordered, less)
+		}
+	}
+
+	if ix.fileName() == prev.fileName() && ix.sameTypeDefs(prev) {
+		ix.typesSig = prev.typesSig
+	} else {
+		ix.typesSig = ix.hashTypes()
+		ix.hashed++
+	}
 	return ix
 }
 
-func (ix *Index) hashSlice(sp source.Span) string {
-	if ix.file == nil || !sp.IsValid() || int(sp.End) > len(ix.file.Text) || sp.Start > sp.End {
-		return Hash("nospan")
+func (ix *Index) keyAt(i int) string {
+	if i < len(ix.keys) {
+		return ix.keys[i]
 	}
-	return Hash(ix.file.Text[sp.Start:sp.End])
+	return ""
 }
+
+// slice returns the source text of the i-th definition, and false if its
+// span does not lie in the text.
+func (ix *Index) slice(i int) (string, bool) {
+	sp := ix.spans[i]
+	if ix.file == nil || !sp.IsValid() || int(sp.End) > len(ix.file.Text) || sp.Start > sp.End {
+		return "", false
+	}
+	return ix.file.Text[sp.Start:sp.End], true
+}
+
+func (ix *Index) fileName() string {
+	if ix.file == nil {
+		return ""
+	}
+	return ix.file.Name
+}
+
+// isTypeDef reports whether key names a definition the types signature
+// covers: every kind but functions.
+func isTypeDef(key string) bool { return len(key) > 1 && key[0] != 'f' }
+
+// sameTypeDefs reports whether ix and prev hold the same non-function
+// definitions with the same hashes, in the same order.
+func (ix *Index) sameTypeDefs(prev *Index) bool {
+	if prev.typesSig == "" {
+		return false
+	}
+	j := 0
+	for i, k := range ix.keys {
+		if !isTypeDef(k) {
+			continue
+		}
+		for j < len(prev.keys) && !isTypeDef(prev.keys[j]) {
+			j++
+		}
+		if j == len(prev.keys) || prev.keys[j] != k || prev.hashes[j] != ix.hashes[i] {
+			return false
+		}
+		j++
+	}
+	for ; j < len(prev.keys); j++ {
+		if isTypeDef(prev.keys[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// hashTypes hashes the file name plus the raw text of every non-function
+// definition, by key.
+func (ix *Index) hashTypes() string {
+	parts := []string{"types"}
+	if ix.file != nil {
+		parts = append(parts, ix.file.Name)
+	}
+	keys := make([]string, 0, len(ix.pos))
+	for k := range ix.pos {
+		if isTypeDef(k) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		parts = append(parts, k, ix.hashes[ix.pos[k]])
+	}
+	return Hash(parts...)
+}
+
+// Hashed reports how many SHA-256 digests NewIndex computed: one per
+// definition it could not take from prev, and one for a types signature
+// it could not take from prev.
+func (ix *Index) Hashed() int { return ix.hashed }
+
+// SameKeys reports whether ix and prev index definitions of the same kinds
+// and names in the same order.
+func (ix *Index) SameKeys(prev *Index) bool { return slices.Equal(ix.keys, prev.keys) }
 
 // Def returns the info for a kind-qualified definition key.
 func (ix *Index) Def(key string) (DefInfo, bool) {
-	di, ok := ix.defs[key]
-	return di, ok
+	i, ok := ix.pos[key]
+	if !ok {
+		return DefInfo{}, false
+	}
+	return DefInfo{Span: ix.spans[i], Hash: ix.hashes[i]}, true
 }
 
 // HashAt returns the content hash of the program's i-th definition.
 func (ix *Index) HashAt(i int) string { return ix.hashes[i] }
 
 // TypesSig hashes the file name plus the raw text of every non-function
-// definition, in order. Any change to the type environment — a struct or
-// union layout, a global's declaration, an external's signature — changes
-// the signature and with it every function-level key that embeds it.
-func (ix *Index) TypesSig() string {
-	if ix.typesSig != "" {
-		return ix.typesSig
-	}
-	parts := []string{"types"}
-	if ix.file != nil {
-		parts = append(parts, ix.file.Name)
-	}
-	keys := make([]string, 0, len(ix.defs))
-	for k := range ix.defs {
-		if len(k) > 1 && k[0] != 'f' {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		parts = append(parts, k, ix.defs[k].Hash)
-	}
-	ix.typesSig = Hash(parts...)
-	return ix.typesSig
-}
+// definition, in key order. Any change to the type environment — a struct
+// or union layout, a global's declaration, an external's signature —
+// changes the signature and with it every function-level key that embeds
+// it.
+func (ix *Index) TypesSig() string { return ix.typesSig }
 
 // Rel encodes an absolute span relative to its owning definition. Spans
 // outside every definition are kept absolute with an empty owner.
@@ -326,12 +485,12 @@ func (ix *Index) Abs(r RelSpan) source.Span {
 	if r.Owner == "" {
 		return source.Span{Start: source.Pos(r.Start), End: source.Pos(r.End)}
 	}
-	di, ok := ix.defs[r.Owner]
-	if !ok || !di.Span.IsValid() {
+	i, ok := ix.pos[r.Owner]
+	if !ok || !ix.spans[i].IsValid() {
 		return source.Span{Start: source.NoPos, End: source.NoPos}
 	}
 	return source.Span{
-		Start: di.Span.Start + source.Pos(r.Start),
-		End:   di.Span.Start + source.Pos(r.End),
+		Start: ix.spans[i].Start + source.Pos(r.Start),
+		End:   ix.spans[i].Start + source.Pos(r.End),
 	}
 }

@@ -2,6 +2,7 @@ package factstore
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 
 	"bitc/internal/parser"
@@ -98,7 +99,7 @@ func parse(t *testing.T, text string) *Index {
 	if diags.HasErrors() {
 		t.Fatalf("parse: %v", diags)
 	}
-	return NewIndex(prog)
+	return NewIndex(prog, nil)
 }
 
 // funcKey returns the content hash of function name's raw source ("" when
@@ -197,5 +198,65 @@ func TestRelAbsRoundTrip(t *testing.T) {
 	// Invalid spans pass through unharmed.
 	if sp := base.Abs(base.Rel(source.Span{Start: source.NoPos, End: source.NoPos})); sp.IsValid() {
 		t.Fatal("invalid span must stay invalid")
+	}
+}
+
+// TestIndexReuse: an index built against an earlier one hashes only the
+// definitions whose text changed, yet equals an index built from nothing,
+// whether the definitions moved, changed or were reordered; and the carry
+// slot is outside the store's accounting.
+func TestIndexReuse(t *testing.T) {
+	build := func(text string, prev *Index) *Index {
+		t.Helper()
+		prog, diags := parser.Parse("test.bitc", text)
+		if diags.HasErrors() {
+			t.Fatalf("parse: %v", diags)
+		}
+		return NewIndex(prog, prev)
+	}
+	base := build(testProg, nil)
+	if base.Hashed() != 5 {
+		t.Fatalf("cold index hashed %d times, want 4 definitions and the types signature", base.Hashed())
+	}
+	edited := ";; moved\n" + strings.Replace(testProg, "(field p x) 1)", "(field p x) 2)", 1)
+	reordered := testProg[strings.Index(testProg, "(define (norm"):] + testProg[:strings.Index(testProg, "(define (norm")]
+	for _, c := range []struct {
+		name, text string
+		hashed     int
+	}{
+		{"same", testProg, 0},
+		{"moved-and-edited", edited, 1},
+		{"reordered", reordered, 0},
+	} {
+		warm, cold := build(c.text, base), build(c.text, nil)
+		if warm.Hashed() != c.hashed {
+			t.Errorf("%s: hashed %d times, want %d", c.name, warm.Hashed(), c.hashed)
+		}
+		if warm.TypesSig() != cold.TypesSig() {
+			t.Errorf("%s: types signature differs from a cold index's", c.name)
+		}
+		for _, key := range []string{"s:Pt", "v:gorigin", "f:norm", "f:shift"} {
+			w, _ := warm.Def(key)
+			k, _ := cold.Def(key)
+			if w != k {
+				t.Errorf("%s: %s = %+v, want %+v", c.name, key, w, k)
+			}
+			if rel := cold.Rel(source.Span{Start: k.Span.Start + 1, End: k.Span.End}); warm.Rel(warm.Abs(rel)) != rel {
+				t.Errorf("%s: %s: spans do not round-trip", c.name, key)
+			}
+		}
+	}
+
+	s := New()
+	s.BeginRun()
+	s.SetCarry("a.bitc", 1)
+	if s.Carry("a.bitc") != 1 || s.Carry("b.bitc") != nil {
+		t.Fatal("carry is not kept per file")
+	}
+	if st := s.Stats(); st.Entries != 0 || st.Hits != 0 || st.Misses != 0 || s.Prune(0) != 0 {
+		t.Fatalf("carry shows in the store's accounting: %+v", st)
+	}
+	if s.Carry("a.bitc") != 1 {
+		t.Fatal("Prune dropped a carry")
 	}
 }

@@ -56,6 +56,14 @@ func (in *Info) Use(v *ast.VarRef) *Symbol {
 	return nil
 }
 
+// Local reports whether v resolves to a local or parameter binding. A
+// call whose head is one calls the closure the binding holds, even when
+// the name is a builtin's or a top-level function's.
+func (in *Info) Local(v *ast.VarRef) bool {
+	sym := in.Use(v)
+	return sym != nil && (sym.Kind == SymLocal || sym.Kind == SymParam)
+}
+
 // Check type-checks a parsed program. It always returns a non-nil Info;
 // consult diags for errors.
 func Check(prog *ast.Program) (*Info, *source.Diagnostics) {

@@ -506,7 +506,9 @@ var cmpCtors = map[string]func(a, b prover.Term) prover.Formula{
 
 func (v *verifier) evalCall(e *ast.Call, st *vstate) symval {
 	head, _ := e.Fn.(*ast.VarRef)
-	if head == nil {
+	if head == nil || v.info.Local(head) {
+		// A call through a closure value, even one bound to a builtin's
+		// name: opaque.
 		for _, a := range e.Args {
 			v.eval(a, st)
 		}

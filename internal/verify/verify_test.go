@@ -110,6 +110,22 @@ func TestBoundsVC(t *testing.T) {
 	      (vector-ref v n)))`, verify.KindBounds)
 }
 
+// TestShadowedBuiltinNotProved: a local closure named + is not the
+// builtin, so (+ 5 0) through it is 500, not 5, and the access it indexes
+// must not be proved in bounds.
+func TestShadowedBuiltinNotProved(t *testing.T) {
+	rep := report(t, `
+(define (main) int64
+  (let ((v (make-vector 10 7))
+        (+ (lambda ((a int64) (b int64)) int64 (* a 100))))
+    (vector-ref v (+ 5 0))))`)
+	for _, vc := range rep.VCs {
+		if vc.Kind == verify.KindBounds && vc.Result.Proved {
+			t.Fatalf("shadowed + read as the builtin: %s proved", vc.Desc)
+		}
+	}
+}
+
 func TestVectorLiteralBounds(t *testing.T) {
 	allProved(t, `(define (f) int64 (vector-ref (vector 1 2 3) 2))`)
 	someFailed(t, `(define (g) int64 (vector-ref (vector 1 2 3) 3))`, verify.KindBounds)

@@ -155,10 +155,22 @@ func TestBoundsElisionExternNarrowResult(t *testing.T) {
 	}
 }
 
+// shadowedPlusSrc indexes through a local closure named +: (+ k 0) is
+// 100*k, so the access at k = 1 is out of range, and no analysis may read
+// the call as the builtin.
+const shadowedPlusSrc = `
+(define (entry) int64
+  (let ((v (make-vector 10 7))
+        (mutable acc 0)
+        (+ (lambda ((a int64) (b int64)) int64 (* a 100))))
+    (dotimes (k 3) (set! acc (vector-ref v (+ k 0))))
+    acc))
+`
+
 // TestBoundsElisionTrapIdentical: elision must not change which access
 // traps or the trap message (the VM's `vector index %d out of range 0..%d`),
-// and a wrapped narrow-integer index must trap rather than reach an elided
-// handler.
+// and neither a wrapped narrow-integer index nor one computed by a local
+// that shadows a builtin may reach an elided handler.
 func TestBoundsElisionTrapIdentical(t *testing.T) {
 	cases := []struct {
 		name, src, trap string
@@ -167,6 +179,7 @@ func TestBoundsElisionTrapIdentical(t *testing.T) {
 	}{
 		{"mixed", mixedTrapSrc, "vector index 4 out of range 0..3", []vm.Value{vm.IntValue(9)}, true},
 		{"narrow-wrap", narrowWrapSrc, "vector index -128 out of range 0..199", nil, false},
+		{"shadowed-builtin", shadowedPlusSrc, "vector index 100 out of range 0..9", nil, false},
 	}
 	for _, c := range cases {
 		for _, d := range dispatchModes {
@@ -183,6 +196,9 @@ func TestBoundsElisionTrapIdentical(t *testing.T) {
 			}
 			if c.wantProved && (prog.Proofs == nil || prog.Proofs.Proved == 0) {
 				t.Fatalf("%s/%v: proven v[0] site missing from proof set", c.name, d)
+			}
+			if !c.wantProved && prog.Proofs != nil && prog.Proofs.Proved != 0 {
+				t.Fatalf("%s/%v: %d sites proved, want none", c.name, d, prog.Proofs.Proved)
 			}
 		}
 	}

@@ -55,8 +55,10 @@ done
 # fact store must render byte-identically (pretty and JSON) to a cold run,
 # and the memoised front end's program, whose definitions all come from a
 # text one line longer and are moved back, must render as a cold parse and
-# check does. -strict is on so directive-suppression accounting is held to
-# the same standard as the findings themselves.
+# check does, and the keys the warm run carried over from the priming run
+# must equal the keys a run into an empty store derives. -strict is on so
+# directive-suppression accounting is held to the same standard as the
+# findings themselves.
 for f in examples/progs/*.bitc internal/core/testdata/analyze/*.bitc; do
     /tmp/bitc-check analyze -strict -verify-cache "$f" || {
         echo "$f: incremental cache is not transparent"; exit 1; }
@@ -124,20 +126,24 @@ rm -f /tmp/bitc-serve-shard.bitc /tmp/bitc-serve-twopc.bitc
 # string must never pass a reference operand check.
 go test -count=1 -run 'TestDispatchDifferential|TestDisasmGolden|TestValueLayout|TestCallsAllocateNothing|TestStringIsNotRef' ./internal/vm
 
-# Linear-cost and IR pin gate (~3s): on the scaling shapes
+# Linear-cost and IR pin gate (~5s): on the scaling shapes
 # (internal/corpus/shapes.go) at growing sizes, the type checker, the
 # compiler and the optimiser must each do work linear in their input,
 # counted in deterministic steps (Link hops and scope probes, name-table
 # probes, alias-table operations, worklist pops, escape steps), not wall
 # time, and the parser's reader must take scratch bounded by the largest
-# top-level form, not the file (bytes of slab chunks allocated). And the
+# top-level form, not the file (bytes of slab chunks allocated). The
+# incremental analysis must derive keys in proportion to an edit, not to
+# the program: a one-function edit of the 1000- and the 4000-function
+# corpus costs the same SHA-256 digests and type renderings, and a no-op
+# re-run costs none (TestKeyWorkPerEdit). And the
 # compiler and optimiser must produce exactly the pinned IR and optimiser
 # counts on every tracked program, the kernels, the corpus, the shapes and
 # the service's programs, at O0, O1 and O2 with and without contracts
 # (internal/compiler/testdata/ir-pin.txt; regenerate deliberately with
 # -update and review which inputs moved).
-go test -count=1 -run 'TestIRPin|TestCheckLinearCost|TestCompileLinearCost|TestOptLinearCost|TestParseScratchBound' \
-    ./internal/parser ./internal/types ./internal/compiler ./internal/opt
+go test -count=1 -run 'TestIRPin|TestCheckLinearCost|TestCompileLinearCost|TestOptLinearCost|TestParseScratchBound|TestKeyWorkPerEdit' \
+    ./internal/parser ./internal/types ./internal/compiler ./internal/opt ./internal/analysis
 echo "linear-cost and IR pin gate: green"
 
 # Bounds, provenance & truncation gate: one relational range engine
@@ -231,7 +237,9 @@ go test -race -count=1 ./internal/serve/...
 # sharing to the race detector too (~30s). The type checker compresses Link
 # chains while it runs and leaves every Info type at its root, so a Prune
 # after Check never writes; types and core are here to keep it that way.
-go test -race -count=1 ./internal/types/ ./internal/analysis/ ./internal/cfg/ ./internal/core/
+# Runs on one fact store also share the keys the last run carried
+# (TestRunWithStoreConcurrently) and the store's definition indexes.
+go test -race -count=1 ./internal/types/ ./internal/analysis/ ./internal/cfg/ ./internal/core/ ./internal/factstore/
 
 # The parser, the compiler and the optimiser keep their scratch in the
 # call, never at package level, because core.Load runs concurrently (serve's
