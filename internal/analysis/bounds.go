@@ -65,7 +65,7 @@ var boundsAnalyzer = register(&Analyzer{
 })
 
 func runBounds(p *Pass) {
-	if !hasVectorSite(p.Fn) {
+	if !hasVectorSite(p.Info, p.Fn) {
 		return // nothing to classify: skip the engine set-up and dataflow solve
 	}
 	eng := newBoundsEngine(p.Info, p.CFG(nil), p.PointsTo, p.Fn.Name)
@@ -97,45 +97,47 @@ type boundsSite struct {
 
 // lenFact is what the engine knows about the length of the vectors
 // allocated at one site: a numeric range, and optionally an exact symbolic
-// form length == sym + k for a local whose value is stable over the whole
-// function activation.
+// form length == sym + k for a local (by binding number) whose value is
+// stable over the whole function activation.
 type lenFact struct {
 	rng *interval.I
-	sym string
+	sym int32
 	k   *big.Int
 }
 
-func (lf *lenFact) String() string {
+// lenString renders lf for messages, naming its anchor as the graph does.
+func (eng *boundsEngine) lenString(lf *lenFact) string {
 	if lf == nil {
 		return "unknown"
 	}
-	if lf.sym != "" {
+	if lf.sym != 0 {
 		if lf.k.Sign() == 0 {
-			return lf.sym
+			return eng.g.Name(lf.sym)
 		}
-		return fmt.Sprintf("%s%+d", lf.sym, lf.k)
+		return fmt.Sprintf("%s%+d", eng.g.Name(lf.sym), lf.k)
 	}
 	return lf.rng.String()
 }
 
 // bFact is the per-variable dataflow fact: a numeric interval plus
 // symbolic difference bounds (var <= sym+k for each ub entry, var >= sym+k
-// for each lb entry). Facts are immutable; transfer builds fresh ones.
+// for each lb entry), keyed by the anchor's binding number. Facts are
+// immutable; transfer builds fresh ones.
 type bFact struct {
 	rng    *interval.I
-	ub, lb map[string]*big.Int
+	ub, lb map[int32]*big.Int
 }
 
 func (f *bFact) clone() *bFact {
 	out := &bFact{rng: f.rng}
 	if len(f.ub) > 0 {
-		out.ub = make(map[string]*big.Int, len(f.ub))
+		out.ub = make(map[int32]*big.Int, len(f.ub))
 		for k, v := range f.ub {
 			out.ub[k] = v
 		}
 	}
 	if len(f.lb) > 0 {
-		out.lb = make(map[string]*big.Int, len(f.lb))
+		out.lb = make(map[int32]*big.Int, len(f.lb))
 		for k, v := range f.lb {
 			out.lb[k] = v
 		}
@@ -149,13 +151,13 @@ func (f *bFact) clone() *bFact {
 func (f *bFact) shift(k *big.Int) *bFact {
 	out := &bFact{rng: interval.Shift(f.rng, k)}
 	if len(f.ub) > 0 {
-		out.ub = make(map[string]*big.Int, len(f.ub))
+		out.ub = make(map[int32]*big.Int, len(f.ub))
 		for s, v := range f.ub {
 			out.ub[s] = new(big.Int).Add(v, k)
 		}
 	}
 	if len(f.lb) > 0 {
-		out.lb = make(map[string]*big.Int, len(f.lb))
+		out.lb = make(map[int32]*big.Int, len(f.lb))
 		for s, v := range f.lb {
 			out.lb[s] = new(big.Int).Add(v, k)
 		}
@@ -163,7 +165,7 @@ func (f *bFact) shift(k *big.Int) *bFact {
 	return out
 }
 
-func eqSymBounds(a, b map[string]*big.Int) bool {
+func eqSymBounds(a, b map[int32]*big.Int) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -180,11 +182,11 @@ func eqSymBounds(a, b map[string]*big.Int) bool {
 // reachability flag distinguishing bottom from "reachable, nothing known".
 type boundsEnv struct {
 	reached bool
-	vars    map[string]*bFact
+	vars    map[int32]*bFact
 }
 
 func (e boundsEnv) clone() boundsEnv {
-	out := boundsEnv{reached: e.reached, vars: make(map[string]*bFact, len(e.vars))}
+	out := boundsEnv{reached: e.reached, vars: make(map[int32]*bFact, len(e.vars))}
 	for k, v := range e.vars {
 		out.vars[k] = v
 	}
@@ -200,9 +202,9 @@ type boundsEngine struct {
 	fn   string
 
 	// volatile: locals a closure may assign — never tracked.
-	volatile map[string]bool
+	volatile []bool
 	// assigned: locals that are the target of any set!.
-	assigned map[string]bool
+	assigned []bool
 	// inLoop marks blocks that belong to some natural loop; a symbol
 	// declared inside a loop is re-bound per iteration and cannot anchor a
 	// flow-insensitive length fact.
@@ -214,18 +216,18 @@ type boundsEngine struct {
 func newBoundsEngine(info *types.Info, g *cfg.Graph, pts *pointsto.Result, fn string) *boundsEngine {
 	eng := &boundsEngine{
 		info: info, g: g, pts: pts, fn: fn,
-		volatile: map[string]bool{},
-		assigned: map[string]bool{},
+		volatile: make([]bool, len(g.Decls)),
+		assigned: make([]bool, len(g.Decls)),
 		inLoop:   make([]bool, len(g.Blocks)),
 		lens:     map[*pointsto.Object]*lenFact{},
 	}
 	for _, b := range g.Blocks {
 		for _, a := range b.Atoms {
 			if a.Op == cfg.OpUse && a.Deferred && a.WriteRef {
-				eng.volatile[a.Name] = true
+				eng.volatile[a.Var] = true
 			}
 			if a.Op == cfg.OpDef {
-				eng.assigned[a.Name] = true
+				eng.assigned[a.Var] = true
 			}
 		}
 		if b.Loop != nil {
@@ -238,19 +240,16 @@ func newBoundsEngine(info *types.Info, g *cfg.Graph, pts *pointsto.Result, fn st
 	return eng
 }
 
-// symOK reports whether name can appear as the anchor of a symbolic bound:
+// symOK reports whether local n can appear as the anchor of a symbolic bound:
 // its value must not change underneath the fact. Loop induction variables
 // advance without a set! atom, so they are excluded too (an upper bound
 // over a monotonically increasing counter would stay sound, but a lower
 // bound would not; excluding them keeps the fact language uniform).
-func (eng *boundsEngine) symOK(name string) bool {
-	if name == "" || eng.volatile[name] || eng.assigned[name] {
+func (eng *boundsEngine) symOK(n int32) bool {
+	if n == 0 || eng.volatile[n] || eng.assigned[n] {
 		return false
 	}
-	if d := eng.g.Decls[name]; d != nil && d.Kind == cfg.DeclLoop {
-		return false
-	}
-	return true
+	return eng.g.Decls[n].Kind != cfg.DeclLoop
 }
 
 // scanAllocs records a length fact for every vector allocation site in the
@@ -274,7 +273,7 @@ func (eng *boundsEngine) scanAllocs() {
 				continue
 			}
 			var lf *lenFact
-			switch a.Name {
+			switch eng.builtin(call) {
 			case "make-vector":
 				if len(call.Args) != 2 {
 					continue
@@ -310,22 +309,19 @@ func (eng *boundsEngine) scanAllocs() {
 	}
 }
 
-// stableAnchor reports whether name may anchor a flow-insensitive length
-// fact: symOK plus declared outside every loop (parameters always qualify).
-func (eng *boundsEngine) stableAnchor(name string) bool {
-	if !eng.symOK(name) {
+// stableAnchor reports whether local n may anchor a flow-insensitive
+// length fact: symOK plus declared outside every loop (parameters always
+// qualify).
+func (eng *boundsEngine) stableAnchor(n int32) bool {
+	if !eng.symOK(n) {
 		return false
 	}
-	d := eng.g.Decls[name]
-	if d == nil {
-		return false
-	}
-	if d.Kind == cfg.DeclParam {
+	if eng.g.Decls[n].Kind == cfg.DeclParam {
 		return true
 	}
 	for _, b := range eng.g.Blocks {
 		for _, a := range b.Atoms {
-			if a.Op == cfg.OpDecl && a.Name == name {
+			if a.Op == cfg.OpDecl && a.Var == n {
 				return !eng.inLoop[b.Index]
 			}
 		}
@@ -356,7 +352,7 @@ func (eng *boundsEngine) replay(visit func(env boundsEnv, a cfg.Atom)) {
 func (eng *boundsEngine) analyze() []boundsSite {
 	var sites []boundsSite
 	eng.replay(func(env boundsEnv, a cfg.Atom) {
-		if call, ok := a.Expr.(*ast.Call); ok && a.Op == cfg.OpCall && isVectorAccess(call) {
+		if call, ok := a.Expr.(*ast.Call); ok && a.Op == cfg.OpCall && isVectorAccess(eng.info, call) {
 			sites = append(sites, eng.checkSite(env, call))
 		}
 	})
@@ -381,7 +377,7 @@ func (eng *boundsEngine) checkSite(env boundsEnv, call *ast.Call) boundsSite {
 	}
 	if lf != nil {
 		alwaysOver := lf.rng.Hi != nil && idx.rng.Lo != nil && idx.rng.Lo.Cmp(lf.rng.Hi) >= 0
-		if !alwaysOver && lf.sym != "" {
+		if !alwaysOver && lf.sym != 0 {
 			// index >= sym + k == length on every execution.
 			if lo, ok := idx.lb[lf.sym]; ok && lo.Cmp(lf.k) >= 0 {
 				alwaysOver = true
@@ -389,7 +385,7 @@ func (eng *boundsEngine) checkSite(env boundsEnv, call *ast.Call) boundsSite {
 		}
 		if alwaysOver {
 			s.verdict = siteOOB
-			s.msg = fmt.Sprintf("vector index is always out of range: index range %s never falls below the vector length %s", idx.rng, lf)
+			s.msg = fmt.Sprintf("vector index is always out of range: index range %s never falls below the vector length %s", idx.rng, eng.lenString(lf))
 			return s
 		}
 	}
@@ -399,7 +395,7 @@ func (eng *boundsEngine) checkSite(env boundsEnv, call *ast.Call) boundsSite {
 	// against an exact length anchor).
 	if idx.rng.Nonneg() && lf != nil {
 		under := lf.rng.Lo != nil && idx.rng.Hi != nil && idx.rng.Hi.Cmp(lf.rng.Lo) < 0
-		if !under && lf.sym != "" {
+		if !under && lf.sym != 0 {
 			// index <= sym + k' with k' <= k-1 means index <= length-1.
 			if hi, ok := idx.ub[lf.sym]; ok && hi.Cmp(new(big.Int).Sub(lf.k, big.NewInt(1))) <= 0 {
 				under = true
@@ -412,7 +408,7 @@ func (eng *boundsEngine) checkSite(env boundsEnv, call *ast.Call) boundsSite {
 	}
 
 	s.verdict = siteUnproven
-	s.msg = fmt.Sprintf("vector index may be out of range: the prover cannot discharge index range %s against vector length %s", idx.rng, lf)
+	s.msg = fmt.Sprintf("vector index may be out of range: the prover cannot discharge index range %s against vector length %s", idx.rng, eng.lenString(lf))
 	return s
 }
 
@@ -424,9 +420,9 @@ func (eng *boundsEngine) lenOf(e ast.Expr) *lenFact {
 	}
 	var objs []*pointsto.Object
 	if v, ok := e.(*ast.VarRef); ok {
-		if u := eng.g.Rename[v]; u != "" {
-			objs = eng.pts.VarObjects(eng.fn, u)
-		} else if eng.info.Globals[v.Name] != nil {
+		if n := eng.g.Var(v); n != 0 {
+			objs = eng.pts.VarObjects(eng.fn, n)
+		} else if sym := eng.info.Use(v); sym != nil && sym.Kind == types.SymGlobal {
 			objs = eng.pts.GlobalObjects(v.Name)
 		}
 	} else {
@@ -461,7 +457,7 @@ func (eng *boundsEngine) Meet(a, b boundsEnv) boundsEnv {
 	if !b.reached {
 		return a
 	}
-	out := boundsEnv{reached: true, vars: map[string]*bFact{}}
+	out := boundsEnv{reached: true, vars: map[int32]*bFact{}}
 	for k, av := range a.vars {
 		bv, ok := b.vars[k]
 		if !ok {
@@ -474,7 +470,7 @@ func (eng *boundsEngine) Meet(a, b boundsEnv) boundsEnv {
 					ak = bk
 				}
 				if m.ub == nil {
-					m.ub = map[string]*big.Int{}
+					m.ub = map[int32]*big.Int{}
 				}
 				m.ub[s] = ak
 			}
@@ -485,7 +481,7 @@ func (eng *boundsEngine) Meet(a, b boundsEnv) boundsEnv {
 					ak = bk
 				}
 				if m.lb == nil {
-					m.lb = map[string]*big.Int{}
+					m.lb = map[int32]*big.Int{}
 				}
 				m.lb[s] = ak
 			}
@@ -528,7 +524,7 @@ func (eng *boundsEngine) Widen(_ *cfg.Block, prev, next boundsEnv) boundsEnv {
 	if !prev.reached || !next.reached {
 		return next
 	}
-	out := boundsEnv{reached: true, vars: map[string]*bFact{}}
+	out := boundsEnv{reached: true, vars: map[int32]*bFact{}}
 	for k, nv := range next.vars {
 		pv, ok := prev.vars[k]
 		if !ok {
@@ -539,7 +535,7 @@ func (eng *boundsEngine) Widen(_ *cfg.Block, prev, next boundsEnv) boundsEnv {
 		for s, nk := range nv.ub {
 			if pk, ok := pv.ub[s]; ok && pk.Cmp(nk) == 0 {
 				if w.ub == nil {
-					w.ub = map[string]*big.Int{}
+					w.ub = map[int32]*big.Int{}
 				}
 				w.ub[s] = nk
 			}
@@ -547,7 +543,7 @@ func (eng *boundsEngine) Widen(_ *cfg.Block, prev, next boundsEnv) boundsEnv {
 		for s, nk := range nv.lb {
 			if pk, ok := pv.lb[s]; ok && pk.Cmp(nk) == 0 {
 				if w.lb == nil {
-					w.lb = map[string]*big.Int{}
+					w.lb = map[int32]*big.Int{}
 				}
 				w.lb[s] = nk
 			}
@@ -565,7 +561,7 @@ func (eng *boundsEngine) Narrow(_ *cfg.Block, prev, next boundsEnv) boundsEnv {
 	if !prev.reached || !next.reached {
 		return prev
 	}
-	out := boundsEnv{reached: true, vars: map[string]*bFact{}}
+	out := boundsEnv{reached: true, vars: map[int32]*bFact{}}
 	for k, pv := range prev.vars {
 		nv, ok := next.vars[k]
 		if !ok {
@@ -591,12 +587,12 @@ func (eng *boundsEngine) step(env boundsEnv, a cfg.Atom) boundsEnv {
 		}
 		if s, ok := a.Expr.(*ast.Set); ok {
 			nf := eng.evalFact(env, s.Value)
-			return eng.rebind(env, a.Name, nf)
+			return eng.rebind(env, a.Var, nf)
 		}
 	case cfg.OpDecl:
 		switch a.Decl.Kind {
 		case cfg.DeclLet:
-			return eng.rebind(env, a.Name, eng.evalFact(env, a.Decl.Binding.Init))
+			return eng.rebind(env, a.Var, eng.evalFact(env, a.Decl.Binding.Init))
 		case cfg.DeclLoop:
 			// dotimes counts i = 0 .. count-1: the numeric upper bound comes
 			// from the count's range, the symbolic ones from the count's
@@ -607,20 +603,21 @@ func (eng *boundsEngine) step(env boundsEnv, a cfg.Atom) boundsEnv {
 					f := cf.shift(big.NewInt(-1))
 					f.rng = interval.Intersect(f.rng, interval.New(big.NewInt(0), nil))
 					f.lb = nil // i starts at 0 regardless of the count's floor
-					return eng.rebind(env, a.Name, f)
+					return eng.rebind(env, a.Var, f)
 				}
 			}
-			return eng.rebind(env, a.Name, nil)
+			return eng.rebind(env, a.Var, nil)
 		default:
-			return eng.rebind(env, a.Name, nil)
+			return eng.rebind(env, a.Var, nil)
 		}
 	}
 	return env
 }
 
-// rebind installs a new fact for name (nil clears it) and invalidates every
-// symbolic bound anchored on name — its value just changed.
-func (eng *boundsEngine) rebind(env boundsEnv, name string, f *bFact) boundsEnv {
+// rebind installs a new fact for local name (nil clears it) and
+// invalidates every symbolic bound anchored on name — its value just
+// changed.
+func (eng *boundsEngine) rebind(env boundsEnv, name int32, f *bFact) boundsEnv {
 	if eng.volatile[name] {
 		return env
 	}
@@ -663,17 +660,23 @@ func (eng *boundsEngine) Flow(from *cfg.Block, succIdx int, out boundsEnv) bound
 	return eng.refine(out, from.Cond, succIdx == 0)
 }
 
+// builtin returns the builtin call's head denotes, or "" (a closure call,
+// a defined function, a head that is not a name).
+func (eng *boundsEngine) builtin(call *ast.Call) string {
+	if v, ok := call.Fn.(*ast.VarRef); ok {
+		return eng.info.Builtin(v)
+	}
+	return ""
+}
+
 // refine applies a branch condition's truth to the environment.
 func (eng *boundsEngine) refine(env boundsEnv, cond ast.Expr, truth bool) boundsEnv {
 	call, ok := cond.(*ast.Call)
 	if !ok {
 		return env
 	}
-	fn, ok := call.Fn.(*ast.VarRef)
-	if !ok || eng.info.Local(fn) {
-		return env // a closure call says nothing of its arguments
-	}
-	switch fn.Name {
+	op := eng.builtin(call)
+	switch op {
 	case "not":
 		if len(call.Args) == 1 {
 			return eng.refine(env, call.Args[0], !truth)
@@ -698,33 +701,29 @@ func (eng *boundsEngine) refine(env boundsEnv, cond ast.Expr, truth bool) bounds
 		return env
 	}
 	a, b := call.Args[0], call.Args[1]
-	switch fn.Name {
-	case "<":
-		if truth {
-			return eng.constrainLess(env, a, b, true)
-		}
-		return eng.constrainLess(env, b, a, false) // !(a<b) == b<=a
-	case "<=":
-		if truth {
-			return eng.constrainLess(env, a, b, false)
-		}
-		return eng.constrainLess(env, b, a, true) // !(a<=b) == b<a
-	case ">":
-		return eng.refine(env, &ast.Call{Fn: fn2("<", fn), Args: []ast.Expr{b, a}}, truth)
-	case ">=":
-		return eng.refine(env, &ast.Call{Fn: fn2("<=", fn), Args: []ast.Expr{b, a}}, truth)
+	switch op {
+	case ">", ">=": // (> a b) is (< b a)
+		a, b = b, a
 	case "=":
 		if truth {
 			env = eng.constrainLess(env, a, b, false)
 			return eng.constrainLess(env, b, a, false)
 		}
+		return env
+	}
+	switch op {
+	case "<", ">":
+		if truth {
+			return eng.constrainLess(env, a, b, true)
+		}
+		return eng.constrainLess(env, b, a, false) // !(a<b) == b<=a
+	case "<=", ">=":
+		if truth {
+			return eng.constrainLess(env, a, b, false)
+		}
+		return eng.constrainLess(env, b, a, true) // !(a<=b) == b<a
 	}
 	return env
-}
-
-// fn2 makes a synthetic comparison head reusing the original's span.
-func fn2(name string, like *ast.VarRef) *ast.VarRef {
-	return &ast.VarRef{Name: name, SpanV: like.SpanV}
 }
 
 // constrainLess records a < b (strict) or a <= b into the environment,
@@ -759,8 +758,8 @@ func (eng *boundsEngine) applyBound(env boundsEnv, e ast.Expr, bound *bFact, upp
 	if !ok {
 		return env
 	}
-	name := eng.g.Rename[v]
-	if name == "" || eng.volatile[name] {
+	name := eng.g.Var(v)
+	if name == 0 || eng.volatile[name] {
 		return env
 	}
 	cur := eng.evalFact(env, e)
@@ -776,7 +775,7 @@ func (eng *boundsEngine) applyBound(env boundsEnv, e ast.Expr, bound *bFact, upp
 			}
 			if old, ok := next.ub[s]; !ok || k.Cmp(old) < 0 {
 				if next.ub == nil {
-					next.ub = map[string]*big.Int{}
+					next.ub = map[int32]*big.Int{}
 				}
 				next.ub[s] = k
 			}
@@ -789,7 +788,7 @@ func (eng *boundsEngine) applyBound(env boundsEnv, e ast.Expr, bound *bFact, upp
 			}
 			if old, ok := next.lb[s]; !ok || k.Cmp(old) > 0 {
 				if next.lb == nil {
-					next.lb = map[string]*big.Int{}
+					next.lb = map[int32]*big.Int{}
 				}
 				next.lb[s] = k
 			}
@@ -821,8 +820,8 @@ func (eng *boundsEngine) evalFact(env boundsEnv, e ast.Expr) *bFact {
 	case *ast.CharLit:
 		return &bFact{rng: interval.Point(big.NewInt(int64(e.Value)))}
 	case *ast.VarRef:
-		name := eng.g.Rename[e]
-		if name == "" {
+		name := eng.g.Var(e)
+		if name == 0 {
 			return fallback()
 		}
 		f := env.vars[name]
@@ -849,13 +848,13 @@ func (eng *boundsEngine) evalFact(env boundsEnv, e ast.Expr) *bFact {
 			f = f.clone()
 			if _, ok := f.ub[name]; !ok {
 				if f.ub == nil {
-					f.ub = map[string]*big.Int{}
+					f.ub = map[int32]*big.Int{}
 				}
 				f.ub[name] = big.NewInt(0)
 			}
 			if _, ok := f.lb[name]; !ok {
 				if f.lb == nil {
-					f.lb = map[string]*big.Int{}
+					f.lb = map[int32]*big.Int{}
 				}
 				f.lb[name] = big.NewInt(0)
 			}
@@ -890,11 +889,8 @@ func (eng *boundsEngine) evalFact(env boundsEnv, e ast.Expr) *bFact {
 // with literal operands. A head bound to a local or parameter calls the
 // closure it holds, whatever its name.
 func (eng *boundsEngine) callFact(env boundsEnv, call *ast.Call) *bFact {
-	v, ok := call.Fn.(*ast.VarRef)
-	if !ok || eng.info.Local(v) {
-		return nil
-	}
-	switch v.Name {
+	op := eng.builtin(call)
+	switch op {
 	case "+", "-":
 		if len(call.Args) != 2 {
 			return nil
@@ -904,7 +900,7 @@ func (eng *boundsEngine) callFact(env boundsEnv, call *ast.Call) *bFact {
 			return nil
 		}
 		var f *bFact
-		if v.Name == "+" {
+		if op == "+" {
 			if k := pointOf(bf); k != nil {
 				f = af.shift(k)
 			} else if k := pointOf(af); k != nil {
@@ -927,13 +923,13 @@ func (eng *boundsEngine) callFact(env boundsEnv, call *ast.Call) *bFact {
 			return nil
 		}
 		f := &bFact{rng: lf.rng}
-		if lf.sym != "" {
-			f.ub = map[string]*big.Int{lf.sym: lf.k}
-			f.lb = map[string]*big.Int{lf.sym: lf.k}
+		if lf.sym != 0 {
+			f.ub = map[int32]*big.Int{lf.sym: lf.k}
+			f.lb = map[int32]*big.Int{lf.sym: lf.k}
 		}
 		return f
 	case "bitand", "mod", "shr":
-		if r := eng.builtinNumRange(env, v.Name, call); r != nil {
+		if r := eng.builtinNumRange(env, op, call); r != nil {
 			return &bFact{rng: r}
 		}
 	}

@@ -1,6 +1,8 @@
 package analysis_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"bitc/internal/analysis"
@@ -114,7 +116,10 @@ func TestBoundsUnprovenOnlyUnderStrict(t *testing.T) {
 
 // TestBoundsShadowedBuiltinUnproven: a local closure named + computes
 // 100*k, so the engine must not read (+ k 0) as the builtin: the access is
-// unproven, reported as BOUND002 under -strict, and not elidable.
+// unproven, reported as BOUND002 under -strict, and not elidable. The same
+// holds for a local closure named after every head the engine dispatches
+// on (internal/corpus/testdata/shadowed): each program's access traps when
+// run, so none may be proved, and each site gets a finding.
 func TestBoundsShadowedBuiltinUnproven(t *testing.T) {
 	src := `
 	  (define (main) int64
@@ -129,6 +134,26 @@ func TestBoundsShadowedBuiltinUnproven(t *testing.T) {
 	}
 	if ps := proofsOn(t, src); ps.Proved != 0 {
 		t.Fatalf("%d of %d sites proved through a shadowed +", ps.Proved, ps.Sites)
+	}
+
+	files, err := filepath.Glob("../corpus/testdata/shadowed/*.bitc")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no shadowed-head programs: %v", err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := string(b)
+		ps := proofsOn(t, src)
+		if ps.Sites == 0 || ps.Proved != 0 {
+			t.Errorf("%s: %d of %d sites proved, want 0 of at least 1", f, ps.Proved, ps.Sites)
+		}
+		rep := runOpts(t, src, analysis.Options{Strict: true})
+		if !hasCode(rep, analysis.CodeBoundMaybe) && !hasCode(rep, analysis.CodeBoundOOB) {
+			t.Errorf("%s: no bounds finding under -strict: %v", f, codesOf(rep))
+		}
 	}
 }
 

@@ -52,21 +52,23 @@ func (ps *BoundsProofSet) add(span source.Span, proved bool) {
 }
 
 // isVectorAccess reports whether call is a vector-ref/vector-set! site the
-// bounds engine classifies. The CFG names an OpCall atom after its unbound
-// VarRef head, so this syntactic test accepts a superset of the engine's
-// sites (it also accepts a locally shadowed head).
-func isVectorAccess(call *ast.Call) bool {
+// bounds engine classifies.
+func isVectorAccess(info *types.Info, call *ast.Call) bool {
 	v, ok := call.Fn.(*ast.VarRef)
-	return ok && (v.Name == "vector-ref" || v.Name == "vector-set!") && len(call.Args) >= 2
+	if !ok || len(call.Args) < 2 {
+		return false
+	}
+	op := info.Builtin(v)
+	return op == "vector-ref" || op == "vector-set!"
 }
 
 // hasVectorSite reports whether fn contains a vector-access site anywhere,
 // lambda bodies and contracts included. A function without one has nothing
 // for the bounds engine to classify.
-func hasVectorSite(fn *ast.DefineFunc) bool {
+func hasVectorSite(info *types.Info, fn *ast.DefineFunc) bool {
 	found := false
 	ast.WalkDef(fn, func(e ast.Expr) bool {
-		if call, ok := e.(*ast.Call); ok && isVectorAccess(call) {
+		if call, ok := e.(*ast.Call); ok && isVectorAccess(info, call) {
 			found = true
 		}
 		return !found
@@ -82,7 +84,7 @@ func BoundsProofs(prog *ast.Program, info *types.Info) *BoundsProofSet {
 	for _, d := range prog.Defs {
 		if fn, ok := d.(*ast.DefineFunc); ok {
 			funcs = append(funcs, fn)
-			if hasVectorSite(fn) {
+			if hasVectorSite(info, fn) {
 				need = append(need, fn)
 			}
 		}
@@ -107,7 +109,7 @@ func proveSites(prog *ast.Program, info *types.Info, funcs, need []*ast.DefineFu
 	}
 	cfgs := make(map[*ast.DefineFunc]*cfg.Graph, len(funcs))
 	for _, fn := range funcs {
-		cfgs[fn] = cfg.Build(fn)
+		cfgs[fn] = cfg.Build(fn, info)
 	}
 	pts := pointsto.Analyze(prog, info, cfgs)
 	out := make([][]boundsSite, len(need))

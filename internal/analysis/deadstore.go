@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"sort"
 	"strings"
 
 	"bitc/internal/ast"
@@ -19,7 +18,7 @@ import (
 //     anywhere in the program;
 //   - BITC-DEAD002: a let binding that is never used at all (or a mutable
 //     binding that is written but never read), decided by counting use/def
-//     atoms of the alpha-renamed local (so shadowing never miscounts).
+//     atoms of the local's binding number (so shadowing never miscounts).
 //
 // Variables captured by a lambda or spawn are exempt from DEAD001: the
 // closure can run after any store, so no store to them is provably dead.
@@ -53,38 +52,37 @@ func runDeadStore(p *Pass) {
 	// Per-variable counts over the whole graph: reads (any non-WriteRef
 	// use, including the read half of a self-update), writes (set!s, plus
 	// captured set!s emitted as WriteRef uses), and capture flags.
-	reads := map[string]int{}
-	writes := map[string]int{}
-	captured := map[string]bool{}
+	reads := make([]int, len(g.Decls))
+	writes := make([]int, len(g.Decls))
+	captured := make([]bool, len(g.Decls))
 	for _, b := range g.Blocks {
 		for _, a := range b.Atoms {
 			switch a.Op {
 			case cfg.OpUse:
 				if a.Deferred {
-					captured[a.Name] = true
+					captured[a.Var] = true
 				}
 				if a.WriteRef {
-					writes[a.Name]++
+					writes[a.Var]++
 				} else {
-					reads[a.Name]++
+					reads[a.Var]++
 				}
 			case cfg.OpDef:
-				writes[a.Name]++
+				writes[a.Var]++
 			}
 		}
 	}
 
 	// Unused bindings.
-	for _, name := range sortedDeclNames(g) {
-		d := g.Decls[name]
-		if d.Kind != cfg.DeclLet || strings.HasPrefix(d.Src, "_") {
+	for n, d := range g.Decls {
+		if d == nil || d.Kind != cfg.DeclLet || strings.HasPrefix(d.Src, "_") {
 			continue
 		}
 		switch {
-		case reads[name] == 0 && writes[name] == 0:
+		case reads[n] == 0 && writes[n] == 0:
 			p.Reportf(CodeUnusedBinding, source.Warning, d.Binding.Span(),
 				"binding %s is never used", d.Src)
-		case reads[name] == 0 && writes[name] > 0:
+		case reads[n] == 0 && writes[n] > 0:
 			p.Reportf(CodeUnusedBinding, source.Warning, d.Binding.Span(),
 				"mutable binding %s is assigned but never read", d.Src)
 		}
@@ -97,7 +95,7 @@ func runDeadStore(p *Pass) {
 	// gets the clearer DEAD002 above.
 	live := dataflow.Liveness(g)
 	for _, b := range g.Blocks {
-		after := make([]dataflow.NameSet, len(b.Atoms))
+		after := make([]dataflow.VarSet, len(b.Atoms))
 		l := live.In[b.Index].Clone()
 		for i := len(b.Atoms) - 1; i >= 0; i-- {
 			after[i] = l.Clone()
@@ -107,14 +105,14 @@ func runDeadStore(p *Pass) {
 			if a.Op != cfg.OpDef {
 				continue
 			}
-			d := g.Decls[a.Name]
-			if d == nil || d.Kind != cfg.DeclLet || strings.HasPrefix(d.Src, "_") {
+			d := g.Decls[a.Var]
+			if d.Kind != cfg.DeclLet || strings.HasPrefix(d.Src, "_") {
 				continue
 			}
-			if captured[a.Name] || reads[a.Name] == 0 {
+			if captured[a.Var] || reads[a.Var] == 0 {
 				continue
 			}
-			if !after[i].Has(a.Name) {
+			if !after[i].Has(a.Var) {
 				p.Reportf(CodeDeadStore, source.Warning, a.Expr.Span(),
 					"value stored to %s is never read", d.Src)
 			}
@@ -156,15 +154,4 @@ func deadFieldStores(p *Pass) {
 	for _, e := range p.Fn.Body {
 		ast.Walk(e, visit)
 	}
-}
-
-func sortedDeclNames(g *cfg.Graph) []string {
-	out := make([]string, 0, len(g.Decls))
-	for name := range g.Decls {
-		out = append(out, name)
-	}
-	// Sorting by name is enough for determinism; the driver re-sorts
-	// findings by span anyway.
-	sort.Strings(out)
-	return out
 }

@@ -132,7 +132,7 @@ func Run(prog *ast.Program, info *types.Info, opts Options) (*Report, error) {
 	if needCFG {
 		cfgs = make(map[*ast.DefineFunc]*cfg.Graph, len(funcs))
 		for _, fn := range funcs {
-			cfgs[fn] = cfg.Build(fn)
+			cfgs[fn] = cfg.Build(fn, info)
 		}
 	}
 	if needPts {

@@ -16,7 +16,7 @@ func BoundsProofsWholeProgram(prog *ast.Program, info *types.Info) *BoundsProofS
 	for _, d := range prog.Defs {
 		if fn, ok := d.(*ast.DefineFunc); ok {
 			funcs = append(funcs, fn)
-			cfgs[fn] = cfg.Build(fn)
+			cfgs[fn] = cfg.Build(fn, info)
 		}
 	}
 	pts := pointsto.Analyze(prog, info, cfgs)

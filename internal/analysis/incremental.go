@@ -282,7 +282,7 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 		}
 		for _, fn := range funcs {
 			if sliceFns[fn.Name] {
-				cfgs[fn] = cfg.Build(fn)
+				cfgs[fn] = cfg.Build(fn, info)
 			}
 		}
 		pts = pointsto.AnalyzeDemand(prog, info, cfgs, sliceFns, sliceGlobals)
@@ -290,7 +290,7 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 	if needCFG {
 		for fi, fn := range funcs {
 			if cfgDirty[fi] && cfgs[fn] == nil {
-				cfgs[fn] = cfg.Build(fn)
+				cfgs[fn] = cfg.Build(fn, info)
 			}
 		}
 	}

@@ -278,12 +278,11 @@ func sortedEdgeKeys(m map[string]map[string]LockSite) []string {
 }
 
 type summaryBuilder struct {
-	info      *types.Info
-	cg        *CallGraph
-	pts       *pointsto.Result
-	effects   map[string]*FuncEffects
-	shared    map[string]bool
-	externals map[string]bool
+	info    *types.Info
+	cg      *CallGraph
+	pts     *pointsto.Result
+	effects map[string]*FuncEffects
+	shared  map[string]bool
 }
 
 // newSummaryBuilder prepares a builder over an empty effects set. pts may be
@@ -291,20 +290,16 @@ type summaryBuilder struct {
 // whose SCCs will be recomputed.
 func newSummaryBuilder(info *types.Info, cg *CallGraph, pts *pointsto.Result) *summaryBuilder {
 	sb := &summaryBuilder{
-		info:      info,
-		cg:        cg,
-		pts:       pts,
-		effects:   map[string]*FuncEffects{},
-		shared:    map[string]bool{},
-		externals: map[string]bool{},
+		info:    info,
+		cg:      cg,
+		pts:     pts,
+		effects: map[string]*FuncEffects{},
+		shared:  map[string]bool{},
 	}
 	for name, t := range info.Globals {
 		if types.Prune(t).Kind == types.KStruct {
 			sb.shared[name] = true
 		}
-	}
-	for _, ext := range info.Externals {
-		sb.externals[ext.Name] = true
 	}
 	return sb
 }
@@ -435,9 +430,9 @@ func (sb *summaryBuilder) walk(e ast.Expr, ctx *walkCtx) {
 
 	case *ast.Call:
 		if v, ok := e.Fn.(*ast.VarRef); ok {
-			if sb.cg.Funcs[v.Name] != nil {
+			if sym := sb.info.Use(v); sym != nil && sym.Kind == types.SymFunc && sb.cg.Funcs[v.Name] != nil {
 				sb.instantiate(ctx, v.Name)
-			} else if kind := sb.effectKind(v.Name); kind != "" {
+			} else if kind := sb.effectKind(v); kind != "" {
 				sb.addIrrev(ctx, EffectSite{
 					Kind: kind, Name: v.Name, Span: e.Span(), Fn: ctx.fn, Atomic: ctx.atomic,
 				})
@@ -570,18 +565,15 @@ func (sb *summaryBuilder) addRetry(ctx *walkCtx, s RetrySite) {
 // survive a rollback), print/println emit observable output, and channel
 // operations either publish to another thread or trap outright inside an
 // atomic region.
-func (sb *summaryBuilder) effectKind(name string) string {
-	switch {
-	case sb.externals[name]:
+func (sb *summaryBuilder) effectKind(head *ast.VarRef) string {
+	if sym := sb.info.Use(head); sym != nil && sym.Kind == types.SymExternal {
 		return "extern"
-	case name == "print" || name == "println":
+	}
+	switch op := sb.info.Builtin(head); op {
+	case "print", "println":
 		return "io"
-	case name == "send":
-		return "send"
-	case name == "recv":
-		return "recv"
-	case name == "join":
-		return "join"
+	case "send", "recv", "join":
+		return op
 	}
 	return ""
 }

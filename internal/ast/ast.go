@@ -103,6 +103,7 @@ type Param struct {
 	SpanV source.Span
 	Name  string
 	Type  TypeExpr // nil means "infer"
+	Bind  int32    // binding number (see Binding.Bind)
 }
 
 func (p *Param) Span() source.Span { return p.SpanV }
@@ -122,6 +123,9 @@ type DefineFunc struct {
 	Contract Contract
 	Body     []Expr
 	Pure     bool // :pure annotation (no heap writes; checked by the verifier)
+	// ResultBind is the binding number of %result in the :ensures
+	// clauses (0 when there are none).
+	ResultBind int32
 }
 
 // DefineVar is (define name [Type] expr) — a top-level constant.
@@ -279,12 +283,23 @@ const (
 )
 
 // Binding is one (name [Type] init) in a let.
+//
+// Bind is the binding number the parser gives every local binder
+// (parameters, let bindings, dotimes variables, case-pattern variables,
+// lambda parameters, with-region names, %result). Numbers count from 1
+// within each top-level definition, in the order the binders come into
+// scope: a function's parameters first, a plain let's names after all its
+// initialisers, a let*'s each after its own, a letrec's before any, a
+// dotimes variable after its count. A number is the binder's identity: the
+// type checker resolves every use to it (types.Symbol.Bind), and it stays
+// valid when a definition is copied (ShiftDef) or re-checked on its own.
 type Binding struct {
 	SpanV   source.Span
 	Name    string
 	Type    TypeExpr // nil means infer
 	Mutable bool     // (mutable name init) binding form
 	Init    Expr
+	Bind    int32
 }
 
 func (b *Binding) Span() source.Span { return b.SpanV }
@@ -338,6 +353,7 @@ type DoTimes struct {
 	SpanV source.Span
 	ID    int32
 	Var   string
+	Bind  int32 // Var's binding number
 	Count Expr
 	Body  []Expr
 }
@@ -397,6 +413,7 @@ type PatWildcard struct{ SpanV source.Span }
 type PatVar struct {
 	SpanV source.Span
 	Name  string
+	Bind  int32
 }
 
 // PatLit matches a literal (int, bool, char, string).
@@ -460,6 +477,7 @@ type WithRegion struct {
 	SpanV source.Span
 	ID    int32
 	Name  string
+	Bind  int32 // the region's binding number
 	Body  []Expr
 }
 

@@ -79,7 +79,7 @@ func sameTypes(a, b []TypeExpr) bool {
 }
 
 // ShiftDef returns a deep copy of d with delta added to every span in it
-// and every ExprID kept. d itself is not changed, so a program that holds d
+// and every ExprID and binding number kept. d itself is not changed, so a program that holds d
 // stays valid; the copy is d as it parses when delta bytes were inserted
 // (or, for a negative delta, removed) somewhere before it.
 func ShiftDef(d Def, delta source.Pos) Def {
@@ -134,7 +134,7 @@ func (s shifter) params(ps []*Param) []*Param {
 	}
 	out := make([]*Param, len(ps))
 	for i, p := range ps {
-		out[i] = &Param{SpanV: s.span(p.SpanV), Name: p.Name, Type: s.typ(p.Type)}
+		out[i] = &Param{SpanV: s.span(p.SpanV), Name: p.Name, Type: s.typ(p.Type), Bind: p.Bind}
 	}
 	return out
 }
@@ -234,7 +234,7 @@ func (s shifter) expr(e Expr) Expr {
 		if e.Bindings != nil {
 			c.Bindings = make([]*Binding, len(e.Bindings))
 			for i, b := range e.Bindings {
-				c.Bindings[i] = &Binding{SpanV: s.span(b.SpanV), Name: b.Name, Type: s.typ(b.Type), Mutable: b.Mutable, Init: s.expr(b.Init)}
+				c.Bindings[i] = &Binding{SpanV: s.span(b.SpanV), Name: b.Name, Type: s.typ(b.Type), Mutable: b.Mutable, Init: s.expr(b.Init), Bind: b.Bind}
 			}
 		}
 		return c
@@ -247,7 +247,7 @@ func (s shifter) expr(e Expr) Expr {
 	case *While:
 		return &While{SpanV: s.span(e.SpanV), ID: e.ID, Cond: s.expr(e.Cond), Invariants: s.exprs(e.Invariants), Body: s.exprs(e.Body)}
 	case *DoTimes:
-		return &DoTimes{SpanV: s.span(e.SpanV), ID: e.ID, Var: e.Var, Count: s.expr(e.Count), Body: s.exprs(e.Body)}
+		return &DoTimes{SpanV: s.span(e.SpanV), ID: e.ID, Var: e.Var, Bind: e.Bind, Count: s.expr(e.Count), Body: s.exprs(e.Body)}
 	case *MakeStruct:
 		c := &MakeStruct{SpanV: s.span(e.SpanV), ID: e.ID, Name: e.Name}
 		if e.Fields != nil {
@@ -277,7 +277,7 @@ func (s shifter) expr(e Expr) Expr {
 	case *Cast:
 		return &Cast{SpanV: s.span(e.SpanV), ID: e.ID, Type: s.typ(e.Type), Expr: s.expr(e.Expr)}
 	case *WithRegion:
-		return &WithRegion{SpanV: s.span(e.SpanV), ID: e.ID, Name: e.Name, Body: s.exprs(e.Body)}
+		return &WithRegion{SpanV: s.span(e.SpanV), ID: e.ID, Name: e.Name, Bind: e.Bind, Body: s.exprs(e.Body)}
 	case *AllocIn:
 		return &AllocIn{SpanV: s.span(e.SpanV), ID: e.ID, Region: e.Region, Expr: s.expr(e.Expr)}
 	case *Atomic:
@@ -295,7 +295,7 @@ func (s shifter) pattern(p Pattern) Pattern {
 	case *PatWildcard:
 		return &PatWildcard{SpanV: s.span(p.SpanV)}
 	case *PatVar:
-		return &PatVar{SpanV: s.span(p.SpanV), Name: p.Name}
+		return &PatVar{SpanV: s.span(p.SpanV), Name: p.Name, Bind: p.Bind}
 	case *PatLit:
 		return &PatLit{SpanV: s.span(p.SpanV), Lit: s.expr(p.Lit)}
 	case *PatCtor:

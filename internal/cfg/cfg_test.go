@@ -7,6 +7,7 @@ import (
 	"bitc/internal/ast"
 	"bitc/internal/cfg"
 	"bitc/internal/parser"
+	"bitc/internal/types"
 )
 
 // buildFn parses src and builds the CFG of the named function.
@@ -16,25 +17,45 @@ func buildFn(t *testing.T, src, name string) *cfg.Graph {
 	if diags.HasErrors() {
 		t.Fatalf("parse: %v", diags)
 	}
+	info, cdiags := types.Check(prog)
+	if cdiags.HasErrors() {
+		t.Fatalf("check: %v", cdiags)
+	}
 	for _, d := range prog.Defs {
 		if fn, ok := d.(*ast.DefineFunc); ok && fn.Name == name {
-			return cfg.Build(fn)
+			return cfg.Build(fn, info)
 		}
 	}
 	t.Fatalf("no function %s", name)
 	return nil
 }
 
+// atomNames lists what the op atoms name, as Graph.String renders them.
 func atomNames(g *cfg.Graph, op cfg.Op) []string {
 	var out []string
 	for _, b := range g.Blocks {
 		for _, a := range b.Atoms {
-			if a.Op == op {
+			if a.Op != op {
+				continue
+			}
+			if a.Var != 0 {
+				out = append(out, g.Name(a.Var))
+			} else {
 				out = append(out, a.Name)
 			}
 		}
 	}
 	return out
+}
+
+// decl returns the tracked binder g renders as name, or nil.
+func decl(g *cfg.Graph, name string) *cfg.Decl {
+	for _, d := range g.Decls {
+		if d != nil && g.Name(d.Bind) == name {
+			return d
+		}
+	}
+	return nil
 }
 
 func TestStraightLineSingleBlock(t *testing.T) {
@@ -101,7 +122,7 @@ func TestWhileLoopShape(t *testing.T) {
 	found := false
 	for _, b := range loop {
 		for _, a := range b.Atoms {
-			if a.Op == cfg.OpDef && a.Name == "i" {
+			if a.Op == cfg.OpDef && g.Name(a.Var) == "i" {
 				found = true
 			}
 		}
@@ -119,8 +140,8 @@ func TestDoTimesDeclaresVar(t *testing.T) {
       (set! s (+ s k)))
     s))
 `, "f")
-	d, ok := g.Decls["k"]
-	if !ok || d.Kind != cfg.DeclLoop {
+	d := decl(g, "k")
+	if d == nil || d.Kind != cfg.DeclLoop {
 		t.Fatalf("dotimes var should be a DeclLoop decl, got %+v", d)
 	}
 	var head *cfg.Block
@@ -171,22 +192,46 @@ func TestShortCircuitAndSplits(t *testing.T) {
 	}
 }
 
-func TestAlphaRenamingShadow(t *testing.T) {
+// TestBindingIdentityShadow checks that shadowing bindings are distinct
+// locals, rendered x and x#1, that a use resolves to the innermost one, and
+// that a local closure named after a head the builder dispatches on (and,
+// or) or after a top-level function is read as a local, not expanded or
+// recorded as a call.
+func TestBindingIdentityShadow(t *testing.T) {
 	g := buildFn(t, `
 (define (f) int64
   (let ((x 1))
     (let ((x 2))
       x)))
 `, "f")
-	if _, ok := g.Decls["x"]; !ok {
-		t.Fatalf("outer x missing: %v", g.Decls)
+	if decl(g, "x") == nil {
+		t.Fatalf("outer x missing:\n%s", g)
 	}
-	if _, ok := g.Decls["x#1"]; !ok {
-		t.Fatalf("inner x should be renamed x#1: %v", g.Decls)
+	inner := decl(g, "x#1")
+	if inner == nil || inner == decl(g, "x") {
+		t.Fatalf("inner x should be a distinct binding rendered x#1:\n%s", g)
 	}
 	uses := atomNames(g, cfg.OpUse)
 	if len(uses) != 1 || uses[0] != "x#1" {
 		t.Fatalf("use should resolve to inner binding, got %v", uses)
+	}
+
+	for _, head := range []string{"and", "or", "helper"} {
+		g := buildFn(t, `
+(define (helper (a bool) (b bool)) bool a)
+(define (f (p bool)) bool
+  (let ((`+head+` (lambda ((a bool) (b bool)) bool b)))
+    (`+head+` p #f)))
+`, "f")
+		if len(g.Blocks) != 1 {
+			t.Errorf("%s: a local closure call must not branch:\n%s", head, g)
+		}
+		if calls := atomNames(g, cfg.OpCall); len(calls) != 0 {
+			t.Errorf("%s: a local closure call is not a call atom, got %v", head, calls)
+		}
+		if uses := atomNames(g, cfg.OpUse); len(uses) != 2 || uses[0] != head {
+			t.Errorf("%s: want the head and p read as locals, got %v", head, uses)
+		}
 	}
 }
 
@@ -200,7 +245,7 @@ func TestLambdaCaptureDeferred(t *testing.T) {
 	var capt *cfg.Atom
 	for _, b := range g.Blocks {
 		for i, a := range b.Atoms {
-			if a.Op == cfg.OpUse && a.Name == "n" && a.WriteRef {
+			if a.Op == cfg.OpUse && g.Name(a.Var) == "n" && a.WriteRef {
 				capt = &b.Atoms[i]
 			}
 		}
@@ -209,7 +254,7 @@ func TestLambdaCaptureDeferred(t *testing.T) {
 		t.Fatalf("set! n inside lambda should be a Deferred WriteRef use:\n%s", g)
 	}
 	// The lambda parameter d must not leak as a tracked local.
-	if _, ok := g.Decls["d"]; ok {
+	if decl(g, "d") != nil {
 		t.Fatalf("lambda param should not be a tracked decl")
 	}
 }

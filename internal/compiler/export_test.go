@@ -7,9 +7,9 @@ import (
 	"bitc/internal/types"
 )
 
-// CompileCounted is Compile plus the compiler's work counter: the lookups
-// its function compilers' name tables answered.
+// CompileCounted is Compile plus the compiler's work counter: the reads of
+// its binding-number slot table.
 func CompileCounted(prog *ast.Program, info *types.Info, opts Options) (*ir.Module, *source.Diagnostics, int) {
 	c := compile(prog, info, opts)
-	return c.mod, c.diags, c.probes
+	return c.mod, c.diags, c.reads
 }

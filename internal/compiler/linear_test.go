@@ -11,20 +11,20 @@ import (
 	"bitc/internal/types"
 )
 
-// maxProbesPerVRef bounds the compiler's name-table lookups per variable
-// reference. It holds at every size, so resolving names costs the same at
-// any nesting depth: a scope chain walked outwards, or a lookup repeated
-// per enclosing scope, would push the ratio up with N.
+// maxProbesPerVRef bounds the compiler's slot-table reads per variable
+// reference. It holds at every size, so resolving locals costs the same at
+// any nesting depth: a scope chain walked outwards, or a read repeated per
+// enclosing scope, would push the ratio up with N.
 const maxProbesPerVRef = 2.0
 
 // TestCompileLinearCost compiles the scaling shapes at growing sizes and
 // bounds the compiler's deterministic work counter, not its wall time.
 //
-// What the counter cannot see: probes counts name-table lookups, one per
-// call, so it bounds lookups per reference and not the work inside one.
-// The table is a single map per function compiler, so a lookup is one
-// probe by construction; a return to a chain of per-scope maps would show
-// only in the wall time and the allocations.
+// What the counter cannot see: probes counts reads of the slot table
+// indexed by binding number, one per call, so it bounds reads per
+// reference and not the work inside one. A read is one slice index by
+// construction; a return to a chain of per-scope maps would show only in
+// the wall time and the allocations.
 func TestCompileLinearCost(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -66,7 +66,7 @@ func TestCompileLinearCost(t *testing.T) {
 			ppr := float64(probes) / float64(refs)
 			t.Logf("%s: %d references, %.2f probes each", name, refs, ppr)
 			if ppr > maxProbesPerVRef {
-				t.Errorf("%s: %.2f name-table probes per VarRef, want <= %.0f", name, ppr, maxProbesPerVRef)
+				t.Errorf("%s: %.2f slot-table reads per VarRef, want <= %.0f", name, ppr, maxProbesPerVRef)
 			}
 		}
 	}

@@ -17,8 +17,9 @@ import (
 // load renders as its error, whose text lists every diagnostic. A loaded
 // program renders as its definitions node by node (every field and span,
 // but not the ExprIDs, which a memoised load numbers differently); every
-// expression's kind, span and type, and each variable reference's symbol
-// and its type;
+// expression's kind, span and type, each variable reference's symbol, its
+// type and binding number, and the binding number each set! target and
+// alloc-in region resolves to;
 // each constructor pattern's resolution; the suppressions; the
 // declaration lists, schemes, globals, structs, unions and constructors.
 // An expression ID that is out of range or used twice renders as a
@@ -46,12 +47,17 @@ func RenderFrontEnd(p *Program, err error) string {
 			}
 			seen[id] = true
 			fmt.Fprintf(&b, "  %T %s %s", e, spanString(e.Span()), info.TypeOf(e))
-			if v, ok := e.(*ast.VarRef); ok {
-				if sym := info.Use(v); sym != nil {
-					fmt.Fprintf(&b, " use %s %s %s", sym.Kind, sym.Name, sym.Scheme.Type)
+			switch e := e.(type) {
+			case *ast.VarRef:
+				if sym := info.Use(e); sym != nil {
+					fmt.Fprintf(&b, " use %s %s %s bind %d", sym.Kind, sym.Name, sym.Scheme.Type, sym.Bind)
 				} else {
 					b.WriteString(" use none")
 				}
+			case *ast.Set:
+				fmt.Fprintf(&b, " target %d", info.Target(e))
+			case *ast.AllocIn:
+				fmt.Fprintf(&b, " region %d", info.Region(e))
 			}
 			b.WriteByte('\n')
 		})

@@ -7,11 +7,12 @@ import (
 
 // The scaling shapes are generated programs that stress one dimension of a
 // stage each: a long body that reuses one mutable variable, a deep
-// expression nest, a deep chain of nested scopes, a deep chain of branches
-// and a chain of copies written against block order. The linear-cost tests
-// of the type checker, the compiler and the optimiser run them at growing
-// sizes (the copy chain only the optimiser's); the Info and IR pins cover
-// small instances of the others.
+// expression nest, a deep chain of nested scopes, a deep chain of branches,
+// a chain of copies written against block order and a long chain of calls.
+// The linear-cost tests of the type checker, the compiler, the optimiser,
+// the CFG builder and the verifier run them at growing sizes (the copy
+// chain only the optimiser's, the call chain only the verifier's); the Info
+// and IR pins cover small instances of the others.
 
 // SetBodyShape is a function of n (set! acc (+ acc i)) statements inside
 // one dotimes loop, all adding to the same mutable local.
@@ -72,5 +73,16 @@ func MovChainShape(n int) string {
 		fmt.Fprintf(&b, "    (if (< c %d) (set! x%d x%d) ())\n", k, k, k+1)
 	}
 	b.WriteString("    x0))\n(define (main) int64 (chain 7))\n")
+	return b.String()
+}
+
+// CallChainShape is n functions, each calling the next with its argument
+// plus one; the last returns its argument and main calls the first.
+func CallChainShape(n int) string {
+	var b strings.Builder
+	for k := 0; k < n-1; k++ {
+		fmt.Fprintf(&b, "(define (f%d (x int64)) int64 (f%d (+ x 1)))\n", k, k+1)
+	}
+	fmt.Fprintf(&b, "(define (f%d (x int64)) int64 x)\n(define (main) int64 (f0 0))\n", n-1)
 	return b.String()
 }

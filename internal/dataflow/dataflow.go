@@ -241,35 +241,36 @@ func VisitAtoms[F any](p AtomProblem[F], res *Result[F], b *cfg.Block, visit fun
 }
 
 // ---------------------------------------------------------------------------
-// Name sets (the bit-vector fact shared by the canned instances)
+// Variable sets (the bit-vector fact shared by the canned instances)
 // ---------------------------------------------------------------------------
 
-// NameSet is a set of unique local names.
-type NameSet map[string]struct{}
+// VarSet is a set of locals, by binding number (cfg.Atom.Var).
+type VarSet map[int32]struct{}
 
 // Has reports membership.
-func (s NameSet) Has(name string) bool { _, ok := s[name]; return ok }
+func (s VarSet) Has(n int32) bool { _, ok := s[n]; return ok }
 
 // Clone copies the set.
-func (s NameSet) Clone() NameSet {
-	out := make(NameSet, len(s))
+func (s VarSet) Clone() VarSet {
+	out := make(VarSet, len(s))
 	for k := range s {
 		out[k] = struct{}{}
 	}
 	return out
 }
 
-// Names returns the sorted members (for deterministic output and tests).
-func (s NameSet) Names() []string {
-	out := make([]string, 0, len(s))
+// Sorted returns the members in ascending order (for deterministic output
+// and tests).
+func (s VarSet) Sorted() []int32 {
+	out := make([]int32, 0, len(s))
 	for k := range s {
 		out = append(out, k)
 	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-func equalNameSets(a, b NameSet) bool {
+func equalVarSets(a, b VarSet) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -281,7 +282,7 @@ func equalNameSets(a, b NameSet) bool {
 	return true
 }
 
-func unionNameSets(a, b NameSet) NameSet {
+func unionVarSets(a, b VarSet) VarSet {
 	out := a.Clone()
 	for k := range b {
 		out[k] = struct{}{}
@@ -289,8 +290,8 @@ func unionNameSets(a, b NameSet) NameSet {
 	return out
 }
 
-func intersectNameSets(a, b NameSet) NameSet {
-	out := NameSet{}
+func intersectVarSets(a, b VarSet) VarSet {
+	out := VarSet{}
 	for k := range a {
 		if _, ok := b[k]; ok {
 			out[k] = struct{}{}
@@ -306,14 +307,14 @@ func intersectNameSets(a, b NameSet) NameSet {
 type livenessProblem struct{}
 
 func (livenessProblem) Direction() Direction { return Backward }
-func (livenessProblem) Boundary() NameSet    { return NameSet{} }
-func (livenessProblem) Init() NameSet        { return NameSet{} }
-func (livenessProblem) Meet(a, b NameSet) NameSet {
-	return unionNameSets(a, b)
+func (livenessProblem) Boundary() VarSet     { return VarSet{} }
+func (livenessProblem) Init() VarSet         { return VarSet{} }
+func (livenessProblem) Meet(a, b VarSet) VarSet {
+	return unionVarSets(a, b)
 }
-func (livenessProblem) Equal(a, b NameSet) bool { return equalNameSets(a, b) }
+func (livenessProblem) Equal(a, b VarSet) bool { return equalVarSets(a, b) }
 
-func (livenessProblem) Transfer(b *cfg.Block, in NameSet) NameSet {
+func (livenessProblem) Transfer(b *cfg.Block, in VarSet) VarSet {
 	live := in.Clone()
 	for i := len(b.Atoms) - 1; i >= 0; i-- {
 		live = LivenessStep(live, b.Atoms[i])
@@ -324,17 +325,17 @@ func (livenessProblem) Transfer(b *cfg.Block, in NameSet) NameSet {
 // LivenessStep applies one atom, in reverse order, to a live set. Exported
 // so checkers can recover per-atom liveness inside a block from the solved
 // block-exit facts without duplicating the transfer rules.
-func LivenessStep(live NameSet, a cfg.Atom) NameSet {
+func LivenessStep(live VarSet, a cfg.Atom) VarSet {
 	switch a.Op {
 	case cfg.OpUse:
 		// Deferred (closure-captured) references keep a variable live:
 		// the closure may run after any store. WriteRef captures count
 		// too — the closure body will reference the cell.
-		live[a.Name] = struct{}{}
+		live[a.Var] = struct{}{}
 	case cfg.OpDef:
-		delete(live, a.Name)
+		delete(live, a.Var)
 	case cfg.OpDecl:
-		delete(live, a.Name)
+		delete(live, a.Var)
 	}
 	return live
 }
@@ -342,8 +343,8 @@ func LivenessStep(live NameSet, a cfg.Atom) NameSet {
 // Liveness solves backward liveness over the graph's locals. Result.Out[i]
 // is the set live on entry to block i, Result.In[i] the set live at its
 // exit.
-func Liveness(g *cfg.Graph) *Result[NameSet] {
-	return Solve[NameSet](g, livenessProblem{})
+func Liveness(g *cfg.Graph) *Result[VarSet] {
+	return Solve[VarSet](g, livenessProblem{})
 }
 
 // ---------------------------------------------------------------------------
@@ -358,14 +359,14 @@ func Liveness(g *cfg.Graph) *Result[NameSet] {
 // start of that block's transfer — the hook checkers use to encode idiom
 // exemptions (e.g. loop accumulators).
 type MustAssignProblem struct {
-	Tracked      NameSet
+	Tracked      VarSet
 	InitAssigned func(d *cfg.Decl) bool
-	Extra        map[int]NameSet // block index -> names assigned by fiat
-	universe     NameSet
+	Extra        map[int]VarSet // block index -> names assigned by fiat
+	universe     VarSet
 }
 
 // NewMustAssign builds the problem for the given tracked variables.
-func NewMustAssign(tracked NameSet, initAssigned func(d *cfg.Decl) bool) *MustAssignProblem {
+func NewMustAssign(tracked VarSet, initAssigned func(d *cfg.Decl) bool) *MustAssignProblem {
 	return &MustAssignProblem{Tracked: tracked, InitAssigned: initAssigned, universe: tracked.Clone()}
 }
 
@@ -373,22 +374,22 @@ func NewMustAssign(tracked NameSet, initAssigned func(d *cfg.Decl) bool) *MustAs
 func (p *MustAssignProblem) Direction() Direction { return Forward }
 
 // Boundary is empty: nothing is assigned at function entry.
-func (p *MustAssignProblem) Boundary() NameSet { return NameSet{} }
+func (p *MustAssignProblem) Boundary() VarSet { return VarSet{} }
 
 // Init is the universe: a must-analysis starts every non-boundary block at
 // "all assigned" so the intersection meet only removes what some path lacks.
-func (p *MustAssignProblem) Init() NameSet { return p.universe.Clone() }
+func (p *MustAssignProblem) Init() VarSet { return p.universe.Clone() }
 
 // Meet intersects: a variable is definitely assigned only if every
 // predecessor path assigned it.
-func (p *MustAssignProblem) Meet(a, b NameSet) NameSet { return intersectNameSets(a, b) }
+func (p *MustAssignProblem) Meet(a, b VarSet) VarSet { return intersectVarSets(a, b) }
 
 // Equal compares two solutions for the solver's fixpoint test.
-func (p *MustAssignProblem) Equal(a, b NameSet) bool { return equalNameSets(a, b) }
+func (p *MustAssignProblem) Equal(a, b VarSet) bool { return equalVarSets(a, b) }
 
 // Transfer adds the block's writes (and any Extra facts) to the incoming
 // assigned set.
-func (p *MustAssignProblem) Transfer(b *cfg.Block, in NameSet) NameSet {
+func (p *MustAssignProblem) Transfer(b *cfg.Block, in VarSet) VarSet {
 	out := in.Clone()
 	if extra := p.Extra[b.Index]; extra != nil {
 		for k := range extra {
@@ -402,18 +403,18 @@ func (p *MustAssignProblem) Transfer(b *cfg.Block, in NameSet) NameSet {
 }
 
 // Step applies one atom to an assigned-set; exported for per-atom replay.
-func (p *MustAssignProblem) Step(assigned NameSet, a cfg.Atom) NameSet {
+func (p *MustAssignProblem) Step(assigned VarSet, a cfg.Atom) VarSet {
 	switch a.Op {
 	case cfg.OpDef:
-		if !a.Deferred && p.Tracked.Has(a.Name) {
-			assigned[a.Name] = struct{}{}
+		if !a.Deferred && p.Tracked.Has(a.Var) {
+			assigned[a.Var] = struct{}{}
 		}
 	case cfg.OpDecl:
-		if p.Tracked.Has(a.Name) {
+		if p.Tracked.Has(a.Var) {
 			if p.InitAssigned == nil || p.InitAssigned(a.Decl) {
-				assigned[a.Name] = struct{}{}
+				assigned[a.Var] = struct{}{}
 			} else {
-				delete(assigned, a.Name)
+				delete(assigned, a.Var)
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"bitc/internal/cfg"
 	"bitc/internal/dataflow"
 	"bitc/internal/parser"
+	"bitc/internal/types"
 )
 
 func buildFn(t *testing.T, src, name string) *cfg.Graph {
@@ -15,13 +16,29 @@ func buildFn(t *testing.T, src, name string) *cfg.Graph {
 	if diags.HasErrors() {
 		t.Fatalf("parse: %v", diags)
 	}
+	info, cdiags := types.Check(prog)
+	if cdiags.HasErrors() {
+		t.Fatalf("check: %v", cdiags)
+	}
 	for _, d := range prog.Defs {
 		if fn, ok := d.(*ast.DefineFunc); ok && fn.Name == name {
-			return cfg.Build(fn)
+			return cfg.Build(fn, info)
 		}
 	}
 	t.Fatalf("no function %s", name)
 	return nil
+}
+
+// local returns the binding number of g's first local named src.
+func local(t *testing.T, g *cfg.Graph, src string) int32 {
+	t.Helper()
+	for _, d := range g.Decls {
+		if d != nil && d.Src == src {
+			return d.Bind
+		}
+	}
+	t.Fatalf("no local %s", src)
+	return 0
 }
 
 func TestLivenessDiamond(t *testing.T) {
@@ -36,14 +53,14 @@ func TestLivenessDiamond(t *testing.T) {
 	// *other* arm assigns is live, while the arm's own target is killed by
 	// its store.
 	thenB, elseB := g.Entry.Succs[0], g.Entry.Succs[1]
-	if live := res.Out[thenB.Index]; live.Has("x") || !live.Has("y") {
-		t.Fatalf("then-arm entry live set should be {y}, got %v\n%s", live.Names(), g)
+	if live := res.Out[thenB.Index]; live.Has(local(t, g, "x")) || !live.Has(local(t, g, "y")) {
+		t.Fatalf("then-arm entry live set should be {y}, got %v\n%s", live.Sorted(), g)
 	}
-	if live := res.Out[elseB.Index]; !live.Has("x") || live.Has("y") {
-		t.Fatalf("else-arm entry live set should be {x}, got %v\n%s", live.Names(), g)
+	if live := res.Out[elseB.Index]; !live.Has(local(t, g, "x")) || live.Has(local(t, g, "y")) {
+		t.Fatalf("else-arm entry live set should be {x}, got %v\n%s", live.Sorted(), g)
 	}
 	// Nothing is live at function exit.
-	if n := res.In[g.Exit.Index].Names(); len(n) != 0 {
+	if n := res.In[g.Exit.Index].Sorted(); len(n) != 0 {
 		t.Fatalf("exit live set should be empty, got %v", n)
 	}
 }
@@ -61,7 +78,7 @@ func TestLivenessDeadStoreVisible(t *testing.T) {
 	// dead (immediately overwritten), after (set! x 3) it is live.
 	b := g.Entry
 	live := res.In[b.Index].Clone()
-	liveAfter := make([]dataflow.NameSet, len(b.Atoms))
+	liveAfter := make([]dataflow.VarSet, len(b.Atoms))
 	for i := len(b.Atoms) - 1; i >= 0; i-- {
 		liveAfter[i] = live.Clone()
 		live = dataflow.LivenessStep(live, b.Atoms[i])
@@ -74,11 +91,11 @@ func TestLivenessDeadStoreVisible(t *testing.T) {
 		defs++
 		switch defs {
 		case 1: // (set! x 2) — overwritten before any read
-			if liveAfter[i].Has("x") {
+			if liveAfter[i].Has(local(t, g, "x")) {
 				t.Fatalf("x live after dead store:\n%s", g)
 			}
 		case 2: // (set! x 3) — read by the final x
-			if !liveAfter[i].Has("x") {
+			if !liveAfter[i].Has(local(t, g, "x")) {
 				t.Fatalf("x dead after live store:\n%s", g)
 			}
 		}
@@ -104,7 +121,7 @@ func TestLivenessLoop(t *testing.T) {
 		}
 	}
 	// i is live entering the loop header (read by the condition and after).
-	if !res.Out[head.Index].Has("i") {
+	if !res.Out[head.Index].Has(local(t, g, "i")) {
 		t.Fatalf("i should be live entering loop header\n%s", g)
 	}
 }
@@ -112,10 +129,10 @@ func TestLivenessLoop(t *testing.T) {
 // trackAll builds a MustAssign problem over every let-bound local, where no
 // initialiser counts as an assignment.
 func trackAll(g *cfg.Graph) *dataflow.MustAssignProblem {
-	tracked := dataflow.NameSet{}
-	for name, d := range g.Decls {
-		if d.Kind == cfg.DeclLet {
-			tracked[name] = struct{}{}
+	tracked := dataflow.VarSet{}
+	for _, d := range g.Decls {
+		if d != nil && d.Kind == cfg.DeclLet {
+			tracked[d.Bind] = struct{}{}
 		}
 	}
 	return dataflow.NewMustAssign(tracked, func(d *cfg.Decl) bool { return false })
@@ -128,8 +145,8 @@ func TestMustAssignBothArms(t *testing.T) {
     (if (< a 0) (set! x 1) (set! x 2))
     x))
 `, "f")
-	res := dataflow.Solve[dataflow.NameSet](g, trackAll(g))
-	if !res.In[g.Exit.Index].Has("x") {
+	res := dataflow.Solve[dataflow.VarSet](g, trackAll(g))
+	if !res.In[g.Exit.Index].Has(local(t, g, "x")) {
 		t.Fatalf("x assigned in both arms should be definitely assigned at join\n%s", g)
 	}
 }
@@ -138,11 +155,11 @@ func TestMustAssignOneArmOnly(t *testing.T) {
 	g := buildFn(t, `
 (define (f (a int64)) int64
   (let ((mutable x 0))
-    (if (< a 0) (set! x 1) 0)
+    (if (< a 0) (set! x 1) ())
     x))
 `, "f")
-	res := dataflow.Solve[dataflow.NameSet](g, trackAll(g))
-	if res.In[g.Exit.Index].Has("x") {
+	res := dataflow.Solve[dataflow.VarSet](g, trackAll(g))
+	if res.In[g.Exit.Index].Has(local(t, g, "x")) {
 		t.Fatalf("x assigned in one arm must not be definitely assigned at join\n%s", g)
 	}
 }
@@ -151,15 +168,15 @@ func TestMustAssignExtraForcesBlock(t *testing.T) {
 	g := buildFn(t, `
 (define (f (a int64)) int64
   (let ((mutable x 0))
-    (if (< a 0) (set! x 1) 0)
+    (if (< a 0) (set! x 1) ())
     x))
 `, "f")
 	p := trackAll(g)
-	p.Extra = map[int]dataflow.NameSet{
-		g.Exit.Index: {"x": struct{}{}},
+	p.Extra = map[int]dataflow.VarSet{
+		g.Exit.Index: {local(t, g, "x"): struct{}{}},
 	}
-	res := dataflow.Solve[dataflow.NameSet](g, p)
-	if !res.Out[g.Exit.Index].Has("x") {
+	res := dataflow.Solve[dataflow.VarSet](g, p)
+	if !res.Out[g.Exit.Index].Has(local(t, g, "x")) {
 		t.Fatalf("Extra should force-assign x in the join block")
 	}
 }
@@ -175,14 +192,14 @@ func TestMustAssignLoopConservative(t *testing.T) {
       (set! i (+ i 1)))
     x))
 `, "f")
-	res := dataflow.Solve[dataflow.NameSet](g, trackAll(g))
-	if res.In[g.Exit.Index].Has("x") {
+	res := dataflow.Solve[dataflow.VarSet](g, trackAll(g))
+	if res.In[g.Exit.Index].Has(local(t, g, "x")) {
 		t.Fatalf("loop-body assignment must not count as definite\n%s", g)
 	}
 }
 
 // rangeFact is a toy interval fact used to exercise EdgeRefiner.
-type rangeFact map[string]int // name -> upper bound (exclusive), -1 = unknown
+type rangeFact map[int32]int // local -> upper bound (exclusive), -1 = unknown
 
 type refineProblem struct {
 	g *cfg.Graph
@@ -244,8 +261,8 @@ func (p refineProblem) Flow(from *cfg.Block, succIdx int, out rangeFact) rangeFa
 	if !ok {
 		return out
 	}
-	name := p.g.Rename[v]
-	if name == "" {
+	name := p.g.Var(v)
+	if name == 0 {
 		return out
 	}
 	refined := rangeFact{}
@@ -264,10 +281,10 @@ func TestEdgeRefinerNarrowsTrueEdge(t *testing.T) {
 `, "f")
 	res := dataflow.Solve[rangeFact](g, refineProblem{g: g})
 	thenB, elseB := g.Entry.Succs[0], g.Entry.Succs[1]
-	if res.In[thenB.Index]["x"] != 10 {
+	if res.In[thenB.Index][local(t, g, "x")] != 10 {
 		t.Fatalf("true edge should narrow x < 10, got %v", res.In[thenB.Index])
 	}
-	if _, ok := res.In[elseB.Index]["x"]; ok {
+	if _, ok := res.In[elseB.Index][local(t, g, "x")]; ok {
 		t.Fatalf("false edge should stay unrefined, got %v", res.In[elseB.Index])
 	}
 }

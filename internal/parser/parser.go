@@ -71,6 +71,7 @@ type former struct {
 	diags        *source.Diagnostics
 	suppressions []ast.Suppression
 	exprs        int32 // expressions numbered so far
+	binds        int32 // binders numbered so far in the current definition
 }
 
 // id numbers the next expression node. Each node literal takes its ID
@@ -78,6 +79,13 @@ type former struct {
 func (p *former) id() int32 {
 	p.exprs++
 	return p.exprs
+}
+
+// bind numbers the next binder of the current definition (see
+// ast.Binding.Bind). The caller calls it where the binder comes into scope.
+func (p *former) bind() int32 {
+	p.binds++
+	return p.binds
 }
 
 func (p *former) errf(s source.Span, format string, args ...any) {
@@ -103,6 +111,7 @@ func (p *former) program(r *reader, file *source.File, to int) *ast.Program {
 // ---------------------------------------------------------------------------
 
 func (p *former) formDef(s *sexp) ast.Def {
+	p.binds = 0
 	if !s.isList() || len(s.list) == 0 {
 		p.errf(s.span, "expected a top-level definition (define/defstruct/defunion/external)")
 		return nil
@@ -199,6 +208,9 @@ body:
 	for _, b := range rest {
 		fn.Body = append(fn.Body, p.formExpr(b))
 	}
+	if len(fn.Contract.Ensures) > 0 {
+		fn.ResultBind = p.bind()
+	}
 	return fn
 }
 
@@ -220,13 +232,13 @@ func (p *former) looksLikeType(s *sexp) bool {
 
 func (p *former) formParam(s *sexp) *ast.Param {
 	if sym := s.sym(); sym != "" {
-		return &ast.Param{SpanV: s.span, Name: sym}
+		return &ast.Param{SpanV: s.span, Name: sym, Bind: p.bind()}
 	}
 	if s.isList() && len(s.list) == 2 && s.list[0].sym() != "" {
-		return &ast.Param{SpanV: s.span, Name: s.list[0].sym(), Type: p.formType(s.list[1])}
+		return &ast.Param{SpanV: s.span, Name: s.list[0].sym(), Type: p.formType(s.list[1]), Bind: p.bind()}
 	}
 	p.errf(s.span, "parameter must be name or (name type)")
-	return &ast.Param{SpanV: s.span, Name: "_err"}
+	return &ast.Param{SpanV: s.span, Name: "_err", Bind: p.bind()}
 }
 
 func (p *former) formDefStruct(s *sexp) ast.Def {
@@ -470,7 +482,9 @@ func (p *former) formExpr(s *sexp) ast.Expr {
 			p.errf(s.span, "with-region must be (with-region name body...)")
 			return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 		}
-		return &ast.WithRegion{ID: p.id(), SpanV: s.span, Name: s.list[1].sym(), Body: p.formBody(s.list[2:], s.span)}
+		wr := &ast.WithRegion{ID: p.id(), SpanV: s.span, Name: s.list[1].sym(), Bind: p.bind()}
+		wr.Body = p.formBody(s.list[2:], s.span)
+		return wr
 	case "alloc-in":
 		if len(s.list) != 3 || s.list[1].sym() == "" {
 			p.errf(s.span, "alloc-in must be (alloc-in region expr)")
@@ -554,19 +568,41 @@ func (p *former) formLet(s *sexp) ast.Expr {
 		return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 	}
 	let := &ast.Let{ID: p.id(), SpanV: s.span, Kind: kind}
+	var inits []*sexp
 	for _, bs := range s.list[1].list {
-		if b := p.formBinding(bs); b != nil {
+		if b, init := p.formBinding(bs); b != nil {
 			let.Bindings = append(let.Bindings, b)
+			inits = append(inits, init)
+		}
+	}
+	// Number the names where they come into scope: a letrec's before every
+	// initialiser, a let*'s each after its own, a plain let's after all.
+	if kind == ast.LetRec {
+		for _, b := range let.Bindings {
+			b.Bind = p.bind()
+		}
+	}
+	for i, b := range let.Bindings {
+		b.Init = p.formExpr(inits[i])
+		if kind == ast.LetSeq {
+			b.Bind = p.bind()
+		}
+	}
+	if kind == ast.LetPlain {
+		for _, b := range let.Bindings {
+			b.Bind = p.bind()
 		}
 	}
 	let.Body = p.formBody(s.list[2:], s.span)
 	return let
 }
 
-func (p *former) formBinding(s *sexp) *ast.Binding {
+// formBinding forms a binding's name, mutability and type and returns the
+// initialiser for the caller to form.
+func (p *former) formBinding(s *sexp) (*ast.Binding, *sexp) {
 	if !s.isList() || len(s.list) < 2 {
 		p.errf(s.span, "binding must be (name [type] init) or (mutable name [type] init)")
-		return nil
+		return nil, nil
 	}
 	items := s.list
 	b := &ast.Binding{SpanV: s.span}
@@ -576,20 +612,18 @@ func (p *former) formBinding(s *sexp) *ast.Binding {
 	}
 	if items[0].sym() == "" {
 		p.errf(s.span, "binding name must be a symbol")
-		return nil
+		return nil, nil
 	}
 	b.Name = items[0].sym()
 	switch len(items) {
 	case 2:
-		b.Init = p.formExpr(items[1])
+		return b, items[1]
 	case 3:
 		b.Type = p.formType(items[1])
-		b.Init = p.formExpr(items[2])
-	default:
-		p.errf(s.span, "binding has too many parts")
-		return nil
+		return b, items[2]
 	}
-	return b
+	p.errf(s.span, "binding has too many parts")
+	return nil, nil
 }
 
 func (p *former) formLambda(s *sexp) ast.Expr {
@@ -615,13 +649,11 @@ func (p *former) formDoTimes(s *sexp) ast.Expr {
 		p.errf(s.span, "dotimes must be (dotimes (var count) body...)")
 		return &ast.UnitLit{ID: p.id(), SpanV: s.span}
 	}
-	return &ast.DoTimes{
-		ID:    p.id(),
-		SpanV: s.span,
-		Var:   s.list[1].list[0].sym(),
-		Count: p.formExpr(s.list[1].list[1]),
-		Body:  p.formBody(s.list[2:], s.span),
-	}
+	dt := &ast.DoTimes{ID: p.id(), SpanV: s.span, Var: s.list[1].list[0].sym()}
+	dt.Count = p.formExpr(s.list[1].list[1])
+	dt.Bind = p.bind()
+	dt.Body = p.formBody(s.list[2:], s.span)
+	return dt
 }
 
 func (p *former) formMake(s *sexp) ast.Expr {
@@ -670,7 +702,7 @@ func (p *former) formPattern(s *sexp) ast.Pattern {
 			if t.Text == "_" {
 				return &ast.PatWildcard{SpanV: s.span}
 			}
-			return &ast.PatVar{SpanV: s.span, Name: t.Text}
+			return &ast.PatVar{SpanV: s.span, Name: t.Text, Bind: p.bind()}
 		case lexer.Int, lexer.Bool, lexer.Char, lexer.String:
 			return &ast.PatLit{SpanV: s.span, Lit: p.formExpr(s)}
 		}

@@ -2,6 +2,7 @@ package pointsto
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bitc/internal/ast"
@@ -90,8 +91,8 @@ func checkFuncLifetimes(info *types.Info, r *Result, fn *ast.DefineFunc, lt *Lif
 		return
 	}
 	w := &escWalker{
-		r: r, info: info, fn: fn.Name, g: g, rn: NewRenames(g),
-		declOpen: map[string]map[string]bool{},
+		r: r, info: info, fn: fn.Name, g: g,
+		declOpen: map[int32][]int32{},
 		seen:     map[string]bool{},
 		out:      lt,
 	}
@@ -99,7 +100,7 @@ func checkFuncLifetimes(info *types.Info, r *Result, fn *ast.DefineFunc, lt *Lif
 		w.walk(e)
 	}
 	w.checkReturn(fn)
-	checkUses(r, fn, g, lt)
+	checkUses(info, r, fn, g, lt)
 }
 
 func (lt *Lifetime) sort() {
@@ -124,13 +125,12 @@ type escWalker struct {
 	info *types.Info
 	fn   string
 	g    *cfg.Graph
-	rn   *Renames
 	out  *Lifetime
 
-	open []string // stack of open region unique names
+	open []int32 // stack of open regions, by binding number
 	// declOpen records, per local, the regions open at its declaration: a
 	// store into the local escapes any region the local predates.
-	declOpen map[string]map[string]bool
+	declOpen map[int32][]int32
 	inSpawn  int
 	seen     map[string]bool
 }
@@ -151,7 +151,7 @@ func (w *escWalker) report(span source.Span, o *Object, format string, args ...a
 func regionObjs(objs []*Object) []*Object {
 	var out []*Object
 	for _, o := range objs {
-		if o.Region != "" {
+		if o.Region != 0 {
 			out = append(out, o)
 		}
 	}
@@ -159,10 +159,10 @@ func regionObjs(objs []*Object) []*Object {
 }
 
 // encloses reports whether region outer is an ancestor of (or equal to)
-// region inner, both alpha-renamed names in the same function's graph — in
+// region inner, both binding numbers in the same function's graph — in
 // which case inner's extent ends no later than outer's.
-func (w *escWalker) encloses(g *cfg.Graph, outer, inner string) bool {
-	for cur := inner; cur != ""; cur = g.RegionParent[cur] {
+func (w *escWalker) encloses(g *cfg.Graph, outer, inner int32) bool {
+	for cur := inner; cur != 0; cur = g.Decls[cur].Parent {
 		if cur == outer {
 			return true
 		}
@@ -170,18 +170,14 @@ func (w *escWalker) encloses(g *cfg.Graph, outer, inner string) bool {
 	return false
 }
 
-func (w *escWalker) snapshot() map[string]bool {
-	s := make(map[string]bool, len(w.open))
-	for _, u := range w.open {
-		s[u] = true
-	}
-	return s
+func (w *escWalker) snapshot() []int32 {
+	return append([]int32(nil), w.open...)
 }
 
 func (w *escWalker) walk(e ast.Expr) {
 	switch e := e.(type) {
 	case *ast.WithRegion:
-		w.open = append(w.open, w.g.RegionName[e])
+		w.open = append(w.open, e.Bind)
 		for _, s := range e.Body {
 			w.walk(s)
 		}
@@ -192,9 +188,7 @@ func (w *escWalker) walk(e ast.Expr) {
 			w.walk(bind.Init)
 		}
 		for _, bind := range e.Bindings {
-			if u, ok := w.rn.Bind[bind]; ok {
-				w.declOpen[u] = w.snapshot()
-			}
+			w.declOpen[bind.Bind] = w.snapshot()
 		}
 		for _, s := range e.Body {
 			w.walk(s)
@@ -218,7 +212,7 @@ func (w *escWalker) walk(e ast.Expr) {
 		w.inSpawn--
 
 	case *ast.VarRef:
-		if w.inSpawn > 0 && w.g.Rename[e] != "" {
+		if w.inSpawn > 0 && w.g.Var(e) != 0 {
 			for _, o := range regionObjs(w.r.ExprObjects(e)) {
 				w.report(e.Span(), o, "captured by a spawned thread")
 			}
@@ -247,9 +241,7 @@ func (w *escWalker) walk(e ast.Expr) {
 func (w *escWalker) declPattern(p ast.Pattern) {
 	switch p := p.(type) {
 	case *ast.PatVar:
-		if u, ok := w.rn.Pat[p]; ok {
-			w.declOpen[u] = w.snapshot()
-		}
+		w.declOpen[p.Bind] = w.snapshot()
 	case *ast.PatCtor:
 		for _, a := range p.Args {
 			w.declPattern(a)
@@ -264,12 +256,12 @@ func (w *escWalker) checkAssign(e *ast.Set) {
 	if len(objs) == 0 {
 		return
 	}
-	if u, ok := w.rn.Set[e]; ok {
-		openAtDecl := w.declOpen[u]
+	if t := w.g.Target(e); t != 0 {
+		openAtDecl := w.declOpen[t]
 		for _, o := range objs {
 			// Locals of other functions live at most as long as this
 			// frame, which a caller-owned region always outlives.
-			if o.Fn == w.fn && !openAtDecl[o.Region] {
+			if o.Fn == w.fn && !slices.Contains(openAtDecl, o.Region) {
 				w.report(e.Span(), o, "assigned to %s which may outlive the region", e.Name)
 			}
 		}
@@ -295,7 +287,7 @@ func (w *escWalker) checkStore(base, value ast.Expr, span source.Span) {
 		g := w.r.graphs[o.Fn]
 		safe := len(bObjs) > 0 && g != nil
 		for _, bo := range bObjs {
-			if !(bo.Region != "" && bo.Fn == o.Fn && w.encloses(g, o.Region, bo.Region)) {
+			if !(bo.Region != 0 && bo.Fn == o.Fn && w.encloses(g, o.Region, bo.Region)) {
 				safe = false
 				break
 			}
@@ -309,19 +301,16 @@ func (w *escWalker) checkStore(base, value ast.Expr, span source.Span) {
 func (w *escWalker) checkCall(e *ast.Call) {
 	v, _ := e.Fn.(*ast.VarRef)
 	var sym *types.Symbol
-	if v != nil {
-		sym = w.info.Use(v)
-	}
-	localHead := v != nil && w.g.Rename[v] != ""
-
+	op := ""
 	name := "a function value"
 	if v != nil {
+		sym = w.info.Use(v)
+		op = w.info.Builtin(v)
 		name = v.Name
 	}
 
 	switch {
-	case v != nil && !localHead && sym != nil &&
-		(sym.Kind == types.SymFunc || sym.Kind == types.SymCtor):
+	case sym != nil && (sym.Kind == types.SymFunc || sym.Kind == types.SymCtor):
 		// Defined functions are handled interprocedurally: their own
 		// sinks fire on the caller's objects. Constructors just wrap.
 		w.walk(e.Fn)
@@ -329,9 +318,9 @@ func (w *escWalker) checkCall(e *ast.Call) {
 			w.walk(a)
 		}
 
-	case v != nil && !localHead && (sym == nil || sym.Kind == types.SymBuiltin):
+	case op != "":
 		switch {
-		case v.Name == "send":
+		case op == "send":
 			for _, a := range e.Args {
 				w.walk(a)
 			}
@@ -340,14 +329,14 @@ func (w *escWalker) checkCall(e *ast.Call) {
 					w.report(e.Span(), o, "sent on a channel")
 				}
 			}
-		case v.Name == "vector-set!":
+		case op == "vector-set!":
 			for _, a := range e.Args {
 				w.walk(a)
 			}
 			if len(e.Args) == 3 {
 				w.checkStore(e.Args[0], e.Args[2], e.Span())
 			}
-		case retainSafeBuiltin(v.Name):
+		case retainSafeBuiltin(op):
 			for _, a := range e.Args {
 				w.walk(a)
 			}
@@ -485,12 +474,12 @@ func (s objset) clone() objset {
 // definitely ended on every path (must, meet = intersection) and what each
 // local may point to (may, meet = union).
 type lifeFact struct {
-	ended dataflow.NameSet
-	env   map[string]objset
+	ended dataflow.VarSet
+	env   map[int32]objset
 }
 
 func (f lifeFact) clone() lifeFact {
-	env := make(map[string]objset, len(f.env))
+	env := make(map[int32]objset, len(f.env))
 	for k, v := range f.env {
 		env[k] = v
 	}
@@ -501,36 +490,38 @@ type lifeProblem struct {
 	r        *Result
 	fn       string
 	g        *cfg.Graph
-	universe dataflow.NameSet
+	universe dataflow.VarSet
 }
 
 func newLifeProblem(r *Result, fn string, g *cfg.Graph) *lifeProblem {
-	universe := dataflow.NameSet{}
-	for _, u := range g.RegionName {
-		universe[u] = struct{}{}
+	universe := dataflow.VarSet{}
+	for _, d := range g.Decls {
+		if d != nil && d.Kind == cfg.DeclRegion {
+			universe[d.Bind] = struct{}{}
+		}
 	}
 	return &lifeProblem{r: r, fn: fn, g: g, universe: universe}
 }
 
 func (p *lifeProblem) Direction() dataflow.Direction { return dataflow.Forward }
 func (p *lifeProblem) Boundary() lifeFact {
-	return lifeFact{ended: dataflow.NameSet{}, env: map[string]objset{}}
+	return lifeFact{ended: dataflow.VarSet{}, env: map[int32]objset{}}
 }
 
 // Init is the lattice top: every region "ended" (identity of the must
 // intersection) and an empty environment (identity of the may union).
 func (p *lifeProblem) Init() lifeFact {
-	return lifeFact{ended: p.universe.Clone(), env: map[string]objset{}}
+	return lifeFact{ended: p.universe.Clone(), env: map[int32]objset{}}
 }
 
 func (p *lifeProblem) Meet(a, b lifeFact) lifeFact {
-	ended := dataflow.NameSet{}
+	ended := dataflow.VarSet{}
 	for k := range a.ended {
 		if b.ended.Has(k) {
 			ended[k] = struct{}{}
 		}
 	}
-	env := make(map[string]objset, len(a.env))
+	env := make(map[int32]objset, len(a.env))
 	for k, v := range a.env {
 		env[k] = v
 	}
@@ -578,11 +569,11 @@ func (p *lifeProblem) Transfer(b *cfg.Block, in lifeFact) lifeFact {
 // Step interprets one atom copy-on-write, per AtomProblem's contract.
 func (p *lifeProblem) Step(f lifeFact, a cfg.Atom) lifeFact {
 	if a.Deferred {
-		if a.WriteRef && a.Name != "" {
+		if a.WriteRef {
 			// A closure may run the assignment at any point: widen to the
 			// flow-insensitive set.
 			out := f.clone()
-			out.env[a.Name] = p.varSet(a.Name)
+			out.env[a.Var] = p.varSet(a.Var)
 			return out
 		}
 		return f
@@ -590,24 +581,24 @@ func (p *lifeProblem) Step(f lifeFact, a cfg.Atom) lifeFact {
 	switch a.Op {
 	case cfg.OpRegionEnter:
 		out := f.clone()
-		delete(out.ended, a.Name)
+		delete(out.ended, a.Var)
 		return out
 	case cfg.OpRegionExit:
 		out := f.clone()
-		out.ended[a.Name] = struct{}{}
+		out.ended[a.Var] = struct{}{}
 		return out
 	case cfg.OpDecl:
 		out := f.clone()
 		if a.Expr != nil {
-			out.env[a.Name] = p.evalPts(a.Expr, f.env)
+			out.env[a.Var] = p.evalPts(a.Expr, f.env)
 		} else {
-			out.env[a.Name] = p.varSet(a.Name)
+			out.env[a.Var] = p.varSet(a.Var)
 		}
 		return out
 	case cfg.OpDef:
 		if set, ok := a.Expr.(*ast.Set); ok {
 			out := f.clone()
-			out.env[a.Name] = p.evalPts(set.Value, f.env)
+			out.env[a.Var] = p.evalPts(set.Value, f.env)
 			return out
 		}
 	}
@@ -615,9 +606,9 @@ func (p *lifeProblem) Step(f lifeFact, a cfg.Atom) lifeFact {
 }
 
 // varSet is the Andersen (flow-insensitive) set of a local, as IDs.
-func (p *lifeProblem) varSet(unique string) objset {
+func (p *lifeProblem) varSet(n int32) objset {
 	out := objset{}
-	for _, o := range p.r.VarObjects(p.fn, unique) {
+	for _, o := range p.r.VarObjects(p.fn, n) {
 		out[o.ID] = true
 	}
 	return out
@@ -626,13 +617,13 @@ func (p *lifeProblem) varSet(unique string) objset {
 // evalPts resolves an expression's points-to set flow-sensitively where it
 // can (variable references through the tracked environment) and falls back
 // to the Andersen set otherwise.
-func (p *lifeProblem) evalPts(e ast.Expr, env map[string]objset) objset {
+func (p *lifeProblem) evalPts(e ast.Expr, env map[int32]objset) objset {
 	if v, ok := e.(*ast.VarRef); ok {
-		if u := p.g.Rename[v]; u != "" {
-			if s, ok := env[u]; ok {
+		if n := p.g.Var(v); n != 0 {
+			if s, ok := env[n]; ok {
 				return s
 			}
-			return p.varSet(u)
+			return p.varSet(n)
 		}
 	}
 	out := objset{}
@@ -646,7 +637,7 @@ func (p *lifeProblem) evalPts(e ast.Expr, env map[string]objset) objset {
 // the VM's use-after-region-exit trap fires: field access and mutation,
 // vector operations, and channel operations — never plain reference
 // copies.
-func derefBase(a cfg.Atom) ast.Expr {
+func derefBase(info *types.Info, a cfg.Atom) ast.Expr {
 	switch e := a.Expr.(type) {
 	case *ast.FieldRef:
 		return e.Expr
@@ -654,7 +645,7 @@ func derefBase(a cfg.Atom) ast.Expr {
 		return e.Expr
 	case *ast.Call:
 		if v, ok := e.Fn.(*ast.VarRef); ok && len(e.Args) > 0 {
-			switch v.Name {
+			switch info.Builtin(v) {
 			case "vector-ref", "vector-set!", "vector-length", "send", "recv":
 				return e.Args[0]
 			}
@@ -666,11 +657,11 @@ func derefBase(a cfg.Atom) ast.Expr {
 // checkUses runs the flow-sensitive pass over one function and reports
 // dereferences whose every possible target belongs to a region that has
 // definitely ended.
-func checkUses(r *Result, fn *ast.DefineFunc, g *cfg.Graph, lt *Lifetime) {
-	if len(g.RegionName) == 0 {
+func checkUses(info *types.Info, r *Result, fn *ast.DefineFunc, g *cfg.Graph, lt *Lifetime) {
+	p := newLifeProblem(r, fn.Name, g)
+	if len(p.universe) == 0 {
 		return
 	}
-	p := newLifeProblem(r, fn.Name, g)
 	res := dataflow.Solve[lifeFact](g, p)
 	seen := map[source.Pos]bool{}
 	for _, b := range g.Blocks {
@@ -679,7 +670,7 @@ func checkUses(r *Result, fn *ast.DefineFunc, g *cfg.Graph, lt *Lifetime) {
 			if a.Deferred || len(before.ended) == 0 {
 				return
 			}
-			base := derefBase(a)
+			base := derefBase(info, a)
 			if base == nil {
 				return
 			}
@@ -690,7 +681,7 @@ func checkUses(r *Result, fn *ast.DefineFunc, g *cfg.Graph, lt *Lifetime) {
 			var dead *Object
 			for id := range objs {
 				o := r.objects[id]
-				if o.Region == "" || o.Fn != fn.Name || !before.ended.Has(o.Region) {
+				if o.Region == 0 || o.Fn != fn.Name || !before.ended.Has(o.Region) {
 					return
 				}
 				if dead == nil || o.ID < dead.ID {

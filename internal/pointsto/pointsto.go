@@ -7,10 +7,9 @@
 // channel send/recv, and calls to defined functions become inclusion
 // constraints between points-to sets; the solver runs the classic worklist
 // algorithm, instantiating field load/store constraints lazily as base
-// sets grow. Objects allocated through `alloc-in` carry the alpha-renamed
-// name of their region (from the CFG builder), which is what the lifetime
-// checker in lifetime.go uses to reason about region escapes and
-// use-after-exit.
+// sets grow. Objects allocated through `alloc-in` carry the binding number
+// of their region, which is what the lifetime checker in lifetime.go uses to
+// reason about region escapes and use-after-exit.
 //
 // The analysis is deliberately conservative at the unknown-code boundary:
 // arguments passed to externals, unknown builtins, or calls through
@@ -66,10 +65,10 @@ type Object struct {
 	TypeName string      // struct name or union constructor ("" otherwise)
 	Span     source.Span // the allocating expression
 	Fn       string      // enclosing function ("" for a global initialiser)
-	// Region is the alpha-renamed name of the region the object is
-	// allocated in ("" for the general heap). Regions are function-local,
-	// so (Fn, Region) identifies the region uniquely program-wide.
-	Region string
+	// Region is the binding number of the region the object is allocated
+	// in (0 for the general heap). Regions are function-local, so
+	// (Fn, Region) identifies the region uniquely program-wide.
+	Region int32
 	// RegionSrc is the region's source-level name, for messages.
 	RegionSrc string
 }
@@ -80,7 +79,7 @@ func (o *Object) Describe() string {
 	if o.TypeName != "" {
 		what += " " + o.TypeName
 	}
-	if o.Region != "" {
+	if o.Region != 0 {
 		return fmt.Sprintf("%s allocated in region %s", what, o.RegionSrc)
 	}
 	return what
@@ -97,13 +96,20 @@ type fieldKey struct {
 	field string
 }
 
+// localKey names the local with binding number bind of function fn.
+type localKey struct {
+	fn   string
+	bind int32
+}
+
 // Result holds the solved points-to sets.
 type Result struct {
 	objects []*Object
 
 	pts       []map[int]bool
 	exprNode  map[ast.Expr]int
-	varNode   map[string]int // "fn\x00unique" for locals, "\x00g\x00name" for globals
+	localNode map[localKey]int
+	gvarNode  map[string]int
 	retNode   map[string]int
 	fieldNode map[fieldKey]int
 
@@ -159,16 +165,16 @@ func (r *Result) ExprObjects(e ast.Expr) []*Object {
 	return r.setOf(n, ok)
 }
 
-// VarObjects returns the objects the local `unique` of function fn may
-// point to (unique is the CFG's alpha-renamed name).
-func (r *Result) VarObjects(fn, unique string) []*Object {
-	n, ok := r.varNode[fn+"\x00"+unique]
+// VarObjects returns the objects the local with binding number bind of
+// function fn may point to.
+func (r *Result) VarObjects(fn string, bind int32) []*Object {
+	n, ok := r.localNode[localKey{fn, bind}]
 	return r.setOf(n, ok)
 }
 
 // GlobalObjects returns the objects global name may point to.
 func (r *Result) GlobalObjects(name string) []*Object {
-	n, ok := r.varNode["\x00g\x00"+name]
+	n, ok := r.gvarNode[name]
 	return r.setOf(n, ok)
 }
 
@@ -238,20 +244,22 @@ func (b *builder) exprNodeOf(e ast.Expr) int {
 	return n
 }
 
-func (b *builder) local(fn, unique string) int {
-	return b.named(fn + "\x00" + unique)
-}
-
-func (b *builder) gvar(name string) int {
-	return b.named("\x00g\x00" + name)
-}
-
-func (b *builder) named(key string) int {
-	if n, ok := b.varNode[key]; ok {
+func (b *builder) local(fn string, bind int32) int {
+	k := localKey{fn, bind}
+	if n, ok := b.localNode[k]; ok {
 		return n
 	}
 	n := b.newNode()
-	b.varNode[key] = n
+	b.localNode[k] = n
+	return n
+}
+
+func (b *builder) gvar(name string) int {
+	if n, ok := b.gvarNode[name]; ok {
+		return n
+	}
+	n := b.newNode()
+	b.gvarNode[name] = n
 	return n
 }
 
@@ -361,54 +369,12 @@ func (b *builder) solve() {
 // Constraint generation
 // ---------------------------------------------------------------------------
 
-// Renames resolves AST nodes of one function to the CFG's alpha-renamed
-// unique names; shared by constraint generation and the lifetime checker.
-type Renames struct {
-	Bind  map[*ast.Binding]string
-	Pat   map[*ast.PatVar]string
-	Loop  map[*ast.DoTimes]string
-	Param map[*ast.Param]string
-	Set   map[*ast.Set]string
-}
-
-// NewRenames extracts the rename maps from a built CFG.
-func NewRenames(g *cfg.Graph) *Renames {
-	r := &Renames{
-		Bind:  map[*ast.Binding]string{},
-		Pat:   map[*ast.PatVar]string{},
-		Loop:  map[*ast.DoTimes]string{},
-		Param: map[*ast.Param]string{},
-		Set:   map[*ast.Set]string{},
-	}
-	for unique, d := range g.Decls {
-		switch n := d.Node.(type) {
-		case *ast.Binding:
-			r.Bind[n] = unique
-		case *ast.PatVar:
-			r.Pat[n] = unique
-		case *ast.DoTimes:
-			r.Loop[n] = unique
-		case *ast.Param:
-			r.Param[n] = unique
-		}
-	}
-	for _, blk := range g.Blocks {
-		for _, a := range blk.Atoms {
-			if s, ok := a.Expr.(*ast.Set); ok && a.Name != "" &&
-				(a.Op == cfg.OpDef || a.WriteRef) {
-				r.Set[s] = a.Name
-			}
-		}
-	}
-	return r
-}
-
-// genCtx is the constraint-generation context for one function body.
+// genCtx is the constraint-generation context for one function body (g is
+// nil for a global initialiser, whose locals are not tracked).
 type genCtx struct {
 	fn        string
 	g         *cfg.Graph
-	rn        *Renames
-	curRegion string // alpha-renamed region of the enclosing alloc-in
+	curRegion int32 // binding number of the enclosing alloc-in's region
 	curSrc    string
 }
 
@@ -437,7 +403,8 @@ func Analyze(prog *ast.Program, info *types.Info, cfgs map[*ast.DefineFunc]*cfg.
 func analyze(prog *ast.Program, info *types.Info, cfgs map[*ast.DefineFunc]*cfg.Graph, sel *selection) *Result {
 	r := &Result{
 		exprNode:    map[ast.Expr]int{},
-		varNode:     map[string]int{},
+		localNode:   map[localKey]int{},
+		gvarNode:    map[string]int{},
 		retNode:     map[string]int{},
 		fieldNode:   map[fieldKey]int{},
 		loadedField: map[fieldKey]bool{},
@@ -465,7 +432,7 @@ func analyze(prog *ast.Program, info *types.Info, cfgs map[*ast.DefineFunc]*cfg.
 		}
 		g := cfgs[fn]
 		if g == nil {
-			g = cfg.Build(fn)
+			g = cfg.Build(fn, info)
 		}
 		r.graphs[fn.Name] = g
 		r.funcs[fn.Name] = fn
@@ -487,7 +454,7 @@ func analyze(prog *ast.Program, info *types.Info, cfgs map[*ast.DefineFunc]*cfg.
 				continue
 			}
 			g := r.graphs[d.Name]
-			c := &genCtx{fn: d.Name, g: g, rn: NewRenames(g)}
+			c := &genCtx{fn: d.Name, g: g}
 			last := -1
 			for _, e := range d.Body {
 				last = b.eval(c, e)
@@ -525,7 +492,7 @@ func (b *builder) finish(info *types.Info, sel *selection) {
 		fieldsByObj[k.obj] = append(fieldsByObj[k.obj], n)
 	}
 	for _, name := range globals {
-		n, ok := b.varNode["\x00g\x00"+name]
+		n, ok := b.gvarNode[name]
 		if !ok {
 			continue
 		}
@@ -590,8 +557,8 @@ func (b *builder) eval(c *genCtx, e ast.Expr) int {
 	switch e := e.(type) {
 	case *ast.VarRef:
 		if c.g != nil {
-			if u := c.g.Rename[e]; u != "" {
-				b.edge(b.local(c.fn, u), n)
+			if v := c.g.Var(e); v != 0 {
+				b.edge(b.local(c.fn, v), n)
 				return n
 			}
 		}
@@ -610,19 +577,17 @@ func (b *builder) eval(c *genCtx, e ast.Expr) int {
 	case *ast.Let:
 		for _, bind := range e.Bindings {
 			v := b.eval(c, bind.Init)
-			if c.rn != nil {
-				if u, ok := c.rn.Bind[bind]; ok {
-					b.edge(v, b.local(c.fn, u))
-				}
+			if c.g != nil {
+				b.edge(v, b.local(c.fn, bind.Bind))
 			}
 		}
 		b.body(c, e.Body, n)
 
 	case *ast.Set:
 		v := b.eval(c, e.Value)
-		if c.rn != nil {
-			if u, ok := c.rn.Set[e]; ok {
-				b.edge(v, b.local(c.fn, u))
+		if c.g != nil {
+			if t := c.g.Target(e); t != 0 {
+				b.edge(v, b.local(c.fn, t))
 				break
 			}
 		}
@@ -671,7 +636,7 @@ func (b *builder) eval(c *genCtx, e ast.Expr) int {
 	case *ast.Lambda:
 		b.addObj(n, b.newObject(c, ObjClosure, "", e.Span()))
 		saved, savedSrc := c.curRegion, c.curSrc
-		c.curRegion, c.curSrc = "", ""
+		c.curRegion, c.curSrc = 0, ""
 		last := -1
 		for _, s := range e.Body {
 			last = b.eval(c, s)
@@ -684,7 +649,7 @@ func (b *builder) eval(c *genCtx, e ast.Expr) int {
 
 	case *ast.Spawn:
 		saved, savedSrc := c.curRegion, c.curSrc
-		c.curRegion, c.curSrc = "", ""
+		c.curRegion, c.curSrc = 0, ""
 		b.eval(c, e.Expr)
 		c.curRegion, c.curSrc = saved, savedSrc
 
@@ -712,10 +677,8 @@ func (b *builder) eval(c *genCtx, e ast.Expr) int {
 
 	case *ast.AllocIn:
 		saved, savedSrc := c.curRegion, c.curSrc
-		if c.g != nil {
-			if u, ok := c.g.RegionRename[e]; ok {
-				c.curRegion, c.curSrc = u, e.Region
-			}
+		if r := b.info.Region(e); c.g != nil && r != 0 {
+			c.curRegion, c.curSrc = r, e.Region
 		}
 		v := b.eval(c, e.Expr)
 		c.curRegion, c.curSrc = saved, savedSrc
@@ -752,11 +715,8 @@ func (b *builder) body(c *genCtx, body []ast.Expr, n int) {
 func (b *builder) bindPattern(c *genCtx, src int, p ast.Pattern) {
 	switch p := p.(type) {
 	case *ast.PatVar:
-		if c.rn != nil {
-			if u, ok := c.rn.Pat[p]; ok {
-				b.edge(src, b.local(c.fn, u))
-				return
-			}
+		if c.g != nil {
+			b.edge(src, b.local(c.fn, p.Bind))
 		}
 	case *ast.PatCtor:
 		for i, a := range p.Args {
@@ -782,34 +742,26 @@ func (b *builder) call(c *genCtx, e *ast.Call, n int) {
 		sym = b.info.Use(v)
 	}
 
-	// A head the CFG resolved to a tracked local is a closure call.
-	localHead := false
-	if v != nil && c.g != nil && c.g.Rename[v] != "" {
-		localHead = true
-	}
-
 	switch {
-	case v != nil && !localHead && sym != nil && sym.Kind == types.SymCtor:
+	case sym != nil && sym.Kind == types.SymCtor:
 		o := b.newObject(c, ObjUnion, v.Name, e.Span())
 		b.addObj(n, o)
 		for i, a := range e.Args {
 			b.edge(b.eval(c, a), b.field(o.ID, ctorField(v.Name, i)))
 		}
 
-	case v != nil && !localHead && sym != nil && sym.Kind == types.SymFunc:
+	case sym != nil && sym.Kind == types.SymFunc:
 		callee := b.funcs[v.Name]
-		params := b.paramUniques(v.Name)
 		for i, a := range e.Args {
 			an := b.eval(c, a)
-			if callee != nil && i < len(params) && params[i] != "" {
-				b.edge(an, b.local(v.Name, params[i]))
+			if callee != nil && i < len(callee.Params) {
+				b.edge(an, b.local(v.Name, callee.Params[i].Bind))
 			}
 		}
 		b.edge(b.ret(v.Name), n)
 
-	case v != nil && !localHead && (sym == nil || sym.Kind == types.SymBuiltin):
-		// sym is nil for the special forms and/or/vector.
-		b.builtin(c, e, v.Name, n)
+	case v != nil && b.info.Builtin(v) != "":
+		b.builtin(c, e, b.info.Builtin(v), n)
 
 	default:
 		// Closure-valued heads, externals, lambdas applied directly:
@@ -823,25 +775,6 @@ func (b *builder) call(c *genCtx, e *ast.Call, n int) {
 			b.edge(b.leak, n)
 		}
 	}
-}
-
-func (b *builder) paramUniques(fn string) []string {
-	g := b.graphs[fn]
-	def := b.funcs[fn]
-	if g == nil || def == nil {
-		return nil
-	}
-	byNode := map[ast.Node]string{}
-	for unique, d := range g.Decls {
-		if d.Kind == cfg.DeclParam {
-			byNode[d.Node] = unique
-		}
-	}
-	out := make([]string, len(def.Params))
-	for i, p := range def.Params {
-		out[i] = byNode[p]
-	}
-	return out
 }
 
 func (b *builder) builtin(c *genCtx, e *ast.Call, name string, n int) {

@@ -110,8 +110,8 @@ func TestRegionTagging(t *testing.T) {
 	if len(objs) != 1 {
 		t.Fatalf("RetObjects(leak) = %v", objs)
 	}
-	if objs[0].Region == "" || objs[0].RegionSrc != "r" {
-		t.Errorf("region tag = %q (src %q)", objs[0].Region, objs[0].RegionSrc)
+	if objs[0].Region == 0 || objs[0].RegionSrc != "r" {
+		t.Errorf("region tag = %d (src %q)", objs[0].Region, objs[0].RegionSrc)
 	}
 }
 
@@ -193,8 +193,8 @@ func TestSpawnedCalleeTrackedNotLeaked(t *testing.T) {
 	if r.Leaked(obj) {
 		t.Error("argument to a known spawned callee marked leaked")
 	}
-	if got := r.VarObjects("use", ""); got != nil {
-		t.Logf("unexpected empty-unique lookup: %v", got)
+	if got := r.VarObjects("use", 0); got != nil {
+		t.Logf("unexpected lookup of binding number 0: %v", got)
 	}
 }
 

@@ -38,12 +38,15 @@ func (k SymKind) String() string {
 	}
 }
 
-// Symbol is a resolved name.
+// Symbol is a resolved name. Bind is the binding number of a local,
+// parameter or region (ast.Binding.Bind), unique within its definition,
+// and 0 for every other kind.
 type Symbol struct {
 	Name    string
 	Kind    SymKind
 	Scheme  *Scheme
 	Mutable bool
+	Bind    int32
 }
 
 // scopes is the checker's one name table. names maps each name to its

@@ -63,20 +63,39 @@ type Report struct {
 
 // Program verifies every function in a checked program.
 func Program(prog *ast.Program, info *types.Info, opts Options) *Report {
+	rep, _ := program(prog, info, opts)
+	return rep
+}
+
+// program is Program plus its work counter: the contract-table entries
+// built and the expressions evaluated.
+func program(prog *ast.Program, info *types.Info, opts Options) (*Report, int) {
 	rep := &Report{}
+	contracts := funcContracts(info)
+	work := len(contracts)
 	for _, d := range prog.Defs {
 		if fn, ok := d.(*ast.DefineFunc); ok {
-			verifyFunc(fn, info, opts, rep)
+			work += verifyFunc(fn, info, opts, rep, contracts)
 		}
 	}
-	return rep
+	return rep, work
 }
 
 // Function verifies a single function.
 func Function(fn *ast.DefineFunc, info *types.Info, opts Options) *Report {
 	rep := &Report{}
-	verifyFunc(fn, info, opts, rep)
+	verifyFunc(fn, info, opts, rep, funcContracts(info))
 	return rep
+}
+
+// funcContracts indexes the program's functions by name, for the
+// contracts a call site checks and assumes.
+func funcContracts(info *types.Info) map[string]*ast.DefineFunc {
+	m := make(map[string]*ast.DefineFunc, len(info.FuncDecls))
+	for _, d := range info.FuncDecls {
+		m[d.Name] = d
+	}
+	return m
 }
 
 // Summary renders a one-line result.
@@ -102,20 +121,31 @@ func formOf(f prover.Formula) symval {
 	return symval{form: f}
 }
 
+// vstate is the symbolic state of one function activation. vars is keyed
+// by binding number, so a binding and the one it shadows never share an
+// entry.
 type vstate struct {
-	vars map[string]symval
+	vars map[int32]symval
 	// fields tracks the symbolic value of struct fields addressed through a
-	// named variable ("s.top"). Entries are invalidated conservatively: any
-	// field write clears every other entry (aliasing), and calls, loops,
-	// spawns, and transactions clear the whole map (unknown mutation).
-	fields map[string]symval
+	// variable (s.top). Entries are invalidated conservatively: any field
+	// write clears every other entry (aliasing), and calls, loops, spawns,
+	// and transactions clear the whole map (unknown mutation).
+	fields map[fieldKey]symval
 	// facts are assumptions valid on the current path (requires + branch
 	// conditions + definition equalities).
 	facts []prover.Formula
 }
 
+// fieldKey names a struct field read through a variable: a local by its
+// binding number, or a global (bind 0) by its name.
+type fieldKey struct {
+	bind   int32
+	global string
+	field  string
+}
+
 func newVstate() *vstate {
-	return &vstate{vars: map[string]symval{}, fields: map[string]symval{}}
+	return &vstate{vars: map[int32]symval{}, fields: map[fieldKey]symval{}}
 }
 
 func (s *vstate) clone() *vstate {
@@ -132,7 +162,7 @@ func (s *vstate) clone() *vstate {
 
 // forgetHeap drops all field knowledge (call boundaries, loops, effects).
 func (s *vstate) forgetHeap() {
-	s.fields = map[string]symval{}
+	s.fields = map[fieldKey]symval{}
 }
 
 type verifier struct {
@@ -141,6 +171,7 @@ type verifier struct {
 	rep   *Report
 	fn    *ast.DefineFunc
 	fresh int
+	evals int // expressions evaluated, for the work counter
 
 	funcContracts map[string]*ast.DefineFunc
 }
@@ -150,15 +181,12 @@ func (v *verifier) freshVar(hint string) prover.Term {
 	return prover.VarTerm(fmt.Sprintf("%%%s%d", hint, v.fresh))
 }
 
-func verifyFunc(fn *ast.DefineFunc, info *types.Info, opts Options, rep *Report) {
-	v := &verifier{info: info, opts: opts, rep: rep, fn: fn,
-		funcContracts: map[string]*ast.DefineFunc{}}
-	for _, d := range info.FuncDecls {
-		v.funcContracts[d.Name] = d
-	}
+// verifyFunc verifies fn into rep and returns the expressions it evaluated.
+func verifyFunc(fn *ast.DefineFunc, info *types.Info, opts Options, rep *Report, contracts map[string]*ast.DefineFunc) int {
+	v := &verifier{info: info, opts: opts, rep: rep, fn: fn, funcContracts: contracts}
 	st := newVstate()
 	for _, p := range fn.Params {
-		st.vars[p.Name] = v.initialValue(p.Name, p.Type)
+		st.vars[p.Bind] = v.initialValue(p.Name, p.Type)
 	}
 	for _, req := range fn.Contract.Requires {
 		if f := v.evalBool(req, st); f != nil {
@@ -171,13 +199,10 @@ func verifyFunc(fn *ast.DefineFunc, info *types.Info, opts Options, rep *Report)
 	}
 	if len(fn.Contract.Ensures) > 0 {
 		post := st.clone()
-		if result.term != nil {
-			post.vars["%result"] = result
-		} else if result.form != nil {
-			post.vars["%result"] = result
+		if result.term != nil || result.form != nil {
+			post.vars[fn.ResultBind] = result
 		} else {
-			rt := v.freshVar("result")
-			post.vars["%result"] = termOf(rt)
+			post.vars[fn.ResultBind] = termOf(v.freshVar("result"))
 		}
 		for _, ens := range fn.Contract.Ensures {
 			f := v.evalBool(ens, post)
@@ -188,6 +213,7 @@ func verifyFunc(fn *ast.DefineFunc, info *types.Info, opts Options, rep *Report)
 			v.check(KindEnsures, ens.Span(), "ensures "+ast.Print(ens), post, f)
 		}
 	}
+	return v.evals
 }
 
 func (v *verifier) initialValue(name string, te ast.TypeExpr) symval {
@@ -223,6 +249,7 @@ func (v *verifier) evalBool(e ast.Expr, st *vstate) prover.Formula {
 
 // eval symbolically evaluates e, updating st for side effects.
 func (v *verifier) eval(e ast.Expr, st *vstate) symval {
+	v.evals++
 	switch e := e.(type) {
 	case *ast.IntLit:
 		return termOf(prover.NewTerm(e.Value))
@@ -234,8 +261,8 @@ func (v *verifier) eval(e ast.Expr, st *vstate) symval {
 		}
 		return formOf(prover.FFalse{})
 	case *ast.VarRef:
-		if sv, ok := st.vars[e.Name]; ok {
-			return sv
+		if n := v.info.Bind(e); n != 0 {
+			return st.vars[n]
 		}
 		return symval{}
 	case *ast.Call:
@@ -252,7 +279,7 @@ func (v *verifier) eval(e ast.Expr, st *vstate) symval {
 		return last
 	case *ast.Set:
 		val := v.eval(e.Value, st)
-		st.vars[e.Name] = val
+		st.vars[v.info.Target(e)] = val
 		return symval{}
 	case *ast.Assert:
 		f := v.evalBool(e.Cond, st)
@@ -315,7 +342,7 @@ func (v *verifier) eval(e ast.Expr, st *vstate) symval {
 		v.havocLoop(e.Body, st)
 		inner := st.clone()
 		iv := v.freshVar("i")
-		inner.vars[e.Var] = termOf(iv)
+		inner.vars[e.Bind] = termOf(iv)
 		if n := v.eval(e.Count, inner); n.term != nil {
 			inner.facts = append(inner.facts,
 				prover.Ge(iv, prover.NewTerm(0)), prover.Lt(iv, *n.term))
@@ -335,12 +362,12 @@ func (v *verifier) eval(e ast.Expr, st *vstate) symval {
 		for _, cl := range e.Clauses {
 			arm := st.clone()
 			if p, ok := cl.Pattern.(*ast.PatVar); ok {
-				arm.vars[p.Name] = symval{}
+				arm.vars[p.Bind] = symval{}
 			}
 			if p, ok := cl.Pattern.(*ast.PatCtor); ok {
 				for _, sub := range p.Args {
 					if pv, ok := sub.(*ast.PatVar); ok {
-						arm.vars[pv.Name] = termOf(v.freshVar(pv.Name))
+						arm.vars[pv.Bind] = termOf(v.freshVar(pv.Name))
 					}
 				}
 			}
@@ -352,7 +379,7 @@ func (v *verifier) eval(e ast.Expr, st *vstate) symval {
 	case *ast.FieldRef:
 		v.eval(e.Expr, st)
 		if base, ok := e.Expr.(*ast.VarRef); ok {
-			key := base.Name + "." + e.Name
+			key := v.fieldKey(base, e.Name)
 			if sv, ok := st.fields[key]; ok {
 				return sv
 			}
@@ -370,7 +397,7 @@ func (v *verifier) eval(e ast.Expr, st *vstate) symval {
 		// then record the one path we know.
 		st.forgetHeap()
 		if base, ok := e.Expr.(*ast.VarRef); ok {
-			st.fields[base.Name+"."+e.Name] = val
+			st.fields[v.fieldKey(base, e.Name)] = val
 		}
 		return symval{}
 	case *ast.MakeStruct:
@@ -416,6 +443,14 @@ func (v *verifier) eval(e ast.Expr, st *vstate) symval {
 	}
 }
 
+// fieldKey names field of the struct base holds.
+func (v *verifier) fieldKey(base *ast.VarRef, field string) fieldKey {
+	if n := v.info.Bind(base); n != 0 {
+		return fieldKey{bind: n, field: field}
+	}
+	return fieldKey{global: base.Name, field: field}
+}
+
 // havocLoop forgets every variable the loop body assigns, and all heap
 // field knowledge (the body may write through any alias).
 func (v *verifier) havocLoop(body []ast.Expr, st *vstate) {
@@ -423,11 +458,12 @@ func (v *verifier) havocLoop(body []ast.Expr, st *vstate) {
 	for _, b := range body {
 		ast.Walk(b, func(e ast.Expr) bool {
 			if s, ok := e.(*ast.Set); ok {
-				if old, exists := st.vars[s.Name]; exists {
+				n := v.info.Target(s)
+				if old, exists := st.vars[n]; exists {
 					if old.form != nil {
-						st.vars[s.Name] = formOf(prover.FBoolVar{Name: fmt.Sprintf("%%havoc%d", v.freshID())})
+						st.vars[n] = formOf(prover.FBoolVar{Name: fmt.Sprintf("%%havoc%d", v.freshID())})
 					} else {
-						st.vars[s.Name] = termOf(v.freshVar("havoc_" + s.Name))
+						st.vars[n] = termOf(v.freshVar("havoc_" + s.Name))
 					}
 				}
 			}
@@ -483,9 +519,9 @@ func (v *verifier) evalLet(e *ast.Let, st *vstate) symval {
 			st.facts = append(st.facts, prover.Eq(nv, *val.term))
 			val2 := val
 			val2.term = &nv
-			st.vars[b.Name] = val2
+			st.vars[b.Bind] = val2
 		} else {
-			st.vars[b.Name] = val
+			st.vars[b.Bind] = val
 		}
 	}
 	var last symval
@@ -506,15 +542,10 @@ var cmpCtors = map[string]func(a, b prover.Term) prover.Formula{
 
 func (v *verifier) evalCall(e *ast.Call, st *vstate) symval {
 	head, _ := e.Fn.(*ast.VarRef)
-	if head == nil || v.info.Local(head) {
-		// A call through a closure value, even one bound to a builtin's
-		// name: opaque.
-		for _, a := range e.Args {
-			v.eval(a, st)
-		}
-		return symval{}
+	name := ""
+	if head != nil {
+		name = v.info.Builtin(head)
 	}
-	name := head.Name
 
 	// Comparison and boolean operators.
 	if mk, ok := cmpCtors[name]; ok && len(e.Args) == 2 {
@@ -644,18 +675,42 @@ func (v *verifier) evalCall(e *ast.Call, st *vstate) symval {
 
 	// User function: check its requires at this call site; assume its
 	// ensures about a fresh result. The callee may mutate any reachable
-	// struct, so field knowledge dies here.
-	if callee, ok := v.funcContracts[name]; ok {
+	// struct, so field knowledge dies here. Its contracts are evaluated in
+	// a state of its own binding numbers: the arguments, the caller's path
+	// facts, and what the caller knows of the fields of globals and of
+	// each argument passed as a variable.
+	var callee *ast.DefineFunc
+	if head != nil {
+		if sym := v.info.Use(head); sym != nil && sym.Kind == types.SymFunc {
+			callee = v.funcContracts[head.Name]
+		}
+	}
+	if callee != nil {
+		name := head.Name
 		defer st.forgetHeap()
 		args := make([]symval, len(e.Args))
 		for i, a := range e.Args {
 			args[i] = v.eval(a, st)
 		}
 		bind := func() *vstate {
-			cs := st.clone()
+			cs := newVstate()
+			cs.facts = append(cs.facts, st.facts...)
+			for k, f := range st.fields {
+				if k.bind == 0 {
+					cs.fields[k] = f
+				}
+			}
 			for i, p := range callee.Params {
-				if i < len(args) {
-					cs.vars[p.Name] = args[i]
+				if i >= len(args) {
+					break
+				}
+				cs.vars[p.Bind] = args[i]
+				if a, ok := e.Args[i].(*ast.VarRef); ok {
+					for k, f := range st.fields {
+						if k == v.fieldKey(a, k.field) {
+							cs.fields[fieldKey{bind: p.Bind, field: k.field}] = f
+						}
+					}
 				}
 			}
 			return cs
@@ -673,7 +728,7 @@ func (v *verifier) evalCall(e *ast.Call, st *vstate) symval {
 		result := termOf(v.freshVar("call_" + name))
 		if len(callee.Contract.Ensures) > 0 {
 			cs := bind()
-			cs.vars["%result"] = result
+			cs.vars[callee.ResultBind] = result
 			for _, ens := range callee.Contract.Ensures {
 				if f := v.evalBool(ens, cs); f != nil {
 					st.facts = append(st.facts, f)

@@ -1,6 +1,8 @@
 package verify_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -110,18 +112,49 @@ func TestBoundsVC(t *testing.T) {
 	      (vector-ref v n)))`, verify.KindBounds)
 }
 
-// TestShadowedBuiltinNotProved: a local closure named + is not the
-// builtin, so (+ 5 0) through it is 500, not 5, and the access it indexes
-// must not be proved in bounds.
+// TestShadowedBuiltinNotProved: a name a local shadows denotes the local,
+// not the builtin or the outer binding it hides. Each program below traps
+// or fails its assert when run, so no bounds or assert VC may be proved: a
+// local closure named + makes (+ 5 0) 500, not 5; an inner (let ((n 1)) n)
+// leaves the parameter n at 7; an inner x bound to 5 leaves the outer x at
+// 1. The table of local closures named after every head verify dispatches
+// on (internal/corpus/testdata/shadowed) joins them.
 func TestShadowedBuiltinNotProved(t *testing.T) {
-	rep := report(t, `
+	srcs := map[string]string{
+		"closure-named-+": `
 (define (main) int64
   (let ((v (make-vector 10 7))
         (+ (lambda ((a int64) (b int64)) int64 (* a 100))))
-    (vector-ref v (+ 5 0))))`)
-	for _, vc := range rep.VCs {
-		if vc.Kind == verify.KindBounds && vc.Result.Proved {
-			t.Fatalf("shadowed + read as the builtin: %s proved", vc.Desc)
+    (vector-ref v (+ 5 0))))`,
+		"shadowed-parameter": `
+(define (g (n int64)) int64
+  (let ((v (make-vector 3 0)))
+    (let ((n 1)) n)
+    (vector-ref v n)))
+(define (main) int64 (g 7))`,
+		"shadowed-let": `
+(define (main) int64
+  (let ((x 1))
+    (let ((x 5)) x)
+    (assert (= x 5))
+    x))`,
+	}
+	files, err := filepath.Glob("../corpus/testdata/shadowed/*.bitc")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no shadowed-head programs: %v", err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[filepath.Base(f)] = string(b)
+	}
+	for name, src := range srcs {
+		for _, vc := range report(t, src).VCs {
+			if (vc.Kind == verify.KindBounds || vc.Kind == verify.KindAssert) && vc.Result.Proved {
+				t.Errorf("%s: shadowed name read as what it hides: %s proved", name, vc.Desc)
+			}
 		}
 	}
 }

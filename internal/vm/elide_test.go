@@ -11,6 +11,8 @@ package vm_test
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -170,16 +172,35 @@ const shadowedPlusSrc = `
 // TestBoundsElisionTrapIdentical: elision must not change which access
 // traps or the trap message (the VM's `vector index %d out of range 0..%d`),
 // and neither a wrapped narrow-integer index nor one computed by a local
-// that shadows a builtin may reach an elided handler.
+// that shadows a builtin may reach an elided handler. The table of local
+// closures named after every head a pass dispatches on
+// (internal/corpus/testdata/shadowed, each entry run on 50) joins the cases.
 func TestBoundsElisionTrapIdentical(t *testing.T) {
-	cases := []struct {
+	type trapCase struct {
 		name, src, trap string
 		args            []vm.Value
 		wantProved      bool
-	}{
+	}
+	cases := []trapCase{
 		{"mixed", mixedTrapSrc, "vector index 4 out of range 0..3", []vm.Value{vm.IntValue(9)}, true},
 		{"narrow-wrap", narrowWrapSrc, "vector index -128 out of range 0..199", nil, false},
 		{"shadowed-builtin", shadowedPlusSrc, "vector index 100 out of range 0..9", nil, false},
+	}
+	files, err := filepath.Glob("../corpus/testdata/shadowed/*.bitc")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no shadowed-head programs: %v", err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, trap, ok := strings.Cut(string(b), "; trap: ")
+		if !ok {
+			t.Fatalf("%s: no trap line", f)
+		}
+		trap, _, _ = strings.Cut(trap, "\n")
+		cases = append(cases, trapCase{filepath.Base(f), string(b), trap, []vm.Value{vm.IntValue(50)}, false})
 	}
 	for _, c := range cases {
 		for _, d := range dispatchModes {

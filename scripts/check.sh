@@ -126,13 +126,15 @@ rm -f /tmp/bitc-serve-shard.bitc /tmp/bitc-serve-twopc.bitc
 # string must never pass a reference operand check.
 go test -count=1 -run 'TestDispatchDifferential|TestDisasmGolden|TestValueLayout|TestCallsAllocateNothing|TestStringIsNotRef' ./internal/vm
 
-# Linear-cost and IR pin gate (~5s): on the scaling shapes
+# Linear-cost and IR pin gate (~6s): on the scaling shapes
 # (internal/corpus/shapes.go) at growing sizes, the type checker, the
-# compiler and the optimiser must each do work linear in their input,
-# counted in deterministic steps (Link hops and scope probes, name-table
-# probes, alias-table operations, worklist pops, escape steps), not wall
-# time, and the parser's reader must take scratch bounded by the largest
-# top-level form, not the file (bytes of slab chunks allocated). The
+# compiler, the optimiser, the CFG builder and the verifier must each do
+# work linear in their input, counted in deterministic steps (Link hops and
+# scope probes, slot-table reads, alias-table operations, worklist pops,
+# escape steps, CFG atoms and resolutions, contract-table entries and
+# evaluated expressions), not wall time, and the parser's reader must take
+# scratch bounded by the largest top-level form, not the file (bytes of
+# slab chunks allocated). The
 # incremental analysis must derive keys in proportion to an edit, not to
 # the program: a one-function edit of the 1000- and the 4000-function
 # corpus costs the same SHA-256 digests and type renderings, and a no-op
@@ -141,9 +143,12 @@ go test -count=1 -run 'TestDispatchDifferential|TestDisasmGolden|TestValueLayout
 # counts on every tracked program, the kernels, the corpus, the shapes and
 # the service's programs, at O0, O1 and O2 with and without contracts
 # (internal/compiler/testdata/ir-pin.txt; regenerate deliberately with
-# -update and review which inputs moved).
-go test -count=1 -run 'TestIRPin|TestCheckLinearCost|TestCompileLinearCost|TestOptLinearCost|TestParseScratchBound|TestKeyWorkPerEdit' \
-    ./internal/parser ./internal/types ./internal/compiler ./internal/opt ./internal/analysis
+# -update and review which inputs moved). The analyses must report exactly
+# the pinned findings, bounds proofs, points-to sets, lifetime reports and
+# summaries on every tracked program, the kernels, the corpus and the
+# shapes (TestAnalysisPin, internal/analysis/testdata/analysis-pin.txt).
+go test -count=1 -run 'TestIRPin|TestAnalysisPin|TestCheckLinearCost|TestCompileLinearCost|TestOptLinearCost|TestCFGLinearCost|TestVerifyLinearCost|TestParseScratchBound|TestKeyWorkPerEdit' \
+    ./internal/parser ./internal/types ./internal/compiler ./internal/opt ./internal/cfg ./internal/verify ./internal/analysis
 echo "linear-cost and IR pin gate: green"
 
 # Bounds, provenance & truncation gate: one relational range engine
