@@ -95,13 +95,6 @@ func workloads() []workload {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Packet-shaped records for the layout experiments (E3/E7).
 const srcPacketStructs = `
 (defstruct header-packed :packed

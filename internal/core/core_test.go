@@ -178,6 +178,11 @@ func TestLoadNeverPanics(t *testing.T) {
 		"(external x (-> () unit))",
 		"((((((((((",
 		"(define (f) " + string(make([]byte, 100)) + ")",
+		// A nested constructor pattern type-checks but does not compile;
+		// its variable's use must be an error, whether its binding number
+		// is past every earlier definition's or was a lambda's in one.
+		"(defunion e (Num (v int64)) (Neg (x e))) (define (f (x e)) int64 (case x ((Neg (Num v)) v) (_ 0)))",
+		"(defunion e (Num (v int64)) (Neg (x e))) (define (g) int64 ((lambda ((a int64)) int64 ((lambda ((b int64)) int64 b) a)) 1)) (define (f (x e)) int64 (case x ((Neg (Num v)) v) (_ 0)))",
 	}
 	for _, src := range nearMisses {
 		func() {
