@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -291,5 +292,32 @@ func TestVerifyLoopInvariantProgram(t *testing.T) {
 	}
 	if !strings.Contains(out, "loop-invariant") {
 		t.Errorf("invariant VCs missing: %s", out)
+	}
+}
+
+// TestVerifyOutputDeterministic runs `bitc verify` on a program with failing
+// conditions 20 times: the verdicts and the counterexample facts it prints
+// must be identical each time. Only the per-condition prover time varies.
+func TestVerifyOutputDeterministic(t *testing.T) {
+	elapsed := regexp.MustCompile(`\([0-9.]+[µmn]?s\)$`)
+	render := func() string {
+		out, err := capture(t, []string{"verify", "../../examples/progs/sieve.bitc"})
+		if err == nil {
+			t.Fatal("sieve.bitc has failing conditions; verify should fail")
+		}
+		lines := strings.Split(out, "\n")
+		for i, l := range lines {
+			lines[i] = elapsed.ReplaceAllString(l, "")
+		}
+		return strings.Join(lines, "\n")
+	}
+	first := render()
+	if !strings.Contains(first, "counterexample facts") {
+		t.Fatalf("no counterexample printed:\n%s", first)
+	}
+	for i := 1; i < 20; i++ {
+		if got := render(); got != first {
+			t.Fatalf("run %d differs from run 0:\n%s\nwant:\n%s", i, got, first)
+		}
 	}
 }

@@ -6,8 +6,9 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -162,12 +163,13 @@ func ByID(id string) *Experiment {
 }
 
 // percentile returns the p-th percentile (0..100) of a sample.
-func percentile(xs []uint64, p float64) uint64 {
+func percentile[T cmp.Ordered](xs []T, p float64) T {
 	if len(xs) == 0 {
-		return 0
+		var zero T
+		return zero
 	}
-	s := append([]uint64{}, xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := slices.Clone(xs)
+	slices.Sort(s)
 	idx := int(float64(len(s)-1) * p / 100)
 	return s[idx]
 }

@@ -102,6 +102,56 @@ func TestE4Amortisation(t *testing.T) {
 	if len(amort.Rows) < 3 {
 		t.Fatalf("amortisation rows = %d", len(amort.Rows))
 	}
+
+	// E4a's counted units are exact: a native call is one VM call and no
+	// crossing; an extern call is one crossing that spills registers and
+	// marshals 8 bytes per argument and result.
+	calls := tables[0]
+	want := [][]string{ // VM calls, crossings, marshalled B per call
+		{"1", "0", "0"},
+		{"0", "1", "24"},
+		{"0", "1", "32"},
+	}
+	if len(calls.Rows) != len(want) {
+		t.Fatalf("E4a rows = %d, want %d", len(calls.Rows), len(want))
+	}
+	for i, w := range want {
+		row := calls.Rows[i]
+		if got := []string{row[3], row[4], row[6]}; strings.Join(got, " ") != strings.Join(w, " ") {
+			t.Errorf("E4a %s: VM calls, crossings, marshalled B per call = %v, want %v", row[0], got, w)
+		}
+		if spilled := row[5]; (i == 0) != (spilled == "0") {
+			t.Errorf("E4a %s: spilled regs per call = %s", row[0], spilled)
+		}
+	}
+
+	// E4b: every call pays the same counted boundary, so the boundary's
+	// share of the payload falls strictly with the buffer, and the measured
+	// per-byte wall is lower at the largest buffer than at the smallest.
+	prevShare := 0.0
+	for i, row := range amort.Rows {
+		if row[2] != "1" || row[3] != "24" {
+			t.Errorf("E4b %s: crossings, marshalled B per call = %s, %s, want 1, 24", row[0], row[2], row[3])
+		}
+		var share float64
+		if _, err := fmt.Sscan(row[4], &share); err != nil {
+			t.Fatalf("E4b %s: boundary share %q: %v", row[0], row[4], err)
+		}
+		if i > 0 && share >= prevShare {
+			t.Errorf("E4b %s: boundary share %g does not fall below %g", row[0], share, prevShare)
+		}
+		prevShare = share
+	}
+	perByte := func(row []string) float64 {
+		var ns float64
+		if _, err := fmt.Sscanf(row[6], "%g ns", &ns); err != nil {
+			t.Fatalf("E4b %s: per byte %q: %v", row[0], row[6], err)
+		}
+		return ns
+	}
+	if first, last := perByte(amort.Rows[0]), perByte(amort.Rows[len(amort.Rows)-1]); last >= first {
+		t.Errorf("E4b per-byte wall %g ns at the largest buffer, %g ns at the smallest: want it to fall", last, first)
+	}
 }
 
 func TestE5CorpusOutcomes(t *testing.T) {
@@ -224,7 +274,7 @@ func TestPercentile(t *testing.T) {
 	if percentile(xs, 0) != 1 || percentile(xs, 100) != 9 || percentile(xs, 50) != 5 {
 		t.Errorf("percentiles: %d %d %d", percentile(xs, 0), percentile(xs, 50), percentile(xs, 100))
 	}
-	if percentile(nil, 50) != 0 {
+	if percentile([]uint64(nil), 50) != 0 {
 		t.Error("empty percentile")
 	}
 }

@@ -20,7 +20,7 @@ import (
 )
 
 // MetricsExperiments lists the experiments with a metrics exporter.
-func MetricsExperiments() []string { return []string{"E1", "E8", "E9", "EA", "ANALYZE"} }
+func MetricsExperiments() []string { return []string{"E1", "E4", "E8", "E9", "EA", "ANALYZE"} }
 
 // CollectMetrics runs the named experiment's workloads and returns the
 // metrics document. With deterministic set, wall-clock fields are zeroed so
@@ -29,6 +29,8 @@ func CollectMetrics(id string, p Params, deterministic bool) (*obs.MetricsDoc, e
 	switch id {
 	case "E1":
 		return metricsE1(p, deterministic)
+	case "E4":
+		return metricsE4(p, deterministic)
 	case "E8":
 		return metricsE8(p, deterministic)
 	case "E9":
@@ -45,24 +47,25 @@ func CollectMetrics(id string, p Params, deterministic bool) (*obs.MetricsDoc, e
 // countersOf projects the VM's internal counters onto the stable schema.
 func countersOf(s vm.Stats) obs.Counters {
 	return obs.Counters{
-		Instrs:          s.Instrs,
-		Calls:           s.Calls,
-		Allocs:          s.Allocs,
-		HeapBytes:       s.HeapBytes,
-		BoxAllocs:       s.BoxAllocs,
-		BoxBytes:        s.BoxBytes,
-		BoxReads:        s.BoxReads,
-		FieldReads:      s.FieldReads,
-		FieldWrites:     s.FieldWrites,
-		VecOps:          s.VecOps,
-		Switches:        s.Switches,
-		TxCommits:       s.TxCommits,
-		TxAborts:        s.TxAborts,
-		ExternCalls:     s.ExternCalls,
-		MarshalledBytes: s.MarshalledBytes,
-		RegionAllocs:    s.RegionAllocs,
-		ICHits:          s.ICHits,
-		ICMisses:        s.ICMisses,
+		Instrs:            s.Instrs,
+		Calls:             s.Calls,
+		Allocs:            s.Allocs,
+		HeapBytes:         s.HeapBytes,
+		BoxAllocs:         s.BoxAllocs,
+		BoxBytes:          s.BoxBytes,
+		BoxReads:          s.BoxReads,
+		FieldReads:        s.FieldReads,
+		FieldWrites:       s.FieldWrites,
+		VecOps:            s.VecOps,
+		Switches:          s.Switches,
+		TxCommits:         s.TxCommits,
+		TxAborts:          s.TxAborts,
+		ExternCalls:       s.ExternCalls,
+		MarshalledBytes:   s.MarshalledBytes,
+		RegionAllocs:      s.RegionAllocs,
+		ICHits:            s.ICHits,
+		ICMisses:          s.ICMisses,
+		ExternSpilledRegs: s.ExternSpilledRegs,
 	}
 }
 

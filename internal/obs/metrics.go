@@ -37,6 +37,10 @@ type Counters struct {
 	// see internal/vm/icache.go and docs/observability.md).
 	ICHits   uint64 `json:"icHits"`
 	ICMisses uint64 `json:"icMisses"`
+	// ExternSpilledRegs sums the caller's register window over extern
+	// crossings: the registers a cgo/JNI-style transition saves (additive
+	// in bitc-metrics/v1, omitted on runs that never cross the boundary).
+	ExternSpilledRegs uint64 `json:"externSpilledRegs,omitempty"`
 }
 
 // Metrics is one measured run: a workload executed under one configuration.

@@ -99,11 +99,12 @@ func liaSat(les, eqs, neqs []Term) bool {
 		if eqUnsatByGCD(t) {
 			return false
 		}
+		// The pivot is the least-named unit-coefficient variable, so the
+		// substitution does not follow map order.
 		var pivot string
 		for n, c := range t.Coeffs {
-			if c == 1 || c == -1 {
+			if (c == 1 || c == -1) && (pivot == "" || n < pivot) {
 				pivot = n
-				break
 			}
 		}
 		if pivot == "" {
@@ -189,7 +190,8 @@ func fourierMotzkin(cons []Term) bool {
 		if len(work) > maxConstraints {
 			return true // give up: treat as satisfiable (sound for proving)
 		}
-		// Pick the variable with the fewest pos×neg products.
+		// Pick the variable with the fewest pos×neg products, the
+		// least-named on a tie, so elimination does not follow map order.
 		var best string
 		bestCost := 1 << 60
 		for v := range vars {
@@ -203,7 +205,7 @@ func fourierMotzkin(cons []Term) bool {
 				}
 			}
 			cost := pos * neg
-			if cost < bestCost {
+			if cost < bestCost || (cost == bestCost && v < best) {
 				bestCost = cost
 				best = v
 			}

@@ -53,8 +53,8 @@ func Satisfiable(f Formula) (bool, []string, int) {
 		var les, eqs, neqs []Term
 		var blocking clause
 		var desc []string
-		for key, v := range enc.atomVar {
-			a := enc.atoms[key]
+		for _, at := range enc.atoms {
+			v, a := at.v, at.a
 			if assign[v] {
 				blocking = append(blocking, -v)
 				if a.Op == OpLe {
@@ -80,11 +80,11 @@ func Satisfiable(f Formula) (bool, []string, int) {
 		if liaSat(les, eqs, neqs) {
 			// Theory agrees: satisfiable. Include boolean variables in the
 			// model description.
-			for name, v := range enc.boolVar {
-				if assign[v] {
-					desc = append(desc, name)
+			for _, b := range enc.bools {
+				if assign[b.v] {
+					desc = append(desc, b.name)
 				} else {
-					desc = append(desc, "(not "+name+")")
+					desc = append(desc, "(not "+b.name+")")
 				}
 			}
 			return true, desc, iterations
@@ -100,19 +100,34 @@ func Satisfiable(f Formula) (bool, []string, int) {
 // Tseitin encoding
 // ---------------------------------------------------------------------------
 
+// encoder maps a formula's theory atoms and boolean variables to SAT
+// variables. The maps find an existing variable; atoms and bools list them
+// in variable-number order, the order Satisfiable reads a model in, so the
+// blocking clauses, the theory query and the counterexample are the same
+// from run to run.
 type encoder struct {
 	s       *satSolver
 	atomVar map[string]int
-	atoms   map[string]FAtom
+	atoms   []encAtom
 	boolVar map[string]int
+	bools   []encBool
 	trueLit int
+}
+
+type encAtom struct {
+	v int
+	a FAtom
+}
+
+type encBool struct {
+	v    int
+	name string
 }
 
 func newEncoder() *encoder {
 	e := &encoder{
 		s:       &satSolver{},
 		atomVar: map[string]int{},
-		atoms:   map[string]FAtom{},
 		boolVar: map[string]int{},
 	}
 	e.trueLit = e.fresh()
@@ -137,6 +152,7 @@ func (e *encoder) encode(f Formula) int {
 		if !ok {
 			v = e.fresh()
 			e.boolVar[f.Name] = v
+			e.bools = append(e.bools, encBool{v, f.Name})
 		}
 		return v
 	case FAtom:
@@ -145,7 +161,7 @@ func (e *encoder) encode(f Formula) int {
 		if !ok {
 			v = e.fresh()
 			e.atomVar[key] = v
-			e.atoms[key] = f
+			e.atoms = append(e.atoms, encAtom{v, f})
 		}
 		return v
 	case FNot:

@@ -1,8 +1,10 @@
 package prover
 
 import (
+	"fmt"
 	"math"
 	"math/big"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -289,5 +291,33 @@ func TestCheckedArithmeticMatchesBig(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSatisfiableDeterministic decides a satisfiable formula that takes
+// several refinement rounds 20 times: the model (its literals and their
+// order) and the iteration count must be identical each time, so the
+// counterexample `bitc verify` prints does not follow map order.
+func TestSatisfiableDeterministic(t *testing.T) {
+	var conj []Formula
+	for i := int64(0); i < 3; i++ {
+		v := VarTerm(fmt.Sprintf("v%d", i))
+		conj = append(conj,
+			Le(n(i), v),
+			Or(Le(v, n(i-1)), Le(v, n(i+10))),
+			FBoolVar{fmt.Sprintf("p%d", i)})
+	}
+	conj = append(conj, Or(Eq(x(), n(3)), Eq(x(), y())), Not(Eq(y(), n(3))), Not(FBoolVar{"q"}))
+	f := And(conj...)
+	sat0, model0, iters0 := Satisfiable(f)
+	if !sat0 || iters0 < 2 || len(model0) < 10 {
+		t.Fatalf("sat=%v iterations=%d model=%v: want a satisfiable formula needing refinement", sat0, iters0, model0)
+	}
+	for run := 1; run < 20; run++ {
+		sat, model, iters := Satisfiable(f)
+		if sat != sat0 || iters != iters0 || !reflect.DeepEqual(model, model0) {
+			t.Fatalf("run %d: sat=%v iterations=%d model=%v\nrun 0: sat=%v iterations=%d model=%v",
+				run, sat, iters, model, sat0, iters0, model0)
+		}
 	}
 }

@@ -69,7 +69,12 @@ func (v *VM) builtin(t *Thread, fr *Frame, in *ir.Instr) error {
 		fr.regs[in.Dst] = v.boxResult(in, charVal(int64(s[i])))
 		return nil
 	case "string-append":
-		fr.regs[in.Dst] = strVal(arg(0).Str() + arg(1).Str())
+		a, b := arg(0).Str(), arg(1).Str()
+		if n := uint64(len(a)) + uint64(len(b)); n > heapBudget {
+			return trapf("heap budget exhausted: string-append of %d bytes exceeds the %d-byte budget",
+				n, heapBudget)
+		}
+		fr.regs[in.Dst] = strVal(a + b)
 		return nil
 	case "substring":
 		s := arg(0).Str()

@@ -172,6 +172,10 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		if n < 0 {
 			return trapf("make-vector with negative length %d", n)
 		}
+		if uint64(n) > heapBudget/valueBytes {
+			return trapf("heap budget exhausted: make-vector of %d elements exceeds the %d-byte budget",
+				n, heapBudget)
+		}
 		fill := fr.regs[in.B]
 		elems := make([]Value, n)
 		for i := range elems {
@@ -567,42 +571,23 @@ func (v *VM) castValue(val Value, target *types.Type) Value {
 	}
 }
 
-// externShadow models the call-transition work a real FFI pays beyond
-// argument marshalling: saving and restoring the callee-saved register file,
-// switching stacks, and re-establishing the runtime's invariants on return.
-// Without this the simulated boundary would be cheaper than a native call,
-// which no real system exhibits; transitionPasses is calibrated so the
-// boundary costs a small multiple of an interpreted call, matching the
-// cgo/JNI-style transitions the legacy problem is about. The buffer lives on
-// the VM (see VM.externShadow) so independent VMs — e.g. the per-shard
-// machines of internal/serve — can cross the boundary in parallel.
-const transitionPasses = 8
-
-// callExtern crosses the simulated C ABI: scalar arguments are marshalled
-// into a flat byte buffer (paying per-byte work), the transition saves and
-// restores the simulated register file, the host function runs, and the
-// result is unmarshalled. This is the mechanism cost experiment E4 measures.
+// callExtern crosses the simulated C ABI. The crossing is charged in counted
+// units rather than modelled by wall time: one crossing (ExternCalls), the
+// caller's register window that a cgo/JNI-style transition saves and restores
+// (ExternSpilledRegs, len(fr.regs) registers), and 8 bytes per argument and
+// per result copied through C-shaped memory (MarshalledBytes). Arguments are
+// marshalled into the VM's argument scratch, so a crossing allocates nothing.
+// This is the mechanism experiment E4 measures.
 func (v *VM) callExtern(fr *Frame, in *ir.Instr) error {
 	ext := v.mod.Externs[in.Imm]
 	impl, ok := v.Externs[ext.CSymbol]
 	if !ok {
 		return trapf("external symbol %q is not registered with the VM", ext.CSymbol)
 	}
-	// Transition prologue: spill the register window and scrub the shadow
-	// stack area, once per pass of the calibrated transition cost.
-	spill := len(fr.regs)
-	if spill > len(v.externShadow) {
-		spill = len(v.externShadow)
+	if len(in.Args) > len(v.externArgs) {
+		v.externArgs = make([]int64, len(in.Args))
 	}
-	for pass := 0; pass < transitionPasses; pass++ {
-		for i := 0; i < spill; i++ {
-			v.externShadow[i] = uint64(fr.regs[i].I) ^ uint64(i+pass)
-		}
-		for i := spill; i < len(v.externShadow); i++ {
-			v.externShadow[i] = v.externShadow[i]*2862933555777941757 + uint64(i)
-		}
-	}
-	args := make([]int64, len(in.Args))
+	args := v.externArgs[:len(in.Args)]
 	// Marshal: copy each argument through a byte buffer, as a real FFI
 	// boundary copies through the foreign stack/registers.
 	var buf [8]byte
@@ -625,18 +610,8 @@ func (v *VM) callExtern(fr *Frame, in *ir.Instr) error {
 		v.Stats.MarshalledBytes += 8
 	}
 	v.Stats.ExternCalls++
+	v.Stats.ExternSpilledRegs += uint64(len(fr.regs))
 	res := impl(args)
-	// Transition epilogue: reload the register window (checksummed so the
-	// work cannot be optimised out).
-	var guard uint64
-	for pass := 0; pass < transitionPasses; pass++ {
-		for i := 0; i < len(v.externShadow); i++ {
-			guard ^= v.externShadow[i] + uint64(pass)
-		}
-	}
-	if guard == 0xDEADBEEFDEADBEEF {
-		return trapf("impossible shadow state") // never taken; keeps guard live
-	}
 	rt := types.Prune(ext.Result)
 	switch rt.Kind {
 	case types.KFloat:

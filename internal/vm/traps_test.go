@@ -1,9 +1,11 @@
 package vm_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"bitc/internal/core"
 	"bitc/internal/vm"
 )
 
@@ -144,4 +146,65 @@ func parseForTest(t *testing.T, src string) (interface{}, interface{}) {
 		t.Fatalf("got %q", val.Str())
 	}
 	return val, machine
+}
+
+// TestHeapBudget holds an allocation request past the heap budget to the
+// named trap under both dispatch strategies: a vector the host cannot hold
+// must stop the program, not kill the process out of memory, and a
+// string-append past the budget traps the same way. Requests under the
+// budget run as they did without one. The vector cases run at
+// vm.HeapBudget, since the check traps before anything is allocated; the
+// string cases lower the budget so a short string reaches it.
+func TestHeapBudget(t *testing.T) {
+	maxElems := uint64(vm.HeapBudget / 32) // a vector element is 32 host bytes
+	cases := []struct {
+		name, src string
+		budget    uint64 // 0 = vm.HeapBudget
+		want      string // "" = runs to completion
+	}{
+		{"huge-vector",
+			`(define (main) int64 (let ((v (make-vector 4000000000000 0))) (vector-ref v 0)))`,
+			0, "heap budget exhausted: make-vector of 4000000000000 elements exceeds the 1073741824-byte budget"},
+		{"vector-past-int64-bytes",
+			`(define (main) int64 (let ((v (make-vector 4611686018427387904 0))) (vector-ref v 0)))`,
+			0, "heap budget exhausted: make-vector"},
+		{"vector-at-budget",
+			`(define (main) int64 (let ((v (make-vector 32 7))) (vector-ref v 31)))`,
+			1024, ""},
+		{"vector-one-past-budget",
+			fmt.Sprintf(`(define (main) int64 (let ((v (make-vector %d 7))) (vector-ref v 0)))`, maxElems+1),
+			0, "heap budget exhausted: make-vector"},
+		{"string-append-doubling",
+			`(define (main) int64
+			   (let ((mutable s "ab"))
+			     (dotimes (i 20) (set! s (string-append s s)))
+			     (string-length s)))`,
+			1000, "heap budget exhausted: string-append of 1024 bytes"},
+		{"string-append-under-budget",
+			`(define (main) int64
+			   (let ((mutable s "ab"))
+			     (dotimes (i 8) (set! s (string-append s s)))
+			     (string-length s)))`,
+			512, ""},
+	}
+	for _, c := range cases {
+		for _, dispatch := range []vm.DispatchMode{vm.DispatchFused, vm.DispatchSwitch} {
+			t.Run(c.name+"/"+dispatch.String(), func(t *testing.T) {
+				if c.budget != 0 {
+					defer vm.SetHeapBudget(c.budget)()
+				}
+				prog, err := core.Load("budget.bitc", c.src, core.Config{Dispatch: dispatch})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, _, err = prog.Run()
+				switch {
+				case c.want == "" && err != nil:
+					t.Fatalf("under budget: %v", err)
+				case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+					t.Fatalf("err = %v, want %q", err, c.want)
+				}
+			})
+		}
+	}
 }

@@ -72,6 +72,99 @@ func TestCallsAllocateNothing(t *testing.T) {
 	}
 }
 
+// externSrc loops n times over an extern of one or two arguments, and calls
+// a nullary one once.
+const externSrc = `
+  (external c-neg (-> (int64) int64) "c_neg")
+  (external c-add (-> (int64 int64) int64) "c_add")
+  (external c-seven (-> () int64) "c_seven")
+  (define (loop1 (n int64)) int64
+    (let ((mutable acc 0))
+      (dotimes (i n) (set! acc (c-neg acc)))
+      acc))
+  (define (loop2 (n int64)) int64
+    (let ((mutable acc 0))
+      (dotimes (i n) (set! acc (c-add acc i)))
+      acc))
+  (define (nullary (n int64)) int64 (+ n (c-seven)))`
+
+// externVM is a fresh VM for externSrc with its externs registered.
+func externVM(prog *core.Program) *vm.VM {
+	machine := prog.NewVM()
+	machine.Externs["c_neg"] = func(args []int64) int64 { return -args[0] }
+	machine.Externs["c_add"] = func(args []int64) int64 { return args[0] + args[1] }
+	machine.Externs["c_seven"] = func(args []int64) int64 { return 7 }
+	return machine
+}
+
+// TestExternCallsAllocateNothing runs a loop of extern calls on a fresh VM
+// per run: 1000 crossings must allocate as many Go objects as 10, because
+// arguments are marshalled into the VM's scratch, not a slice per call.
+func TestExternCallsAllocateNothing(t *testing.T) {
+	prog, err := core.Load("extern", externSrc, core.Config{Optimize: opt.O2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int64) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := externVM(prog).RunFunc("loop2", vm.IntValue(n)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a10, a1000 := allocs(10), allocs(1000); a10 != a1000 {
+		t.Errorf("10 extern calls allocate %v objects per run, 1000 allocate %v: extern calls must allocate nothing", a10, a1000)
+	}
+}
+
+// TestExternCounters pins what one crossing is charged: one ExternCalls,
+// 8 marshalled bytes per argument plus 8 for the result, and the calling
+// frame's whole register window in ExternSpilledRegs, under both dispatch
+// strategies and both representations.
+func TestExternCounters(t *testing.T) {
+	const n = 100
+	cases := []struct {
+		fn           string
+		calls        uint64
+		bytesPerCall uint64
+		want         int64 // fn(n)
+	}{
+		{"loop1", n, 16, 0},
+		{"loop2", n, 24, n * (n - 1) / 2},
+		{"nullary", 1, 8, n + 7},
+	}
+	for _, mode := range []vm.RepMode{vm.Unboxed, vm.Boxed} {
+		for _, dispatch := range []vm.DispatchMode{vm.DispatchFused, vm.DispatchSwitch} {
+			prog, err := core.Load("extern", externSrc, core.Config{Optimize: opt.O2, Mode: mode, Dispatch: dispatch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range cases {
+				name := c.fn + "/" + mode.String() + "/" + dispatch.String()
+				regs := uint64(prog.Module.Funcs[prog.Module.FuncIdx[c.fn]].NumRegs)
+				if regs == 0 {
+					t.Fatalf("%s: no registers", name)
+				}
+				machine := externVM(prog)
+				val, err := machine.RunFunc(c.fn, vm.IntValue(n))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if val.I != c.want {
+					t.Errorf("%s(%d) = %d, want %d", name, n, val.I, c.want)
+				}
+				s := machine.Stats
+				if s.ExternCalls != c.calls || s.MarshalledBytes != c.bytesPerCall*c.calls ||
+					s.ExternSpilledRegs != regs*c.calls {
+					t.Errorf("%s: externCalls=%d marshalledBytes=%d spilledRegs=%d, want %d, %d, %d",
+						name, s.ExternCalls, s.MarshalledBytes, s.ExternSpilledRegs,
+						c.calls, c.bytesPerCall*c.calls, regs*c.calls)
+				}
+			}
+		}
+	}
+}
+
 // TestStringIsNotRef hands a string where a reference is due, at every
 // kind of reference operand check, under both dispatch strategies. A
 // KString value carries an OString object in R, so any check that looked

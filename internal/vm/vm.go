@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"io"
+	"unsafe"
 
 	"bitc/internal/ir"
 	"bitc/internal/layout"
@@ -58,6 +59,20 @@ type Options struct {
 	BoundsElide map[int]bool
 }
 
+// HeapBudget bounds one allocation request in bytes of host memory: a
+// make-vector or string-append asking for more traps with "heap budget
+// exhausted" before anything is allocated, instead of the host dying out of
+// memory. 1 GiB is far above any vector or string the repository's programs
+// and benchmark workloads build. It is not a live-heap limit, and boxes (a
+// fixed 16 bytes) are never checked.
+const HeapBudget = 1 << 30
+
+// heapBudget is the budget the VM checks: HeapBudget, lowered only by tests.
+var heapBudget uint64 = HeapBudget
+
+// valueBytes is the host size of one vector element.
+const valueBytes = uint64(unsafe.Sizeof(Value{}))
+
 // Stats is the VM's instrumentation, the raw material of the benchmark tables.
 type Stats struct {
 	Instrs          uint64
@@ -73,11 +88,14 @@ type Stats struct {
 	Switches        uint64 // thread context switches
 	TxCommits       uint64
 	TxAborts        uint64
-	ExternCalls     uint64
-	MarshalledBytes uint64
-	RegionAllocs    uint64
-	ICHits          uint64 // inline-cache fast-path executions (see icache.go)
-	ICMisses        uint64 // inline-cache slow-path executions
+	ExternCalls     uint64 // boundary crossings: the fixed per-crossing unit
+	MarshalledBytes uint64 // 8 per extern argument and per result
+	// ExternSpilledRegs is the caller's register window summed over
+	// crossings: what a real cgo/JNI transition saves and restores.
+	ExternSpilledRegs uint64
+	RegionAllocs      uint64
+	ICHits            uint64 // inline-cache fast-path executions (see icache.go)
+	ICMisses          uint64 // inline-cache slow-path executions
 }
 
 // ThreadState tracks scheduling.
@@ -139,7 +157,10 @@ type lockState struct {
 	waiters []*Thread
 }
 
-// ExternFunc is a host-registered "C" function for the simulated FFI.
+// ExternFunc is a host-registered "C" function for the simulated FFI. args
+// is the VM's marshalling scratch: it is valid only for the duration of the
+// call, and is overwritten by the next extern call, so an implementation
+// that keeps the arguments (or re-enters the VM) must copy them first.
 type ExternFunc func(args []int64) int64
 
 // VM executes one module.
@@ -188,9 +209,9 @@ type VM struct {
 	// hooks use it to attribute work without widening hot signatures.
 	curThread *Thread
 
-	// externShadow is the per-VM FFI transition scratch buffer (see the
-	// comment above transitionPasses in exec.go).
-	externShadow [64]uint64
+	// externArgs is the scratch callExtern marshals arguments into, grown
+	// to the widest extern call made so far (see ExternFunc).
+	externArgs []int64
 
 	// forceRetries makes the next n top-level atomic commits retry; see
 	// ForceAtomicRetries (agreement-test hook, normally 0).

@@ -215,6 +215,19 @@ cmp "$d8/BENCH_E8.json" BENCH_E8.json || {
 echo "bench trajectory: E8 matches the committed BENCH_E8.json"
 rm -rf "$d8"
 
+# E4 trajectory gate (<0.1s): the deterministic FFI-boundary experiment must
+# reproduce the committed BENCH_E4.json byte for byte. Its rows carry the
+# counted units of each call kind (VM calls, boundary crossings, spilled
+# registers, marshalled bytes), with walls zeroed, so a change that moves
+# what a crossing is charged shows up as a reviewed diff. Regenerate
+# deliberately with `go run ./cmd/bitc-bench -e E4 -quick -deterministic -metrics .`.
+d4=$(mktemp -d)
+/tmp/bitc-bench-check -e E4 -quick -deterministic -metrics "$d4" > /dev/null
+cmp "$d4/BENCH_E4.json" BENCH_E4.json || {
+    echo "deterministic E4 run differs from the committed BENCH_E4.json"; exit 1; }
+echo "bench trajectory: E4 matches the committed BENCH_E4.json"
+rm -rf "$d4"
+
 # ANALYZE trajectory gate (~0.5s): the deterministic incremental-analysis
 # experiment must reproduce the committed BENCH_ANALYZE.json byte for byte.
 # Its rows carry findings and per-run fact-store hits and misses, so a change
