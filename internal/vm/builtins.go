@@ -90,6 +90,12 @@ func (v *VM) builtin(t *Thread, fr *Frame, in *ir.Instr) error {
 		if capacity < 0 {
 			return trapf("make-chan with negative capacity")
 		}
+		// The buffer grows lazily, but a capacity is a request for that
+		// many values: bound it as make-vector bounds a length.
+		if uint64(capacity) > heapBudget/valueBytes {
+			return trapf("heap budget exhausted: make-chan of capacity %d exceeds the %d-byte budget",
+				capacity, heapBudget)
+		}
 		o := &Object{Kind: OChan, Chan: &ChanState{Cap: int(capacity)}, Region: -1}
 		v.accountAlloc(o, 32+uint64(capacity)*8)
 		fr.regs[in.Dst] = refVal(o)

@@ -45,8 +45,8 @@ type handler func(v *VM, t *Thread, fr *Frame, d *dinstr) error
 // dinstr is one decoded instruction slot. For a superinstruction, the slot
 // holds component 1's operands inline, `base` holds component 1's original
 // handler, and `fused` holds the remaining components; `width` is the number
-// of original instructions the slot consumes (for quantum and instruction-
-// budget accounting — see VM.runQuantum and VM.tickFused).
+// of original instructions the slot consumes, an absorbed branch included
+// (for quantum and instruction-budget accounting — see VM.runFused).
 type dinstr struct {
 	h       handler
 	base    handler // first component of a fused chain
@@ -54,6 +54,14 @@ type dinstr struct {
 	width   uint8
 	boxIt   bool // box the result (Boxed mode, NoBox not honoured)
 	canFuse bool // specialized, non-blocking, frame-neutral: fusible
+	// ctl marks a slot that can transfer control: push or pop a frame,
+	// move the ip, block, yield or retry an atomic block (calls, hSlow,
+	// fused branches). runFused re-fetches the frame only after one.
+	ctl bool
+	br  bool // the block's branch terminator is absorbed as the last component
+	// elide marks a vector access whose bounds check the prover
+	// discharged (Options.BoundsElide): its IC hit skips the compare.
+	elide bool
 
 	dst, a, b ir.Reg
 	args      []ir.Reg
@@ -158,9 +166,12 @@ func (v *VM) decodeInstr(in *ir.Instr) dinstr {
 	}
 	d.boxIt = v.opts.Mode == Boxed && !(v.opts.RespectNoBox && in.NoBox)
 	if v.opts.Dispatch == DispatchSwitch {
-		d.h, d.label = hSlow, "switch"
+		d.h, d.label, d.ctl = hSlow, "switch", true
 		return d
 	}
+	// Unboxed, no operand is ever boxed: the raw handlers below read and
+	// write .I directly where nothing wraps either.
+	unboxed := v.opts.Mode == Unboxed
 	switch in.Op {
 	case ir.OpConst:
 		d.val = constValue(in)
@@ -177,17 +188,18 @@ func (v *VM) decodeInstr(in *ir.Instr) dinstr {
 		d.h, d.label, d.canFuse = hGlobal, "global", true
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpMod:
 		if in.Float {
-			d.h, d.label = hSlow, "arith.f"
+			d.h, d.label, d.ctl = hSlow, "arith.f", true
 			break
 		}
+		raw := unboxed && in.NumBits >= 64 // 64-bit results never wrap
 		d.canFuse = true
 		switch in.Op {
 		case ir.OpAdd:
-			d.h, d.label = hAddI, "add.i"
+			d.h, d.label = pick(raw, hAddRaw, hAddI), "add.i"
 		case ir.OpSub:
-			d.h, d.label = hSubI, "sub.i"
+			d.h, d.label = pick(raw, hSubRaw, hSubI), "sub.i"
 		case ir.OpMul:
-			d.h, d.label = hMulI, "mul.i"
+			d.h, d.label = pick(raw, hMulRaw, hMulI), "mul.i"
 		case ir.OpDiv:
 			d.h, d.label = hDivI, "div.i"
 		default:
@@ -197,9 +209,12 @@ func (v *VM) decodeInstr(in *ir.Instr) dinstr {
 		d.h, d.label, d.canFuse = hBitI, "bit.i", true
 	case ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
 		if in.Float {
-			d.h, d.label = hSlow, "cmp.f"
+			d.h, d.label, d.ctl = hSlow, "cmp.f", true
 			break
 		}
+		// A signed compare needs no width: narrow values are kept
+		// sign-extended in .I.
+		raw := unboxed && in.Signed
 		d.canFuse = true
 		switch in.Op {
 		case ir.OpEq:
@@ -207,21 +222,21 @@ func (v *VM) decodeInstr(in *ir.Instr) dinstr {
 		case ir.OpNe:
 			d.h, d.label = hNeI, "ne.i"
 		case ir.OpLt:
-			d.h, d.label = hLtI, "lt.i"
+			d.h, d.label = pick(raw, hLtRaw, hLtI), "lt.i"
 		case ir.OpLe:
 			d.h, d.label = hLeI, "le.i"
 		case ir.OpGt:
-			d.h, d.label = hGtI, "gt.i"
+			d.h, d.label = pick(raw, hGtRaw, hGtI), "gt.i"
 		default:
-			d.h, d.label = hGeI, "ge.i"
+			d.h, d.label = pick(raw, hGeRaw, hGeI), "ge.i"
 		}
 	case ir.OpNot:
 		d.h, d.label = hNot, "lnot"
 	case ir.OpCall:
 		d.callee = v.dfuncs[in.Imm]
-		d.h, d.label = hCall, "call"
+		d.h, d.label, d.ctl = hCall, "call", true
 	case ir.OpCallClosure:
-		d.h, d.label = hCallClosure, "callc"
+		d.h, d.label, d.ctl = hCallClosure, "callc", true
 	case ir.OpGetField:
 		d.ic = &icache{}
 		d.h, d.label, d.canFuse = hGetField, "getfield.ic", true
@@ -235,20 +250,28 @@ func (v *VM) decodeInstr(in *ir.Instr) dinstr {
 		// compare. The label marks the elision for disasm; it only appears
 		// when a proof set was supplied, so baseline disassembly is stable.
 		if in.Pos != 0 && v.opts.BoundsElide[in.Pos] {
-			d.h, d.label = hVecRefElide, "vecref.ic!"
+			d.elide, d.label = true, "vecref.ic!"
 		}
 	case ir.OpVecSet:
 		d.ic = &icache{}
 		d.h, d.label = hVecSet, "vecset.ic"
 		if in.Pos != 0 && v.opts.BoundsElide[in.Pos] {
-			d.h, d.label = hVecSetElide, "vecset.ic!"
+			d.elide, d.label = true, "vecset.ic!"
 		}
 	case ir.OpVecLen:
 		d.h, d.label = hVecLen, "veclen"
 	default:
-		d.h, d.label = hSlow, "slow"
+		d.h, d.label, d.ctl = hSlow, "slow", true
 	}
 	return d
+}
+
+// pick returns the raw handler when raw holds, else the general one.
+func pick(raw bool, rawH, h handler) handler {
+	if raw {
+		return rawH
+	}
+	return h
 }
 
 // boxableKind reports whether boxResult would box a value of kind k.
@@ -329,6 +352,53 @@ func hSubI(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 func hMulI(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	r := v.loadInt(fr.regs[d.a]) * v.loadInt(fr.regs[d.b])
 	v.put(d, fr, intVal(wrap(r, d.bits, d.signed)))
+	return nil
+}
+
+// The raw handlers are the Unboxed 64-bit (add/sub/mul) and signed
+// (compare) specialisations: no operand is boxed, nothing wraps and
+// nothing is boxed, so they read and write .I directly. A comparison keeps
+// the cmpFallback guard for strings, floats and references.
+
+func hAddRaw(v *VM, t *Thread, fr *Frame, d *dinstr) error {
+	fr.regs[d.dst] = intVal(fr.regs[d.a].I + fr.regs[d.b].I)
+	return nil
+}
+
+func hSubRaw(v *VM, t *Thread, fr *Frame, d *dinstr) error {
+	fr.regs[d.dst] = intVal(fr.regs[d.a].I - fr.regs[d.b].I)
+	return nil
+}
+
+func hMulRaw(v *VM, t *Thread, fr *Frame, d *dinstr) error {
+	fr.regs[d.dst] = intVal(fr.regs[d.a].I * fr.regs[d.b].I)
+	return nil
+}
+
+func hLtRaw(v *VM, t *Thread, fr *Frame, d *dinstr) error {
+	a, b := fr.regs[d.a], fr.regs[d.b]
+	if cmpFallback(a, b) {
+		return v.compare(t, fr, d.src)
+	}
+	fr.regs[d.dst] = boolVal(a.I < b.I)
+	return nil
+}
+
+func hGtRaw(v *VM, t *Thread, fr *Frame, d *dinstr) error {
+	a, b := fr.regs[d.a], fr.regs[d.b]
+	if cmpFallback(a, b) {
+		return v.compare(t, fr, d.src)
+	}
+	fr.regs[d.dst] = boolVal(a.I > b.I)
+	return nil
+}
+
+func hGeRaw(v *VM, t *Thread, fr *Frame, d *dinstr) error {
+	a, b := fr.regs[d.a], fr.regs[d.b]
+	if cmpFallback(a, b) {
+		return v.compare(t, fr, d.src)
+	}
+	fr.regs[d.dst] = boolVal(a.I >= b.I)
 	return nil
 }
 

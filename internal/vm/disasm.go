@@ -49,8 +49,7 @@ func renderSlot(d *dinstr) string {
 	for i := range d.fused {
 		s += " ; " + d.fused[i].src.String()
 	}
-	if d.width > 1 && len(d.fused)+1 < int(d.width) {
-		// The branch terminator is fused in.
+	if d.br {
 		s += fmt.Sprintf(" ; br r%d b%d b%d", d.cond, d.to, d.els)
 	}
 	return s

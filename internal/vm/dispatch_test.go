@@ -361,6 +361,103 @@ func TestDispatchDifferentialSTMThreads(t *testing.T) {
 	}
 }
 
+// TestDispatchDifferentialTraps holds the fused loop's accounting exact
+// where a slot ends early. Without an observer and with the budget out of
+// reach, the loop charges a superinstruction's whole width up front, so a
+// trap in a component before the last must refund the rest; a budget about
+// to run out sends the quantum down the exact path, which charges per
+// component and so must stop inside a slot exactly where the switch
+// interpreter stops. Values, trap text and core counters must agree under
+// both representations. The budget cases sweep MaxSteps, several quanta in,
+// over more than a quantum plus the widest slot, so the budget runs out at
+// every slot boundary of the loop (inside each pair, on each absorbed
+// branch) and at every distance from a quantum's start, where the loop
+// picks the fast or the exact path. Each case pins the fused slot it is
+// about.
+func TestDispatchDifferentialTraps(t *testing.T) {
+	cases := []struct {
+		name, src string
+		arg       int64
+		slot      string // a fused slot the program must contain
+		steps     uint64 // first MaxSteps of the sweep; 0 = unlimited
+		span      uint64 // number of MaxSteps values swept
+		trap      string
+	}{
+		{"vecref-trap-in-component-1", `
+(define (get (v (vector int64)) (i int64)) int64 (+ (vector-ref v i) i))
+(define (entry (n int64)) int64
+  (let ((v (make-vector 4 7)) (mutable acc 0))
+    (dotimes (i 4) (set! acc (+ acc (get v i))))
+    (+ acc (get v n))))`, 9, "fuse[vecref.ic+add.i]", 0, 1,
+			"trap: vector index 9 out of range 0..3"},
+		{"div-by-zero-in-component-2", `
+(define (entry (n int64)) int64
+  (let ((mutable acc 0))
+    (dotimes (i 50) (set! acc (+ acc i)))
+    (+ acc (/ n 0))))`, 7, "+div.i]", 0, 1,
+			"trap: division by zero"},
+		{"budget-inside-pair", `
+(define (entry (n int64)) int64
+  (let ((mutable acc 0))
+    (dotimes (i n) (set! acc (+ (* acc 3) i)))
+    acc))`, 1000, "+mul.i]", 300, 72,
+			"trap: instruction budget exhausted"},
+		{"budget-on-absorbed-branch", `
+(defstruct c (x int64))
+(define (entry (n int64)) int64
+  (let ((o (make c :x 0)))
+    (while (< (field o x) n) (set-field! o x (+ (field o x) 1)))
+    (field o x)))`, 1000, "fuse[getfield.ic+lt.i+br]", 300, 72,
+			"trap: instruction budget exhausted"},
+	}
+	for _, c := range cases {
+		for _, rep := range []vm.RepMode{vm.Unboxed, vm.Boxed} {
+			t.Run(fmt.Sprintf("%s/%v", c.name, rep), func(t *testing.T) {
+				progs := map[vm.DispatchMode]*core.Program{}
+				for _, d := range dispatchModes {
+					prog, err := core.Load("t.bitc", c.src, core.Config{Optimize: opt.O2, Mode: rep, Dispatch: d})
+					if err != nil {
+						t.Fatalf("load: %v", err)
+					}
+					progs[d] = prog
+				}
+				var listing strings.Builder
+				for _, fn := range progs[vm.DispatchFused].Module.Funcs {
+					l, err := progs[vm.DispatchFused].NewVM().DisasmFunc(fn.Name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					listing.WriteString(l)
+				}
+				if !strings.Contains(listing.String(), c.slot) {
+					t.Fatalf("no %s slot in the fused listing:\n%s", c.slot, listing.String())
+				}
+				for k := c.steps; k < c.steps+c.span; k++ {
+					var base map[string]uint64
+					for _, d := range dispatchModes {
+						machine := vm.New(progs[d].Module, vm.Options{Mode: rep, Dispatch: d, MaxSteps: k})
+						_, err := machine.RunFunc("entry", vm.IntValue(c.arg))
+						if err == nil || err.Error() != c.trap {
+							t.Fatalf("MaxSteps=%d %v: err = %v, want %q", k, d, err, c.trap)
+						}
+						cnt := coreCounters(machine.Stats)
+						if base == nil {
+							base = cnt
+							continue
+						}
+						for name, want := range base {
+							if cnt[name] != want {
+								t.Errorf("MaxSteps=%d counter %s: %v=%d %v=%d",
+									k, name, dispatchModes[0], want, d, cnt[name])
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestICVectorIdentityInvalidation warms a vector-access site on one object,
 // then routes a different vector through the same site: the monomorphic
 // cache must miss, recover through the slow path, and re-fill.

@@ -9,13 +9,17 @@ package vm
 // non-blocking, frame-neutral instructions fuse, so a fused component either
 // completes or traps, never yields mid-superinstruction.
 //
-// Fidelity: a superinstruction still ticks the observability clock, counts
-// Stats.Instrs, and consumes instruction budget once per original component
-// (see VM.tickFused/useStep), so profiles, traces, and budget traps are
-// identical to unfused execution. The one permitted divergence is quantum
-// granularity: a superinstruction never splits across a preemption point,
-// so a thread may overrun its quantum by at most width-1 instructions.
-// docs/vm.md documents this contract.
+// Fidelity: a superinstruction still counts Stats.Instrs and consumes
+// instruction budget once per original component, and on the exact path
+// (an observer attached, or the budget within reach) VM.runExact runs its
+// components one at a time, ticking between them, so profiles, traces, and
+// budget traps are identical to unfused execution. The handlers below are
+// the fast path: they run the components back to back and leave the
+// accounting to the loop, which charges the slot's width and, when a later
+// component traps (slotTrap), only the components that ran. The one
+// permitted divergence is quantum granularity: a superinstruction never
+// splits across a preemption point, so a thread may overrun its quantum by
+// at most width-1 instructions. docs/vm.md documents this contract.
 
 import (
 	"bitc/internal/ir"
@@ -39,6 +43,7 @@ func fuseBlock(blk dblock) dblock {
 				f.width = 3
 				f.fused = []dinstr{*c2}
 				f.cond, f.to, f.els = term.cond, term.to, term.els
+				f.ctl, f.br = true, true
 				f.label = "fuse[" + c1.label + "+" + c2.label + "+br]"
 				out = append(out, f)
 				blk.termFused = true
@@ -52,6 +57,7 @@ func fuseBlock(blk dblock) dblock {
 			f.base, f.h = c1.h, fCmpBr
 			f.width = 2
 			f.cond, f.to, f.els = term.cond, term.to, term.els
+			f.ctl, f.br = true, true
 			f.label = "fuse[" + c1.label + "+br]"
 			out = append(out, f)
 			blk.termFused = true
@@ -122,36 +128,36 @@ func fusePair(c1, c2 *dinstr) (dinstr, bool) {
 // Superinstruction handlers
 // ---------------------------------------------------------------------------
 
-// fPair runs component 1 (the slot's own operands, via base) then component
-// 2, ticking the clock and budget between them exactly as unfused execution
-// would.
+// fPair runs component 1 (the slot's own operands, via base) then
+// component 2.
 func fPair(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	if err := d.base(v, t, fr, d); err != nil {
 		return err
 	}
 	e := &d.fused[0]
-	if err := v.tickFused(t, fr, e.op); err != nil {
+	if err := e.h(v, t, fr, e); err != nil {
+		v.slotTrap = 1
 		return err
 	}
-	return e.h(v, t, fr, e)
+	return nil
 }
 
-// fCmpBr runs a comparison then the block's branch terminator. The
-// terminator consumes budget but does not tick (terminators never count as
-// instructions), matching the unfused scheduler loop.
-func fCmpBr(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	if err := d.base(v, t, fr, d); err != nil {
-		return err
-	}
-	if err := v.useStep(); err != nil {
-		return err
-	}
+// branch takes a superinstruction's absorbed branch terminator.
+func branch(fr *Frame, d *dinstr) {
 	if fr.regs[d.cond].Truthy() {
 		fr.block = d.to
 	} else {
 		fr.block = d.els
 	}
 	fr.ip = 0
+}
+
+// fCmpBr runs a comparison then the block's branch terminator.
+func fCmpBr(v *VM, t *Thread, fr *Frame, d *dinstr) error {
+	if err := d.base(v, t, fr, d); err != nil {
+		return err
+	}
+	branch(fr, d)
 	return nil
 }
 
@@ -161,21 +167,11 @@ func fTripleBr(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 		return err
 	}
 	e := &d.fused[0]
-	if err := v.tickFused(t, fr, e.op); err != nil {
-		return err
-	}
 	if err := e.h(v, t, fr, e); err != nil {
+		v.slotTrap = 1
 		return err
 	}
-	if err := v.useStep(); err != nil {
-		return err
-	}
-	if fr.regs[d.cond].Truthy() {
-		fr.block = d.to
-	} else {
-		fr.block = d.els
-	}
-	fr.ip = 0
+	branch(fr, d)
 	return nil
 }
 
@@ -185,9 +181,6 @@ func fTripleBr(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 func fConstAddB(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	fr.regs[d.dst] = d.val
 	e := &d.fused[0]
-	if err := v.tickFused(t, fr, e.op); err != nil {
-		return err
-	}
 	fr.regs[e.dst] = intVal(v.loadInt(fr.regs[e.a]) + d.val.I)
 	return nil
 }
@@ -196,9 +189,6 @@ func fConstAddB(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 func fConstSubB(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	fr.regs[d.dst] = d.val
 	e := &d.fused[0]
-	if err := v.tickFused(t, fr, e.op); err != nil {
-		return err
-	}
 	fr.regs[e.dst] = intVal(v.loadInt(fr.regs[e.a]) - d.val.I)
 	return nil
 }

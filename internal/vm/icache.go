@@ -76,14 +76,20 @@ func fieldMiss(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	return nil
 }
 
+// hVecRef and hVecSet serve both checked and elided sites. At a site the
+// static prover discharged (Options.BoundsElide), decode sets d.elide and
+// the hit skips the bounds compare: the index is in range on every
+// execution that reaches it. The identity and transaction guards, the
+// counters and the single index load (the box-read accounting must match
+// the slow path's) are the same either way, so elision is invisible to
+// everything but the cycle count.
 func hVecRef(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	ic := d.ic
 	if val := fr.regs[d.a]; val.K == KRef && val.R == ic.obj && t.txn == nil {
-		// Once the identity matches, this path is definitive: the index is
-		// loaded exactly once (the box-read accounting must match the slow
-		// path's), and out of bounds traps here with the slow path's message.
+		// Once the identity matches, this path is definitive: out of
+		// bounds traps here with the slow path's message.
 		i := v.loadInt(fr.regs[d.b])
-		if uint64(i) >= uint64(ic.bound) {
+		if !d.elide && uint64(i) >= uint64(ic.bound) {
 			v.Stats.ICMisses++
 			return trapf("vector index %d out of range 0..%d", i, ic.bound-1)
 		}
@@ -99,42 +105,10 @@ func hVecSet(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	ic := d.ic
 	if val := fr.regs[d.a]; val.K == KRef && val.R == ic.obj && t.txn == nil {
 		i := v.loadInt(fr.regs[d.b])
-		if uint64(i) >= uint64(ic.bound) {
+		if !d.elide && uint64(i) >= uint64(ic.bound) {
 			v.Stats.ICMisses++
 			return trapf("vector index %d out of range 0..%d", i, ic.bound-1)
 		}
-		v.Stats.ICHits++
-		v.Stats.VecOps++
-		val.R.Elems[i] = fr.regs[d.args[0]]
-		val.R.Version++
-		return nil
-	}
-	return vecMiss(v, t, fr, d)
-}
-
-// hVecRefElide is hVecRef minus the bounds compare: selected at decode time
-// only for sites the static prover discharged (Options.BoundsElide), so the
-// index is in range on every execution that reaches the fast path. The
-// identity and transaction guards, counter increments, and index-load
-// accounting are kept exactly as in hVecRef — elision must be invisible to
-// everything but the cycle count.
-func hVecRefElide(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	ic := d.ic
-	if val := fr.regs[d.a]; val.K == KRef && val.R == ic.obj && t.txn == nil {
-		i := v.loadInt(fr.regs[d.b])
-		v.Stats.ICHits++
-		v.Stats.VecOps++
-		fr.regs[d.dst] = val.R.Elems[i]
-		return nil
-	}
-	return vecMiss(v, t, fr, d)
-}
-
-// hVecSetElide is hVecSet minus the bounds compare; see hVecRefElide.
-func hVecSetElide(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	ic := d.ic
-	if val := fr.regs[d.a]; val.K == KRef && val.R == ic.obj && t.txn == nil {
-		i := v.loadInt(fr.regs[d.b])
 		v.Stats.ICHits++
 		v.Stats.VecOps++
 		val.R.Elems[i] = fr.regs[d.args[0]]

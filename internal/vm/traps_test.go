@@ -151,10 +151,12 @@ func parseForTest(t *testing.T, src string) (interface{}, interface{}) {
 // TestHeapBudget holds an allocation request past the heap budget to the
 // named trap under both dispatch strategies: a vector the host cannot hold
 // must stop the program, not kill the process out of memory, and a
-// string-append past the budget traps the same way. Requests under the
-// budget run as they did without one. The vector cases run at
-// vm.HeapBudget, since the check traps before anything is allocated; the
-// string cases lower the budget so a short string reaches it.
+// string-append past the budget traps the same way, as does a make-chan
+// whose capacity the budget could not hold (its accounted bytes would
+// otherwise wrap). Requests under the budget run as they did without one.
+// The vector and channel cases run at vm.HeapBudget, since the check traps
+// before anything is allocated; the string cases lower the budget so a
+// short string reaches it.
 func TestHeapBudget(t *testing.T) {
 	maxElems := uint64(vm.HeapBudget / 32) // a vector element is 32 host bytes
 	cases := []struct {
@@ -174,6 +176,15 @@ func TestHeapBudget(t *testing.T) {
 		{"vector-one-past-budget",
 			fmt.Sprintf(`(define (main) int64 (let ((v (make-vector %d 7))) (vector-ref v 0)))`, maxElems+1),
 			0, "heap budget exhausted: make-vector"},
+		{"huge-chan",
+			`(define (main) int64 (let ((c (make-chan 2305843009213693952))) 0))`,
+			0, "heap budget exhausted: make-chan of capacity 2305843009213693952 exceeds the 1073741824-byte budget"},
+		{"chan-one-past-budget",
+			fmt.Sprintf(`(define (main) int64 (let ((c (make-chan %d))) 0))`, maxElems+1),
+			0, "heap budget exhausted: make-chan"},
+		{"chan-at-budget",
+			fmt.Sprintf(`(define (main) int64 (let ((c (make-chan %d))) 0))`, maxElems),
+			0, ""},
 		{"string-append-doubling",
 			`(define (main) int64
 			   (let ((mutable s "ab"))

@@ -60,10 +60,11 @@ type Options struct {
 }
 
 // HeapBudget bounds one allocation request in bytes of host memory: a
-// make-vector or string-append asking for more traps with "heap budget
-// exhausted" before anything is allocated, instead of the host dying out of
-// memory. 1 GiB is far above any vector or string the repository's programs
-// and benchmark workloads build. It is not a live-heap limit, and boxes (a
+// make-vector, make-chan (its capacity, in vector elements) or
+// string-append asking for more traps with "heap budget exhausted" before
+// anything is allocated, instead of the host dying out of memory. 1 GiB is
+// far above any vector, channel or string the repository's programs and
+// benchmark workloads build. It is not a live-heap limit, and boxes (a
 // fixed 16 bytes) are never checked.
 const HeapBudget = 1 << 30
 
@@ -208,6 +209,11 @@ type VM struct {
 	// curThread is the thread currently executing a quantum; allocation
 	// hooks use it to attribute work without widening hot signatures.
 	curThread *Thread
+	// slotTrap is the index of the component a superinstruction trapped
+	// in, when it is not the first: the fused handlers set it on their
+	// error path only, and runFused's fast path reads and clears it to
+	// charge exactly the components that ran.
+	slotTrap int
 
 	// externArgs is the scratch callExtern marshals arguments into, grown
 	// to the widest extern call made so far (see ExternFunc).
@@ -452,12 +458,7 @@ func (v *VM) pickRunnable() *Thread {
 }
 
 // runQuantum executes up to Quantum slots on t. The dispatch mode is tested
-// once per quantum, not per slot. Per slot the fused loop makes the same
-// checks in the same order as runSwitch — thread state, yield, instruction
-// budget — then fetches and runs one decoded slot (instruction,
-// superinstruction, or terminator). A superinstruction consumes its full
-// width, so fusion can overrun a quantum boundary by at most width-1
-// instructions but never under-charges the scheduler.
+// once per quantum, not per slot; DispatchFused runs runFused.
 func (v *VM) runQuantum(t *Thread) error {
 	v.curThread = t
 	var spanStart uint64
@@ -468,44 +469,152 @@ func (v *VM) runQuantum(t *Thread) error {
 	if v.opts.Dispatch == DispatchSwitch {
 		err = v.runSwitch(t)
 	} else {
-		for n := 0; n < v.opts.Quantum; {
-			if t.state != TRunnable || len(t.frames) == 0 {
-				break
-			}
-			if t.yielded {
-				t.yielded = false
-				break
-			}
-			if v.stepsLeft == 0 {
-				err = trapf("instruction budget exhausted")
-				break
-			}
-			v.stepsLeft--
-			fr := t.frames[len(t.frames)-1]
-			blk := &fr.fn.blocks[fr.block]
-			if fr.ip >= len(blk.code) {
-				n++
-				if err = v.terminator(t, fr, &blk.term); err != nil {
-					break
-				}
-				continue
-			}
-			d := &blk.code[fr.ip]
-			fr.ip++
-			v.Stats.Instrs++
-			if v.obs != nil {
-				v.obs.Tick(t.obs, fr.prof, int(d.op))
-			}
-			n += int(d.width)
-			if err = d.h(v, t, fr, d); err != nil {
-				break
-			}
-		}
+		err = v.runFused(t)
 	}
 	if v.obs != nil {
 		v.obs.RunSpan(t.obs, v.obs.Clock()-spanStart)
 	}
 	return err
+}
+
+// maxWidth is the widest superinstruction slot, in budget units (fuse.go's
+// load+compare+branch).
+const maxWidth = 3
+
+// runFused is the fused interpreter's loop. It makes the checks runSwitch
+// makes per step — thread state, yield, instruction budget — but only where
+// their answer can change:
+//
+//   - Dispatch is block-local: the top frame, its block's code and the ip
+//     live in locals. A jump, a branch or a fused branch only changes the
+//     block. The frame is fetched again, with the thread-state and yield
+//     checks, only after a return or a slot decode marked ctl that is not a
+//     fused branch (a call or an hSlow op), the only slots that can push
+//     or pop frames, block, yield or retry an atomic block.
+//   - Accounting is per quantum when no observer is attached and the budget
+//     cannot run out within it (stepsLeft >= Quantum+maxWidth): the loop
+//     counts budget units and terminators in locals and writes the budget
+//     and Stats.Instrs back once, and superinstruction handlers do no
+//     per-component ticking. Otherwise the quantum takes the exact path,
+//     runExact, which charges budget, Stats.Instrs and the observer per
+//     component. The flag is fixed for the quantum.
+//
+// A superinstruction consumes its full width, so fusion can overrun a
+// quantum boundary by at most width-1 instructions but never under-charges
+// the scheduler. Either path charges exactly the components that ran, a
+// trapping slot included.
+func (v *VM) runFused(t *Thread) error {
+	q := v.opts.Quantum
+	exact := v.obs != nil || v.stepsLeft < uint64(q)+maxWidth
+	// n counts budget units (source instructions plus terminators, fused
+	// in or not) and terms the terminators, so n-terms is Stats.Instrs.
+	n, terms := 0, 0
+	var err error
+	for n < q && err == nil {
+		if t.state != TRunnable || len(t.frames) == 0 {
+			break
+		}
+		if t.yielded {
+			t.yielded = false
+			break
+		}
+		fr := t.frames[len(t.frames)-1]
+		blk := &fr.fn.blocks[fr.block]
+		code, ip := blk.code, fr.ip
+		for {
+			if ip >= len(code) {
+				n++
+				terms++
+				if exact {
+					if err = v.useStep(); err != nil {
+						break
+					}
+				}
+				if term := &blk.term; term.inFrame() {
+					fr.block, fr.ip = term.target(fr), 0
+				} else {
+					err = v.terminator(t, fr, term)
+					break // a return: fetch the frame again
+				}
+			} else {
+				d := &code[ip]
+				ip++
+				n += int(d.width)
+				if d.ctl {
+					fr.ip = ip
+				}
+				if exact {
+					err = v.runExact(t, fr, d)
+				} else if err = d.h(v, t, fr, d); err != nil {
+					// The slot was charged whole; the trap ended it in
+					// component slotTrap, so refund the components after it.
+					n -= int(d.width) - 1 - v.slotTrap
+					v.slotTrap = 0
+				}
+				if err != nil {
+					fr.ip = ip
+					break
+				}
+				if !d.ctl {
+					if n >= q {
+						fr.ip = ip
+						break
+					}
+					continue
+				}
+				if !d.br {
+					break // a call or an hSlow op: fetch the frame again
+				}
+				terms++
+			}
+			// A jump, a branch or a fused branch: same frame, new block.
+			if n >= q {
+				break
+			}
+			blk = &fr.fn.blocks[fr.block]
+			code, ip = blk.code, 0
+		}
+	}
+	if !exact {
+		v.stepsLeft -= uint64(n)
+		v.Stats.Instrs += uint64(n - terms)
+	}
+	return err
+}
+
+// runExact runs one decoded slot with per-component accounting: before each
+// source instruction it checks and charges the budget, counts Stats.Instrs
+// and ticks the observer, and an absorbed branch is charged budget without
+// being counted, exactly as between unfused dispatches. A superinstruction
+// runs its components (base, then each of fused, then the branch) one at a
+// time, so a budget trap lands between the same two instructions it would
+// under DispatchSwitch.
+func (v *VM) runExact(t *Thread, fr *Frame, d *dinstr) error {
+	if err := v.tick(t, fr, d.op); err != nil {
+		return err
+	}
+	if d.base == nil {
+		return d.h(v, t, fr, d)
+	}
+	if err := d.base(v, t, fr, d); err != nil {
+		return err
+	}
+	for i := range d.fused {
+		e := &d.fused[i]
+		if err := v.tick(t, fr, e.op); err != nil {
+			return err
+		}
+		if err := e.h(v, t, fr, e); err != nil {
+			return err
+		}
+	}
+	if d.br {
+		if err := v.useStep(); err != nil {
+			return err
+		}
+		branch(fr, d)
+	}
+	return nil
 }
 
 // runSwitch is runQuantum's DispatchSwitch loop: one step per source
@@ -550,10 +659,9 @@ func (v *VM) step(t *Thread) error {
 	return v.exec(t, fr, in)
 }
 
-// tickFused charges one original instruction executed inside a
-// superinstruction: budget, Stats.Instrs, and the observability clock fire
-// exactly as they would between two unfused dispatches.
-func (v *VM) tickFused(t *Thread, fr *Frame, op ir.Op) error {
+// tick charges one source instruction on the exact path: budget,
+// Stats.Instrs, and the observability clock.
+func (v *VM) tick(t *Thread, fr *Frame, op ir.Op) error {
 	if v.stepsLeft == 0 {
 		return trapf("instruction budget exhausted")
 	}
@@ -565,9 +673,9 @@ func (v *VM) tickFused(t *Thread, fr *Frame, op ir.Op) error {
 	return nil
 }
 
-// useStep charges instruction budget without ticking — the fused-in
-// terminator's share, since terminators consume a scheduler slot but are
-// not counted or profiled as instructions.
+// useStep charges instruction budget without ticking, on the exact path: a
+// terminator's share (fused in or not), since terminators consume a
+// scheduler slot but are not counted or profiled as instructions.
 func (v *VM) useStep() error {
 	if v.stepsLeft == 0 {
 		return trapf("instruction budget exhausted")
@@ -576,18 +684,24 @@ func (v *VM) useStep() error {
 	return nil
 }
 
+// inFrame reports whether the terminator stays in its frame: a jump or a
+// branch, which only changes the block.
+func (term *dterm) inFrame() bool {
+	return term.kind == ir.TermJump || term.kind == ir.TermBranch
+}
+
+// target returns the block a jump or branch terminator goes to.
+func (term *dterm) target(fr *Frame) int {
+	if term.kind == ir.TermBranch && !fr.regs[term.cond].Truthy() {
+		return term.els
+	}
+	return term.to
+}
+
 func (v *VM) terminator(t *Thread, fr *Frame, term *dterm) error {
 	switch term.kind {
-	case ir.TermJump:
-		fr.block, fr.ip = term.to, 0
-		return nil
-	case ir.TermBranch:
-		if fr.regs[term.cond].Truthy() {
-			fr.block = term.to
-		} else {
-			fr.block = term.els
-		}
-		fr.ip = 0
+	case ir.TermJump, ir.TermBranch:
+		fr.block, fr.ip = term.target(fr), 0
 		return nil
 	case ir.TermReturn:
 		var result Value
@@ -738,26 +852,31 @@ func (v *VM) obsAlloc(kind string, bytes uint64) {
 }
 
 // loadInt reads an integer operand, paying the unbox cost when it is boxed.
+// The boxed read is its own function so that this one inlines.
 func (v *VM) loadInt(val Value) int64 {
 	if val.b != nil {
-		v.Stats.BoxReads++
-		if v.obs != nil {
-			v.obs.BoxRead()
-		}
-		return val.b.i
+		return v.loadBoxed(val.b).i
 	}
 	return val.I
 }
 
 func (v *VM) loadFloat(val Value) float64 {
 	if val.b != nil {
-		v.Stats.BoxReads++
-		if v.obs != nil {
-			v.obs.BoxRead()
-		}
-		return val.b.f
+		return v.loadBoxed(val.b).f
 	}
 	return val.Float()
+}
+
+// loadBoxed charges one box read and returns the box. It is kept out of
+// line so that loadInt and loadFloat stay within the inlining budget.
+//
+//go:noinline
+func (v *VM) loadBoxed(b *box) *box {
+	v.Stats.BoxReads++
+	if v.obs != nil {
+		v.obs.BoxRead()
+	}
+	return b
 }
 
 // wrap truncates x to the given width/signedness (two's complement).
