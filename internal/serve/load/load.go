@@ -53,6 +53,7 @@ type Generator struct {
 	hot  int64
 	rng  uint64
 	next int64
+	buf  []Txn // Tick's result, reused every tick
 }
 
 // New creates a generator. The hot set is the first max(8, Users/1024)
@@ -85,13 +86,14 @@ func (g *Generator) Hot() int64 { return g.hot }
 func (g *Generator) Generated() int64 { return g.next }
 
 // Tick emits the arrivals for one tick: exactly Rate transactions stamped
-// with the given arrival tick.
+// with the given arrival tick. The result is valid until the next Tick,
+// which reuses its storage; copy what must outlive it.
 func (g *Generator) Tick(tick int) []Txn {
-	out := make([]Txn, 0, g.cfg.Rate)
+	g.buf = g.buf[:0]
 	for i := 0; i < g.cfg.Rate; i++ {
-		out = append(out, g.txn(tick))
+		g.buf = append(g.buf, g.txn(tick))
 	}
-	return out
+	return g.buf
 }
 
 func (g *Generator) txn(tick int) Txn {

@@ -110,3 +110,14 @@ func TestTinyPopulation(t *testing.T) {
 		}
 	}
 }
+
+// TestTickReusesBuffer pins that a tick after the first allocates nothing:
+// Tick hands out the same storage every tick.
+func TestTickReusesBuffer(t *testing.T) {
+	g := New(Config{Users: 1000, Shards: 4, Rate: 500, Skew: 0.3, Cross: 0.2, Seed: 3})
+	g.Tick(0)
+	tick := 1
+	if allocs := testing.AllocsPerRun(10, func() { g.Tick(tick); tick++ }); allocs != 0 {
+		t.Fatalf("Tick allocated %v times per tick, want 0", allocs)
+	}
+}

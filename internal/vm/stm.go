@@ -2,20 +2,36 @@ package vm
 
 // footprint is a transaction's read and write sets, shared by the in-VM
 // atomic form (txn) and the host-coordinated two-phase participant
-// (HostTxn). Reads record each object's version at first touch; writes are
-// buffered per (object, slot) and reach the heap only when apply runs.
+// (HostTxn). Both are logs in first-touch order: reads record each object's
+// version at first touch, and writes are buffered per (object, slot) and
+// reach the heap only when apply runs. A transfer touches a handful of
+// objects, so lookups scan the logs; a log that grows past fpIndexAt
+// entries gets an index map, built once and dropped by reset, so that a
+// large transaction stays linear (the small read/write-set logs of TL2,
+// Dice, Shalev and Shavit, DISC 2006).
 type footprint struct {
 	// reads holds every touched object — written objects included, so
 	// writes validate too (no blind-write races).
-	reads map[*Object]touch
+	reads []touch
 	// writes is the write buffer, one entry per written slot.
-	writes map[slot]Value
+	writes []write
+	// readAt and writeAt map an object or a slot to its log position once
+	// that log is past fpIndexAt entries; nil before.
+	readAt  map[*Object]int
+	writeAt map[slot]int
 }
 
 // touch is one read-set entry.
 type touch struct {
+	o       *Object
 	ver     uint64 // o.Version at first touch
 	written bool   // some slot of o is in the write buffer
+}
+
+// write is one write-buffer entry.
+type write struct {
+	slot
+	val Value
 }
 
 // slot names one element of one heap object.
@@ -24,62 +40,123 @@ type slot struct {
 	i int
 }
 
-func newFootprint() footprint {
-	return footprint{reads: map[*Object]touch{}, writes: map[slot]Value{}}
-}
+// fpIndexAt is the log length past which lookups go through an index map
+// instead of a linear scan.
+const fpIndexAt = 16
 
-// maxPooledFootprint caps the read and write sets a reusable footprint may
-// have held. Go maps never shrink and clear costs their capacity, so a
-// footprint that grew past the cap gets fresh maps instead of being cleared:
-// one huge transaction must not make every later small one pay for it.
+// maxPooledFootprint caps the log capacity a pooled transaction record may
+// keep: one huge transaction must not leave every later small one holding
+// its storage.
 const maxPooledFootprint = 64
 
-// large reports whether the footprint grew past maxPooledFootprint.
+// large reports whether the footprint's logs grew past maxPooledFootprint.
 func (f *footprint) large() bool {
-	return len(f.reads) > maxPooledFootprint || len(f.writes) > maxPooledFootprint
+	return cap(f.reads) > maxPooledFootprint || cap(f.writes) > maxPooledFootprint
 }
 
-// reset empties the footprint for reuse, keeping the maps' storage unless
-// the footprint is large.
+// reset empties the footprint for reuse. It keeps the logs' storage,
+// zeroed so that it pins no heap objects, and drops the index maps.
 func (f *footprint) reset() {
-	if f.large() {
-		*f = newFootprint()
-		return
-	}
 	clear(f.reads)
 	clear(f.writes)
+	f.reads, f.writes = f.reads[:0], f.writes[:0]
+	f.readAt, f.writeAt = nil, nil
+}
+
+// findRead returns o's position in the read log, or -1.
+func (f *footprint) findRead(o *Object) int {
+	if f.readAt != nil {
+		if j, ok := f.readAt[o]; ok {
+			return j
+		}
+		return -1
+	}
+	for j := range f.reads {
+		if f.reads[j].o == o {
+			return j
+		}
+	}
+	return -1
+}
+
+// findWrite returns s's position in the write log, or -1.
+func (f *footprint) findWrite(s slot) int {
+	if f.writeAt != nil {
+		if j, ok := f.writeAt[s]; ok {
+			return j
+		}
+		return -1
+	}
+	for j := range f.writes {
+		if f.writes[j].slot == s {
+			return j
+		}
+	}
+	return -1
+}
+
+// addRead logs o's first touch.
+func (f *footprint) addRead(o *Object, written bool) {
+	f.reads = append(f.reads, touch{o: o, ver: o.Version, written: written})
+	if n := len(f.reads); f.readAt != nil {
+		f.readAt[o] = n - 1
+	} else if n > fpIndexAt {
+		f.readAt = make(map[*Object]int, 2*n)
+		for j, tc := range f.reads {
+			f.readAt[tc.o] = j
+		}
+	}
+}
+
+// addWrite logs the first store to s.
+func (f *footprint) addWrite(s slot, val Value) {
+	f.writes = append(f.writes, write{s, val})
+	if n := len(f.writes); f.writeAt != nil {
+		f.writeAt[s] = n - 1
+	} else if n > fpIndexAt {
+		f.writeAt = make(map[slot]int, 2*n)
+		for j, w := range f.writes {
+			f.writeAt[w.slot] = j
+		}
+	}
 }
 
 // read returns the transactional view of o.Elems[i].
 func (f *footprint) read(o *Object, i int) Value {
-	if tc, seen := f.reads[o]; !seen {
-		f.reads[o] = touch{ver: o.Version}
-	} else if tc.written {
-		if val, ok := f.writes[slot{o, i}]; ok {
-			return val
+	if j := f.findRead(o); j < 0 {
+		f.addRead(o, false)
+	} else if f.reads[j].written {
+		if k := f.findWrite(slot{o, i}); k >= 0 {
+			return f.writes[k].val
 		}
 	}
 	return o.Elems[i]
 }
 
-// write buffers a transactional store to o.Elems[i].
+// write buffers a transactional store to o.Elems[i]. Only a slot of an
+// object already written can be in the write buffer.
 func (f *footprint) write(o *Object, i int, val Value) {
-	tc, seen := f.reads[o]
-	if !seen {
-		tc.ver = o.Version
+	s := slot{o, i}
+	j := f.findRead(o)
+	switch {
+	case j < 0:
+		f.addRead(o, true)
+	case !f.reads[j].written:
+		f.reads[j].written = true
+	default:
+		if k := f.findWrite(s); k >= 0 {
+			f.writes[k].val = val
+			return
+		}
 	}
-	if !tc.written {
-		tc.written = true
-		f.reads[o] = tc
-	}
-	f.writes[slot{o, i}] = val
+	f.addWrite(s, val)
 }
 
 // valid reports whether no touched object's version moved since first
 // touch.
 func (f *footprint) valid() bool {
-	for o, tc := range f.reads {
-		if o.Version != tc.ver {
+	for _, tc := range f.reads {
+		if tc.o.Version != tc.ver {
 			return false
 		}
 	}
@@ -89,32 +166,31 @@ func (f *footprint) valid() bool {
 // writesPrepared reports whether the footprint writes an object a host
 // transaction holds prepared.
 func (f *footprint) writesPrepared() bool {
-	for o, tc := range f.reads {
-		if tc.written && o.Prepared {
+	for _, tc := range f.reads {
+		if tc.written && tc.o.Prepared {
 			return true
 		}
 	}
 	return false
 }
 
-// apply stores the buffered writes and bumps each written object's version
-// once. Map iteration order cannot change the outcome: every write-buffer
-// key is a distinct slot, and each written object is bumped exactly once.
+// apply stores the buffered writes in first-write order and bumps each
+// written object's version once.
 func (f *footprint) apply() {
-	for s, val := range f.writes {
-		s.o.Elems[s.i] = val
+	for _, w := range f.writes {
+		w.o.Elems[w.i] = w.val
 	}
-	for o, tc := range f.reads {
+	for _, tc := range f.reads {
 		if tc.written {
-			o.Version++
+			tc.o.Version++
 		}
 	}
 }
 
 // setPrepared sets or clears the prepare lock on every touched object.
 func (f *footprint) setPrepared(p bool) {
-	for o := range f.reads {
-		o.Prepared = p
+	for _, tc := range f.reads {
+		tc.o.Prepared = p
 	}
 }
 
@@ -154,7 +230,7 @@ func (v *VM) atomicBegin(t *Thread, fr *Frame) error {
 		tx = v.txnPool[n-1]
 		v.txnPool = v.txnPool[:n-1]
 	} else {
-		tx = &txn{fp: newFootprint()}
+		tx = &txn{}
 	}
 	tx.frameDepth = len(t.frames)
 	tx.block = fr.block
@@ -167,8 +243,8 @@ func (v *VM) atomicBegin(t *Thread, fr *Frame) error {
 }
 
 // releaseTxn returns a committed transaction's record to the pool, emptied
-// so that it pins no heap objects. A record whose footprint grew past the
-// cap is dropped instead.
+// so that it pins no heap objects. A record whose logs grew past
+// maxPooledFootprint is dropped instead.
 func (v *VM) releaseTxn(tx *txn) {
 	if tx.fp.large() || len(v.txnPool) >= maxPooledTxns {
 		return
@@ -258,7 +334,8 @@ func (v *VM) atomicRetry(t *Thread) error {
 // footprint and lock it) and Commit (apply, bump versions, unlock), so a
 // coordinator can run two-phase commit across participants with Abort as
 // the rollback path. Unlike txn records, a HostTxn is never pooled: the
-// caller holds its handle.
+// caller holds its handle, which carries inline room for a small footprint
+// so that opening one costs a single allocation.
 //
 // Protocol guarantees, given the usage contract below:
 //
@@ -277,7 +354,16 @@ type HostTxn struct {
 	vm    *VM
 	fp    footprint
 	state hostTxnState
+	// Inline storage for the footprint's logs; a larger footprint grows
+	// out of it.
+	readBuf  [hostInline]touch
+	writeBuf [hostInline]write
 }
+
+// hostInline is the log length a HostTxn holds without a further
+// allocation: room for the one account a serve participant touches, and
+// one more.
+const hostInline = 2
 
 // hostTxnState tracks the prepare/commit/abort lifecycle.
 type hostTxnState int
@@ -290,7 +376,9 @@ const (
 
 // HostBegin opens a host transaction on this VM's heap.
 func (v *VM) HostBegin() *HostTxn {
-	return &HostTxn{vm: v, fp: newFootprint()}
+	tx := &HostTxn{vm: v}
+	tx.fp.reads, tx.fp.writes = tx.readBuf[:0], tx.writeBuf[:0]
+	return tx
 }
 
 // Read returns the transactional view of o.Elems[i], recording o's version
@@ -309,8 +397,8 @@ func (tx *HostTxn) Prepare() bool {
 	if tx.state != hostActive {
 		return false
 	}
-	for o, tc := range tx.fp.reads {
-		if o.Prepared || o.Version != tc.ver {
+	for _, tc := range tx.fp.reads {
+		if tc.o.Prepared || tc.o.Version != tc.ver {
 			tx.state = hostDone
 			tx.vm.Stats.TxAborts++
 			return false

@@ -12,7 +12,7 @@ import (
 )
 
 // stmLoad compiles src into a module for direct VM construction.
-func stmLoad(t *testing.T, src string) *ir.Module {
+func stmLoad(t testing.TB, src string) *ir.Module {
 	t.Helper()
 	prog, diags := parser.Parse("stm_test", src)
 	if err := diags.ErrOrNil(); err != nil {
@@ -339,47 +339,134 @@ func TestForceAtomicRetries(t *testing.T) {
 	}
 }
 
-// TestAtomicCommitAllocatesNothing pins the pooled transaction records: once
-// the VM is warm, a committed atomic allocates nothing, and neither does a
-// retry, which reuses its record and snapshot. Allocation per transaction is
-// the difference between runs of many and of few transactions, so the
-// fixed per-call cost of RunFunc cancels out.
-func TestAtomicCommitAllocatesNothing(t *testing.T) {
-	mod := stmLoad(t, `
-(defstruct cell (v int64) (w int64))
-(define c cell (make cell :v 0 :w 0))
+// transferSrc is the serve shard's transfer transaction: an atomic that
+// reads the accounts vector and two accounts and writes both accounts —
+// three objects touched, two slots written. transfers runs n of them.
+const transferSrc = `
+(defstruct account (bal int64))
+(define accounts (vector account) (make-vector 2 (make account :bal 0)))
 
-(define (entry (n int64)) int64
+(define (init) unit
+  (dotimes (i 2)
+    (vector-set! accounts i (make account :bal 1000))))
+
+(define (transfer (fi int64) (ti int64) (am int64)) unit
+  (atomic
+    (let ((fa (vector-ref accounts fi))
+          (ta (vector-ref accounts ti)))
+      (set-field! fa bal (- (field fa bal) am))
+      (set-field! ta bal (+ (field ta bal) am)))))
+
+(define (transfers (n int64)) int64
   (dotimes (i n)
-    (atomic
-      (set-field! c v (+ (field c v) 1))
-      (set-field! c w (field c v))))
-  (field c v))`)
-	v := New(mod, Options{Seed: 1})
-	allocs := func(n int64, retries int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			v.ForceAtomicRetries(retries)
-			if _, err := v.RunFunc("entry", IntValue(n)); err != nil {
+    (transfer 0 1 1))
+  (field (vector-ref accounts 0) bal))`
+
+// TestAtomicCommitAllocatesNothing pins the pooled transaction records: once
+// the VM is warm, a committed transfer allocates nothing under either
+// dispatch mode, and neither does a retry, which reuses its record, its
+// logs and its snapshot. Allocation per transaction is the difference
+// between runs of many and of few transactions, so the fixed per-call cost
+// of RunFunc cancels out.
+func TestAtomicCommitAllocatesNothing(t *testing.T) {
+	mod := stmLoad(t, transferSrc)
+	for _, d := range []struct {
+		name string
+		mode DispatchMode
+	}{{"fused", DispatchFused}, {"switch", DispatchSwitch}} {
+		t.Run(d.name, func(t *testing.T) {
+			v := New(mod, Options{Seed: 1, Dispatch: d.mode})
+			if _, err := v.RunFunc("init"); err != nil {
 				t.Fatal(err)
+			}
+			allocs := func(n int64, retries int) float64 {
+				return testing.AllocsPerRun(5, func() {
+					v.ForceAtomicRetries(retries)
+					if _, err := v.RunFunc("transfers", IntValue(n)); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			allocs(100, 10) // warm the pools and the logs
+			const n = 1000
+			base := allocs(1, 0)
+			if extra := allocs(1+n, 0) - base; extra != 0 {
+				t.Errorf("%d committed transactions allocated %v times (%.3f per transaction), want 0",
+					n, extra, extra/n)
+			}
+			if extra := allocs(1, n/2) - base; extra != 0 {
+				t.Errorf("%d forced retries allocated %v times, want 0", n/2, extra)
 			}
 		})
 	}
-	allocs(100, 10) // warm the pools and the maps
-	const n = 1000
-	base := allocs(1, 0)
-	if extra := allocs(1+n, 0) - base; extra != 0 {
-		t.Errorf("%d committed transactions allocated %v times (%.3f per transaction), want 0",
-			n, extra, extra/n)
+}
+
+// fillSrc's fills runs n transactions that each fill a 1000-slot vector:
+// one object read, 1000 slots written. Its init, like transferSrc's, sets
+// up the heap.
+const fillSrc = `
+(define v (vector int64) (make-vector 1000 0))
+
+(define (init) unit ())
+
+(define (fills (n int64)) unit
+  (dotimes (k n)
+    (atomic
+      (dotimes (i 1000)
+        (vector-set! v i k)))))`
+
+// BenchmarkSTMCommit times one committed atomic transaction per op: small
+// is the serve transfer (three objects touched, two slots written), large a
+// 1000-slot fill, whose write log runs on the index map. One RunFunc runs
+// all b.N transactions, so its fixed cost spreads over them.
+func BenchmarkSTMCommit(b *testing.B) {
+	for _, c := range []struct{ name, src, run string }{
+		{"small", transferSrc, "transfers"},
+		{"large", fillSrc, "fills"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			v := New(stmLoad(b, c.src), Options{Seed: 1})
+			if _, err := v.RunFunc("init"); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := v.RunFunc(c.run, IntValue(1)); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if _, err := v.RunFunc(c.run, IntValue(int64(b.N))); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
-	if extra := allocs(1, n/2) - base; extra != 0 {
-		t.Errorf("%d forced retries allocated %v times, want 0", n/2, extra)
+}
+
+// TestHostTxnAllocs pins the cost of opening a 2PC participant: a whole
+// HostBegin, Read, Write, Prepare, Commit cycle on one object allocates the
+// handle and nothing else.
+func TestHostTxnAllocs(t *testing.T) {
+	v, o := hostTestVM(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		tx := v.HostBegin()
+		bal := tx.Read(o, 0)
+		tx.Write(o, 0, IntValue(bal.I+1))
+		if !tx.Prepare() {
+			t.Fatal("prepare failed on an uncontended object")
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("a host transaction allocated %v times, want at most 1", allocs)
 	}
 }
 
 // TestTxnRecordReuseLeavesNoStaleState runs a small transaction after each
 // of: a large commit (its record is dropped, being past the pooling cap), a
-// large commit whose first attempt aborts, and small commits (their records
-// are pooled). Between the two a non-transactional store changes the probed
+// large commit whose first attempt aborts, indexed commits (past the index
+// threshold but under the cap, so their records are pooled with the index
+// dropped), and small commits (their records are pooled). Between the two a non-transactional store changes the probed
 // cell. The read-only probe must return that value, commit first try (a
 // kept read version would never validate), and leave the cell as it was (a
 // kept buffered write would be applied again at its commit).
@@ -423,6 +510,8 @@ func TestTxnRecordReuseLeavesNoStaleState(t *testing.T) {
 	}{
 		{"large commit", 200, 0},
 		{"large abort then commit", 200, 1},
+		{"indexed commit", 3 * fpIndexAt, 0},
+		{"indexed abort then commit", 3 * fpIndexAt, 1},
 		{"small commit", 2, 0},
 		{"small abort then commit", 2, 1},
 		{"small commit again", 2, 0},
@@ -445,6 +534,374 @@ func TestTxnRecordReuseLeavesNoStaleState(t *testing.T) {
 		for _, tx := range v.txnPool {
 			if len(tx.fp.reads) != 0 || len(tx.fp.writes) != 0 {
 				t.Fatalf("after %s: pooled record holds %d reads, %d writes", c.name, len(tx.fp.reads), len(tx.fp.writes))
+			}
+			if tx.fp.readAt != nil || tx.fp.writeAt != nil {
+				t.Fatalf("after %s: pooled record kept its index maps", c.name)
+			}
+			if tx.fp.large() {
+				t.Fatalf("after %s: pooled record holds logs of capacity %d, %d, past the cap %d",
+					c.name, cap(tx.fp.reads), cap(tx.fp.writes), maxPooledFootprint)
+			}
+			for _, tc := range tx.fp.reads[:cap(tx.fp.reads)] {
+				if tc.o != nil {
+					t.Fatalf("after %s: pooled record's read log pins an object", c.name)
+				}
+			}
+			for _, w := range tx.fp.writes[:cap(tx.fp.writes)] {
+				if w.o != nil {
+					t.Fatalf("after %s: pooled record's write log pins an object", c.name)
+				}
+			}
+		}
+	}
+}
+
+// fpModel is the reference TestFootprintModel holds the footprint to: the
+// read and write sets as plain maps keyed by object number, over a twin
+// heap.
+type fpModel struct {
+	heap   []*Object
+	reads  map[int]modelTouch
+	writes map[[2]int]Value
+}
+
+type modelTouch struct {
+	ver     uint64
+	written bool
+}
+
+func (m *fpModel) read(o, i int) Value {
+	if tc, seen := m.reads[o]; !seen {
+		m.reads[o] = modelTouch{ver: m.heap[o].Version}
+	} else if tc.written {
+		if val, ok := m.writes[[2]int{o, i}]; ok {
+			return val
+		}
+	}
+	return m.heap[o].Elems[i]
+}
+
+func (m *fpModel) write(o, i int, val Value) {
+	tc, seen := m.reads[o]
+	if !seen {
+		tc.ver = m.heap[o].Version
+	}
+	tc.written = true
+	m.reads[o] = tc
+	m.writes[[2]int{o, i}] = val
+}
+
+func (m *fpModel) valid() bool {
+	for o, tc := range m.reads {
+		if m.heap[o].Version != tc.ver {
+			return false
+		}
+	}
+	return true
+}
+
+func (m *fpModel) writesPrepared() bool {
+	for o, tc := range m.reads {
+		if tc.written && m.heap[o].Prepared {
+			return true
+		}
+	}
+	return false
+}
+
+func (m *fpModel) apply() {
+	for s, val := range m.writes {
+		m.heap[s[0]].Elems[s[1]] = val
+	}
+	for o, tc := range m.reads {
+		if tc.written {
+			m.heap[o].Version++
+		}
+	}
+}
+
+func (m *fpModel) setPrepared(p bool) {
+	for o := range m.reads {
+		m.heap[o].Prepared = p
+	}
+}
+
+func (m *fpModel) reset() {
+	clear(m.reads)
+	clear(m.writes)
+}
+
+// fpHarness runs every operation on a footprint over one heap and on the
+// model over its twin, and checks that results, heaps and sets agree.
+type fpHarness struct {
+	t    *testing.T
+	f    footprint
+	m    fpModel
+	heap []*Object       // the footprint's heap
+	num  map[*Object]int // object → its number in both heaps
+}
+
+func newFPHarness(t *testing.T, objs, slots int) *fpHarness {
+	h := &fpHarness{t: t, num: map[*Object]int{}}
+	h.m = fpModel{reads: map[int]modelTouch{}, writes: map[[2]int]Value{}}
+	for o := 0; o < objs; o++ {
+		a := &Object{Kind: OVector, Elems: make([]Value, slots)}
+		b := &Object{Kind: OVector, Elems: make([]Value, slots)}
+		for i := range a.Elems {
+			a.Elems[i] = IntValue(int64(100*o + i))
+			b.Elems[i] = a.Elems[i]
+		}
+		h.heap = append(h.heap, a)
+		h.m.heap = append(h.m.heap, b)
+		h.num[a] = o
+	}
+	return h
+}
+
+func (h *fpHarness) read(o, i int) Value {
+	h.t.Helper()
+	got, want := h.f.read(h.heap[o], i), h.m.read(o, i)
+	if got != want {
+		h.t.Fatalf("read(%d, %d) = %v, model %v", o, i, got, want)
+	}
+	return got
+}
+
+func (h *fpHarness) write(o, i int, val Value) {
+	h.f.write(h.heap[o], i, val)
+	h.m.write(o, i, val)
+}
+
+func (h *fpHarness) valid() bool {
+	h.t.Helper()
+	got, want := h.f.valid(), h.m.valid()
+	if got != want {
+		h.t.Fatalf("valid() = %v, model %v", got, want)
+	}
+	return got
+}
+
+func (h *fpHarness) writesPrepared() bool {
+	h.t.Helper()
+	got, want := h.f.writesPrepared(), h.m.writesPrepared()
+	if got != want {
+		h.t.Fatalf("writesPrepared() = %v, model %v", got, want)
+	}
+	return got
+}
+
+// apply commits both sides and checks that each written object's version
+// moved exactly once and every other object's not at all.
+func (h *fpHarness) apply() {
+	h.t.Helper()
+	before := make([]uint64, len(h.heap))
+	for o, obj := range h.heap {
+		before[o] = obj.Version
+	}
+	h.f.apply()
+	h.m.apply()
+	for o, obj := range h.heap {
+		want := before[o]
+		if h.m.reads[o].written {
+			want++
+		}
+		if obj.Version != want {
+			h.t.Fatalf("apply moved object %d's version %d → %d, want %d", o, before[o], obj.Version, want)
+		}
+	}
+}
+
+func (h *fpHarness) setPrepared(p bool) {
+	h.f.setPrepared(p)
+	h.m.setPrepared(p)
+}
+
+func (h *fpHarness) reset() {
+	h.f.reset()
+	h.m.reset()
+}
+
+// commitElsewhere is another transaction's commit to object o: a slot
+// changes and the version moves.
+func (h *fpHarness) commitElsewhere(o, i int, val Value) {
+	for _, obj := range []*Object{h.heap[o], h.m.heap[o]} {
+		obj.Elems[i] = val
+		obj.Version++
+	}
+}
+
+func (h *fpHarness) togglePrepared(o int) {
+	h.heap[o].Prepared = !h.heap[o].Prepared
+	h.m.heap[o].Prepared = h.heap[o].Prepared
+}
+
+// check compares the two heaps, the logs with the model's sets, and the
+// index maps with the log lengths.
+func (h *fpHarness) check() {
+	h.t.Helper()
+	for o, a := range h.heap {
+		b := h.m.heap[o]
+		if a.Version != b.Version || a.Prepared != b.Prepared {
+			h.t.Fatalf("object %d: version %d prepared %v, model %d %v", o, a.Version, a.Prepared, b.Version, b.Prepared)
+		}
+		for i := range a.Elems {
+			if a.Elems[i] != b.Elems[i] {
+				h.t.Fatalf("object %d slot %d = %v, model %v", o, i, a.Elems[i], b.Elems[i])
+			}
+		}
+	}
+	f := &h.f
+	if len(f.reads) != len(h.m.reads) || len(f.writes) != len(h.m.writes) {
+		h.t.Fatalf("logs hold %d reads, %d writes; model %d, %d", len(f.reads), len(f.writes), len(h.m.reads), len(h.m.writes))
+	}
+	for _, tc := range f.reads {
+		if mt, ok := h.m.reads[h.num[tc.o]]; !ok || mt != (modelTouch{tc.ver, tc.written}) {
+			h.t.Fatalf("read log has object %d at %+v, model %+v (present %v)", h.num[tc.o], tc, mt, ok)
+		}
+	}
+	for _, w := range f.writes {
+		if val, ok := h.m.writes[[2]int{h.num[w.o], w.i}]; !ok || val != w.val {
+			h.t.Fatalf("write log has slot (%d, %d) = %v, model %v (present %v)", h.num[w.o], w.i, w.val, val, ok)
+		}
+	}
+	if (f.readAt != nil) != (len(f.reads) > fpIndexAt) || (f.writeAt != nil) != (len(f.writes) > fpIndexAt) {
+		h.t.Fatalf("index maps present %v, %v at log lengths %d, %d (threshold %d)",
+			f.readAt != nil, f.writeAt != nil, len(f.reads), len(f.writes), fpIndexAt)
+	}
+}
+
+// TestFootprintModel drives the first-touch logs and a map-based model of
+// the read and write sets through the same operations, with logs below, at
+// and past the index threshold. Scripted cases pin the cases a log can get
+// wrong; random sequences cover their interleavings.
+func TestFootprintModel(t *testing.T) {
+	// Every script runs after pad filler writes to other objects, which
+	// take both logs below, to and past the threshold first.
+	scripts := []struct {
+		name string
+		run  func(h *fpHarness)
+	}{
+		{"read after write, same and other slot", func(h *fpHarness) {
+			h.write(0, 1, IntValue(7))
+			if got := h.read(0, 1); got.I != 7 {
+				t.Fatalf("read own write = %d, want 7", got.I)
+			}
+			if got := h.read(0, 2); got.I != 2 {
+				t.Fatalf("unwritten slot of a written object = %d, want the heap's 2", got.I)
+			}
+			h.apply()
+		}},
+		{"overwrite one slot twice", func(h *fpHarness) {
+			h.read(1, 0)
+			h.write(1, 0, IntValue(5))
+			h.write(1, 0, IntValue(6))
+			if got := h.read(1, 0); got.I != 6 {
+				t.Fatalf("read after two writes = %d, want 6", got.I)
+			}
+			h.apply()
+			if got := h.heap[1].Elems[0].I; got != 6 {
+				t.Fatalf("applied %d, want the second write 6", got)
+			}
+		}},
+		{"blind write validates", func(h *fpHarness) {
+			h.write(2, 3, IntValue(9))
+			if !h.valid() {
+				t.Fatal("fresh blind write does not validate")
+			}
+			h.commitElsewhere(2, 0, IntValue(-1))
+			if h.valid() {
+				t.Fatal("blind write validated over another commit to its object")
+			}
+		}},
+		{"version moved between touch and commit", func(h *fpHarness) {
+			h.read(3, 0)
+			h.write(0, 0, IntValue(1))
+			h.commitElsewhere(3, 1, IntValue(-2))
+			if h.valid() {
+				t.Fatal("read validated after its object's version moved")
+			}
+		}},
+		{"prepared object in the write set", func(h *fpHarness) {
+			h.read(1, 1)
+			h.togglePrepared(1)
+			if h.writesPrepared() {
+				t.Fatal("a read-only touch of a prepared object counts as a write")
+			}
+			h.write(1, 1, IntValue(3))
+			if !h.writesPrepared() {
+				t.Fatal("a write to a prepared object went unnoticed")
+			}
+			h.togglePrepared(1)
+			h.setPrepared(true)
+			h.check()
+			h.setPrepared(false)
+		}},
+		{"one version bump per written object", func(h *fpHarness) {
+			for i := 0; i < 4; i++ {
+				h.write(0, i, IntValue(int64(i)))
+				h.write(2, i, IntValue(int64(-i)))
+			}
+			h.read(3, 0)
+			h.apply()
+		}},
+	}
+	const slots = 4
+	for _, pad := range []int{0, fpIndexAt - 4, fpIndexAt - 3, fpIndexAt, 3 * fpIndexAt} {
+		for _, sc := range scripts {
+			h := newFPHarness(t, 4+pad, slots)
+			for k := 0; k < pad; k++ {
+				h.write(4+k, k%slots, IntValue(int64(k)))
+			}
+			sc.run(h)
+			h.check()
+			h.reset()
+			h.check()
+		}
+	}
+
+	// Random sequences. objs×slots bounds the logs, so the shapes keep
+	// both below the threshold, put the write log alone past it, and put
+	// both past it.
+	shapes := []struct{ objs, slots int }{
+		{3, 2}, {fpIndexAt, 1}, {fpIndexAt + 1, 1}, {1, 3 * fpIndexAt}, {4, fpIndexAt}, {3 * fpIndexAt, 3},
+	}
+	for _, sh := range shapes {
+		for seed := uint64(1); seed <= 20; seed++ {
+			h := newFPHarness(t, sh.objs, sh.slots)
+			rng := seed*0x9e3779b97f4a7c15 + uint64(sh.objs)
+			next := func(n int) int {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				return int(rng % uint64(n))
+			}
+			for step := 0; step < 600; step++ {
+				o, i, val := next(sh.objs), next(sh.slots), IntValue(int64(next(1000)))
+				switch op := next(100); {
+				case op < 40:
+					h.read(o, i)
+				case op < 75:
+					h.write(o, i, val)
+				case op < 82:
+					h.commitElsewhere(o, i, val)
+				case op < 86:
+					h.togglePrepared(o)
+				case op < 90:
+					h.valid()
+				case op < 94:
+					h.writesPrepared()
+				case op < 96:
+					h.setPrepared(true)
+					h.check()
+					h.setPrepared(false)
+				case op < 98:
+					h.apply()
+					h.check()
+					h.reset()
+				default:
+					h.reset()
+				}
+				h.check()
 			}
 		}
 	}

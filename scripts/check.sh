@@ -123,8 +123,12 @@ rm -f /tmp/bitc-serve-shard.bitc /tmp/bitc-serve-twopc.bitc
 # the pinned fusion listings of two E1 kernels must not drift silently
 # (regenerate with -update and review the diff; see docs/vm.md). vm.Value
 # must stay four fields and 32 bytes, calls must allocate nothing, and a
-# string must never pass a reference operand check.
-go test -count=1 -run 'TestDispatchDifferential|TestDisasmGolden|TestValueLayout|TestCallsAllocateNothing|TestStringIsNotRef' ./internal/vm
+# string must never pass a reference operand check. The STM footprint's
+# first-touch logs must agree with a map-based model of the read and write
+# sets below, at and past the index threshold, a warm atomic commit or
+# retry must allocate nothing under either dispatch mode, and a host 2PC
+# participant must cost at most its handle.
+go test -count=1 -run 'TestDispatchDifferential|TestDisasmGolden|TestValueLayout|TestCallsAllocateNothing|TestStringIsNotRef|TestFootprintModel|TestAtomicCommitAllocatesNothing|TestHostTxnAllocs' ./internal/vm
 
 # Linear-cost and IR pin gate (~6s): on the scaling shapes
 # (internal/corpus/shapes.go) at growing sizes, the type checker, the
